@@ -23,11 +23,9 @@ __all__ = [
     "Adam",
     "ShapeError",
     "NonFiniteError",
-    "set_strict",
     "strict_enabled",
     "permissive",
     "backward",
-    "forward_op",
     "constant",
     "parameter",
     "add",
@@ -57,12 +55,6 @@ class NonFiniteError(ArithmeticError):
 
 
 _STRICT = True
-
-
-def set_strict(flag):
-    """Globally enable or disable non-finite checking. Strict is the default."""
-    global _STRICT
-    _STRICT = bool(flag)
 
 
 def strict_enabled():
@@ -269,30 +261,6 @@ def index_lastdim(x, k):
     return _make("index_lastdim", x.value[..., k], (x,), bwd)
 
 
-_OPS = {
-    "matmul": lambda inputs, **kw: matmul(*inputs),
-    "add": lambda inputs, **kw: add(*inputs),
-    "mul": lambda inputs, **kw: mul(*inputs),
-    "relu": lambda inputs, **kw: relu(*inputs),
-    "tanh": lambda inputs, **kw: tanh(*inputs),
-    "sigmoid": lambda inputs, **kw: sigmoid(*inputs),
-    "softmax_lastdim": lambda inputs, **kw: softmax_lastdim(*inputs),
-    "log": lambda inputs, **kw: log(*inputs),
-    "sum": lambda inputs, axis=None: tensor_sum(inputs[0], axis=axis),
-    "mean": lambda inputs, axis=None: tensor_mean(inputs[0], axis=axis),
-    "concat_lastdim": lambda inputs, **kw: concat_lastdim(inputs),
-    "scale": lambda inputs, c=1.0: scale(inputs[0], c),
-    "index_lastdim": lambda inputs, k=0: index_lastdim(inputs[0], k),
-}
-
-
-def forward_op(kind, inputs, **kwargs):
-    """Dispatch-by-name entry point mirroring the op table above."""
-    if kind not in _OPS:
-        raise ValueError(f"unknown op kind {kind!r}")
-    return _OPS[kind](list(inputs), **kwargs)
-
-
 def _toposort(root):
     order = []
     VISITING, DONE = 0, 1
@@ -370,12 +338,6 @@ class ParameterSet:
     def items(self):
         return self._entries.items()
 
-    def names(self):
-        return list(self._entries)
-
-    def tensors(self):
-        return list(self._entries.values())
-
     @property
     def count(self):
         return sum(t.value.size for t in self._entries.values())
@@ -443,8 +405,22 @@ class Adam:
             v += (1.0 - self.beta2) * g * g
             p.value -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
-    def zero_grad(self):
+    def minimize(self, loss):
+        """One training step: zero this optimizer's gradients, backpropagate
+        ``loss``, update, and return the loss value."""
         self.params.zero_grads()
+        backward(loss)
+        self.step()
+        return loss.item()
+
+    def restricted(self, params):
+        """An optimizer over a subset of this one's parameters that continues
+        from its step count and shares its moment arrays."""
+        opt = Adam(params, self.lr, (self.beta1, self.beta2), self.eps)
+        opt.t = self.t
+        opt._m = {name: self._m[name] for name in params}
+        opt._v = {name: self._v[name] for name in params}
+        return opt
 
 
 def affine(x, w, b):

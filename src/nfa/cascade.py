@@ -200,11 +200,10 @@ class CascadedModel:
             return ad.softmax_lastdim(h)
         return h
 
-    def forward(self, x, params_per_module=None):
+    def forward(self, x):
         h = x
         for i, module in enumerate(self.modules):
-            p = None if params_per_module is None else params_per_module[i]
-            h = module.forward(h, p)
+            h = module.forward(h)
             h = self.stage_output_transform(i, h)
         return h
 
@@ -243,43 +242,31 @@ def pretrain_upstream(model: CascadedModel, source_data, epochs, lr, batch_size=
         raise ValueError("pretraining requires a nonempty source dataset")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9E7A]))
 
-    def run_stage(loss_fn, params):
+    def run_stage(loss_fn, stage_index):
+        params = ParameterSet()
+        for m in model.stage_modules(stage_index):
+            params.merge(m.params, prefix=m.name + ".")
         opt = ad.Adam(params, lr=lr)
         for _ in range(epochs):
-            order = rng.permutation(len(source_data))
-            for start in range(0, len(order), batch_size):
-                idx = order[start:start + batch_size]
-                opt.zero_grad()
-                loss = loss_fn(idx)
-                ad.backward(loss)
-                opt.step()
+            for batch in source_data.batches(batch_size, rng):
+                opt.minimize(loss_fn(batch))
 
-    stage1_params = ParameterSet()
-    for m in model.stage_modules(0):
-        stage1_params.merge(m.params, prefix=m.name + ".")
+    def denoise_loss(batch):
+        return ad.mse(model.forward_stage(0, ad.constant(batch.x)), ad.constant(batch.clean))
 
-    def denoise_loss(idx):
-        x = ad.constant(source_data.x[idx])
-        target = ad.constant(source_data.clean[idx])
-        return ad.mse(model.forward_stage(0, x), target)
-
-    stage2_params = ParameterSet()
-    for m in model.stage_modules(1):
-        stage2_params.merge(m.params, prefix=m.name + ".")
     n_inter = model.stage_modules(1)[-1].out_dim
 
-    def recognize_loss(idx):
-        x = ad.constant(source_data.x[idx])
-        h = model.forward_stage(0, x)
+    def recognize_loss(batch):
+        h = model.forward_stage(0, ad.constant(batch.x))
         # stage-2 softmax output doubles as class posterior; train via log-loss
         probs = model.forward_stage(1, h)
-        onehot = np.eye(n_inter)[source_data.inter_labels[idx]]
+        onehot = np.eye(n_inter)[batch.inter_labels]
         picked = ad.tensor_sum(ad.mul(ad.constant(onehot), ad.log(probs)), axis=-1)
         return ad.scale(ad.tensor_mean(picked), -1.0)
 
     if epochs > 0:
-        run_stage(denoise_loss, stage1_params)
-        run_stage(recognize_loss, stage2_params)
+        run_stage(denoise_loss, 0)
+        run_stage(recognize_loss, 1)
     model.freeze()
 
 
@@ -356,11 +343,3 @@ def make_adapter(kind, in_dim, rng):
     if kind not in ADAPTER_KINDS:
         raise ValueError(f"unknown adapter kind {kind!r}; choose from {sorted(ADAPTER_KINDS)}")
     return ADAPTER_KINDS[kind](in_dim, rng)
-
-
-def adapter_forward(adapter, x):
-    return adapter.forward(x)
-
-
-def param_count(params: ParameterSet):
-    return params.count

@@ -91,6 +91,8 @@ class NfaCell:
             raise ValueError("NA mode searches skip vs one adapter; supply exactly one kind")
         if not adapter_kinds:
             raise ValueError("at least one adapter kind is required")
+        if len(set(adapter_kinds)) != len(adapter_kinds):
+            raise ValueError(f"duplicate adapter kinds in {list(adapter_kinds)}")
         if rng is None:
             rng = np.random.default_rng(0)
         self.module = module
@@ -100,38 +102,37 @@ class NfaCell:
         self.adapters = [make_adapter(k, module.out_dim, rng) for k in adapter_kinds]
         self.paths = ([FROZEN, FINETUNE] if mode == "NFA" else [FROZEN])
         self.paths += [adapter_choice(a.kind) for a in self.adapters]
+        self._adapter_of = dict.fromkeys(self.paths)
+        self._adapter_of.update((adapter_choice(a.kind), a) for a in self.adapters)
         self.alpha = Tensor(np.zeros(len(self.paths)), requires_grad=True)
 
     @property
     def n_paths(self):
         return len(self.paths)
 
+    def _adapter(self, path):
+        """The adapter that ``path`` runs (None for frozen and fine-tune);
+        raises for any path this cell does not have."""
+        if path not in self._adapter_of:
+            raise ValueError(f"cell has no path {path!r}; its paths are {self.paths}")
+        return self._adapter_of[path]
+
     def trainable_count(self, path):
         """Trainable parameters of one path (frozen contributes nothing)."""
-        if path == FROZEN:
-            return 0
-        if path == FINETUNE:
-            return self.module.param_count
-        kind = path.split(":", 1)[1]
-        for a in self.adapters:
-            if a.kind == kind:
-                return a.param_count
-        raise ValueError(f"cell has no path {path!r}")
+        adapter = self._adapter(path)
+        if adapter is not None:
+            return adapter.param_count
+        return self.module.param_count if path == FINETUNE else 0
 
     @property
     def path_param_counts(self):
         return [self.trainable_count(p) for p in self.paths]
 
     def _path_output(self, path, x, base):
-        if path == FROZEN:
-            return base
-        if path == FINETUNE:
-            return self.module.forward(x, self.finetune_params)
-        kind = path.split(":", 1)[1]
-        for a in self.adapters:
-            if a.kind == kind:
-                return a.forward(base)
-        raise ValueError(f"cell has no path {path!r}")
+        adapter = self._adapter(path)
+        if adapter is not None:
+            return adapter.forward(base)
+        return self.module.forward(x, self.finetune_params) if path == FINETUNE else base
 
     def forward(self, x, weights: PathWeights):
         """Weighted sum of path outputs. The frozen and adapter paths share one
@@ -162,24 +163,18 @@ class NfaCell:
         """The cell's network-parameter group (fine-tune copy plus adapters);
         alpha is the separate architecture group."""
         out = ParameterSet()
-        if self.finetune_params is not None:
-            out.merge(self.finetune_params, prefix="finetune.")
-        for a in self.adapters:
-            out.merge(a.params, prefix=f"adapter.{a.kind}.")
+        for path in self.paths:
+            out.merge(self.params_for_choice(path))
         return out
 
     def params_for_choice(self, choice):
         """Parameters that would train if ``choice`` were deployed."""
-        out = ParameterSet()
-        if choice == FROZEN:
-            return out
+        adapter = self._adapter(choice)
+        if adapter is not None:
+            return ParameterSet().merge(adapter.params, prefix=f"adapter.{adapter.kind}.")
         if choice == FINETUNE:
-            return out.merge(self.finetune_params, prefix="finetune.")
-        kind = choice.split(":", 1)[1]
-        for a in self.adapters:
-            if a.kind == kind:
-                return out.merge(a.params, prefix=f"adapter.{a.kind}.")
-        raise ValueError(f"cell has no path {choice!r}")
+            return ParameterSet().merge(self.finetune_params, prefix="finetune.")
+        return ParameterSet()
 
 
 def build_cells(model, mode="NFA", adapter_kinds=("BA",), seed=0):
@@ -203,6 +198,19 @@ def cascade_forward(model, cells, x, weights_per_cell):
         h = cell.forward(h, weights_per_cell[i])
         h = model.stage_output_transform(i, h)
     return h
+
+
+def scheme_weights(cells, scheme):
+    """Constant one-hot path weights that deploy ``scheme`` (one path per cell)."""
+    return [one_hot_weights(c.n_paths, c.paths.index(choice)) for c, choice in zip(cells, scheme)]
+
+
+def scheme_params(cells, scheme):
+    """The parameters that train when ``scheme`` is deployed."""
+    out = ParameterSet()
+    for c, choice in zip(cells, scheme):
+        out.merge(c.params_for_choice(choice), prefix=f"cell{c.index}.")
+    return out
 
 
 def network_group(cells):

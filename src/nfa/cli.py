@@ -13,9 +13,7 @@ import argparse
 import sys
 
 from . import harness
-from .cascade import build_cascade, pretrain_upstream
 from .config import ConfigError, load_config
-from .data import generate_synthetic
 
 
 def _add_config_arg(p):
@@ -62,10 +60,7 @@ def cmd_compare(args):
 def cmd_pretrain(args):
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.search.seed
-    source = generate_synthetic(harness.source_data_config(cfg), seed)
-    model = build_cascade(cfg.cascade, seed)
-    pretrain_upstream(model, source, epochs=cfg.pretrain.epochs, lr=cfg.pretrain.lr,
-                      batch_size=cfg.pretrain.batch_size, seed=seed)
+    model, _ = harness.pretrained_cascade(cfg, seed)
     out = harness.resolve_out_dir(cfg, args.out, seed=seed)
     named = {}
     for m in model.modules:

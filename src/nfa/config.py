@@ -11,7 +11,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .cascade import CascadeSpec, LayerSpec, ModuleSpec, StageSpec, default_spec, small_spec
+from .cascade import (ADAPTER_KINDS, CascadeSpec, LayerSpec, ModuleSpec, StageSpec, default_spec,
+                      small_spec)
 from .data import SynthDataConfig
 from .objective import PenaltyConfig
 from .search import SearchConfig
@@ -126,11 +127,17 @@ def config_from_dict(d) -> ExperimentConfig:
             f"data dims ({target_cfg.dim}, L={target_cfg.n_labels}) do not match "
             f"cascade ({cascade.in_dim}, L={cascade.n_labels})"
         )
+    adapters = d.get("adapters", ["BA"])
+    if (not isinstance(adapters, list)
+            or not all(isinstance(a, str) and a in ADAPTER_KINDS for a in adapters)
+            or len(set(adapters)) != len(adapters)):
+        raise ConfigError(f"adapters must be a list of distinct kinds from {sorted(ADAPTER_KINDS)}, "
+                          f"got {adapters!r}")
     pt = d.get("pretrain", {})
     _check_keys("pretrain", pt, {"epochs", "lr", "batch_size"})
     cfg = ExperimentConfig(
         cascade=cascade,
-        adapters=tuple(d.get("adapters", ["BA"])),
+        adapters=tuple(adapters),
         mode=d.get("mode", "NFA"),
         penalty=_penalty_from_dict(d.get("penalty", {})),
         search=_search_from_dict(d.get("search", {})),

@@ -9,7 +9,7 @@ genuinely mismatched and adaptation has something to do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,6 +73,12 @@ class Dataset:
             domain=self.domain,
         )
 
+    def batches(self, batch_size, rng):
+        """One shuffled pass: minibatches of ``batch_size`` rows (the last may
+        be short) in the order of a single ``rng.permutation``."""
+        order = rng.permutation(len(self))
+        return [self.subset(order[i:i + batch_size]) for i in range(0, len(order), batch_size)]
+
 
 def prototypes(dim, n_intermediate):
     rng = np.random.default_rng(np.random.SeedSequence([_PROTO_SEED, dim, n_intermediate]))
@@ -102,11 +108,3 @@ def generate_synthetic(cfg: SynthDataConfig, seed: int) -> Dataset:
     if cfg.domain == "target":
         ids = ids + 1_000_000_000  # keep source/target id spaces disjoint
     return Dataset(x=x, clean=clean, inter_labels=z, labels=y, ids=ids, domain=cfg.domain)
-
-
-def source_config(cfg: SynthDataConfig) -> SynthDataConfig:
-    return replace(cfg, domain="source")
-
-
-def target_config(cfg: SynthDataConfig) -> SynthDataConfig:
-    return replace(cfg, domain="target")

@@ -20,10 +20,10 @@ import numpy as np
 from . import autodiff as ad
 from . import objective
 from .cascade import build_cascade, pretrain_upstream
-from .cell import build_cells, cascade_forward, network_group, one_hot_weights
+from .cell import build_cells, cascade_forward, network_group, scheme_params, scheme_weights
 from .config import ExperimentConfig, config_hash
 from .data import SynthDataConfig, generate_synthetic
-from .search import AdaptiveSearch, split_dataset
+from .search import AdaptiveSearch, split_dataset, train_scheme_epoch
 
 OUTPUT_ROOT_ENV = "NFA_OUTPUT_ROOT"
 DEFAULT_ORACLE_CAP = 243
@@ -231,16 +231,22 @@ def source_data_config(cfg: ExperimentConfig) -> SynthDataConfig:
     )
 
 
+def pretrained_cascade(cfg: ExperimentConfig, seed):
+    """The cascade for (cfg, seed), pretrained on its source data; returns
+    ``(model, source)``."""
+    source = generate_synthetic(source_data_config(cfg), seed)
+    model = build_cascade(cfg.cascade, seed)
+    pretrain_upstream(model, source, epochs=cfg.pretrain.epochs, lr=cfg.pretrain.lr,
+                      batch_size=cfg.pretrain.batch_size, seed=seed)
+    return model, source
+
+
 def build_experiment(cfg: ExperimentConfig, seed):
     """Deterministically build everything the search and the oracle share:
     datasets, the pretrained cascade, the target split, and fresh cells."""
     seed = int(seed)
-    source = generate_synthetic(source_data_config(cfg), seed)
-    target = generate_synthetic(cfg.data, seed)
-    model = build_cascade(cfg.cascade, seed)
-    pretrain_upstream(model, source, epochs=cfg.pretrain.epochs, lr=cfg.pretrain.lr,
-                      batch_size=cfg.pretrain.batch_size, seed=seed)
-    train, val = split_dataset(target, cfg.search.split_ratio, seed)
+    model, source = pretrained_cascade(cfg, seed)
+    train, val = split_dataset(generate_synthetic(cfg.data, seed), cfg.search.split_ratio, seed)
     cells = build_cells(model, mode=cfg.mode, adapter_kinds=cfg.adapters, seed=seed)
     return model, cells, source, train, val
 
@@ -277,6 +283,7 @@ def run_experiment(cfg: ExperimentConfig, seed=None, out_dir=None, step_callback
     search_cfg = replace(cfg.search, seed=seed)
     out = resolve_out_dir(cfg, out_dir, seed=seed)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "FAILED").unlink(missing_ok=True)
     stage = "setup"
     try:
         model, cells, _, train, val = build_experiment(cfg, seed)
@@ -320,25 +327,12 @@ def scheme_space(cells):
 def train_fixed_scheme(model, cells, scheme, train, val, lr, epochs, batch_size, seed):
     """Train only the parameters the scheme selects, with constant one-hot
     weights, and return the final validation task loss."""
-    weights = [one_hot_weights(c.n_paths, c.paths.index(choice))
-               for c, choice in zip(cells, scheme)]
-    params = ad.ParameterSet()
-    for c, choice in zip(cells, scheme):
-        params.merge(c.params_for_choice(choice), prefix=f"cell{c.index}.")
-    opt = ad.Adam(params, lr=lr) if len(params) else None
+    weights = scheme_weights(cells, scheme)
+    opt = ad.Adam(scheme_params(cells, scheme), lr=lr)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x04AC]))
-    for _ in range(epochs):
-        order = rng.permutation(len(train))
-        if opt is None:
-            break
-        for start in range(0, len(order), batch_size):
-            batch = train.subset(order[start:start + batch_size])
-            params.zero_grads()
-            logits = cascade_forward(model, cells, ad.constant(batch.x), weights)
-            loss = objective.task_loss(logits, batch.labels)
-            ad.backward(loss)
-            opt.step()
-            params.zero_grads()
+    for _ in range(epochs if len(opt.params) else 0):  # an all-frozen scheme has nothing to train
+        for _ in train_scheme_epoch(model, cells, weights, opt, train, batch_size, rng):
+            pass
     logits = cascade_forward(model, cells, ad.constant(val.x), weights)
     return objective.task_loss(logits, val.labels).item()
 

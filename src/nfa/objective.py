@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .cell import FINETUNE, FROZEN
+from .cell import FROZEN
 
 PFR_POLICIES = ("zero", "constant", "half_finetune")
 
@@ -51,14 +51,8 @@ def penalty_counts(cell, cfg: PenaltyConfig):
     path uses the configured fictitious count. In NA mode (no fine-tune path)
     the policy still keys off the wrapped module's size.
     """
-    counts = []
-    for path in cell.paths:
-        if path == FROZEN:
-            counts.append(cfg.frozen_count(cell.module.param_count))
-        elif path == FINETUNE:
-            counts.append(cell.module.param_count)
-        else:
-            counts.append(cell.trainable_count(path))
+    counts = [cfg.frozen_count(cell.module.param_count) if path == FROZEN
+              else cell.trainable_count(path) for path in cell.paths]
     return np.asarray(counts, dtype=np.float64)
 
 

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import objective
-from .cell import arch_group, cascade_forward, gumbel_softmax, network_group, one_hot_weights
+from .cell import (arch_group, cascade_forward, gumbel_softmax, network_group, scheme_params,
+                   scheme_weights)
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,15 @@ def split_dataset(data, ratio, seed):
     return data.subset(order[:n_train]), data.subset(order[n_train:])
 
 
+def train_scheme_epoch(model, cells, weights, opt, data, batch_size, rng):
+    """One shuffled pass over ``data`` training a fixed scheme: per minibatch,
+    one ``opt`` step on the task loss under the constant path ``weights``.
+    Yields each batch with its loss once the step is taken."""
+    for batch in data.batches(batch_size, rng):
+        logits = cascade_forward(model, cells, ad.constant(batch.x), weights)
+        yield batch, opt.minimize(objective.task_loss(logits, batch.labels))
+
+
 class AdaptiveSearch:
     """Owns the cells, the two optimizer groups, and the search schedule."""
 
@@ -112,7 +122,7 @@ class AdaptiveSearch:
         return [c.discretize() for c in self.cells]
 
     def discretized_weights(self):
-        return [one_hot_weights(c.n_paths, c.paths.index(c.discretize())) for c in self.cells]
+        return scheme_weights(self.cells, self.discretization())
 
     def selected_params_now(self):
         return sum(c.trainable_count(c.discretize()) for c in self.cells)
@@ -127,46 +137,29 @@ class AdaptiveSearch:
 
     # -- steps -----------------------------------------------------------
 
-    def _zero_all(self):
-        self.net_params.zero_grads()
-        self.arch_params.zero_grads()
-
     def arch_step(self, val_batch):
         """One architecture update on a validation batch. Network gradients
         are computed by the same backward pass and then discarded."""
         if len(val_batch) == 0:
             raise ValueError("arch_step needs a nonempty batch")
-        self._zero_all()
         weights = self.sample_weights(hard=True, noise=True)
         logits = cascade_forward(self.model, self.cells, ad.constant(val_batch.x), weights)
         task = objective.task_loss(logits, val_batch.labels)
         pen = objective.penalty(self.cells, weights, self.penalty_cfg)
-        total = objective.total_loss(task, pen, self.penalty_cfg)
-        ad.backward(total)
-        self.opt_arch.step()
-        self._zero_all()
+        total = self.opt_arch.minimize(objective.total_loss(task, pen, self.penalty_cfg))
         self.state.val_ids_seen.update(int(i) for i in val_batch.ids)
-        return total.item(), task.item(), pen.item()
+        return total, task.item(), pen.item()
 
     def net_step(self, train_batch):
         """One network update on a training batch; alpha stays untouched and
         the penalty (a function of alpha alone) is excluded."""
         if len(train_batch) == 0:
             raise ValueError("net_step needs a nonempty batch")
-        self._zero_all()
         weights = self.sample_weights(hard=True, noise=True)
         logits = cascade_forward(self.model, self.cells, ad.constant(train_batch.x), weights)
-        task = objective.task_loss(logits, train_batch.labels)
-        ad.backward(task)
-        self.opt_net.step()
-        self._zero_all()
+        task = self.opt_net.minimize(objective.task_loss(logits, train_batch.labels))
         self.state.train_ids_seen.update(int(i) for i in train_batch.ids)
-        return task.item()
-
-    def _batches(self, data, rng):
-        order = rng.permutation(len(data))
-        bs = self.cfg.batch_size
-        return [data.subset(order[i:i + bs]) for i in range(0, len(order), bs)]
+        return task
 
     def _record_epoch(self, stage, train_loss, val_loss, pen):
         self.state.history.append(EpochRecord(
@@ -188,8 +181,8 @@ class AdaptiveSearch:
             raise RuntimeError("stage 1 already completed")
         for epoch in range(self.cfg.stage1_epochs):
             self.tau = self.tau_at(epoch)
-            train_batches = self._batches(self.train_data, self._train_order_rng)
-            val_batches = self._batches(self.val_data, self._val_order_rng)
+            train_batches = self.train_data.batches(self.cfg.batch_size, self._train_order_rng)
+            val_batches = self.val_data.batches(self.cfg.batch_size, self._val_order_rng)
             train_losses, val_losses, pens = [], [], []
             for it, tb in enumerate(train_batches):
                 vb = val_batches[it % len(val_batches)]
@@ -213,29 +206,18 @@ class AdaptiveSearch:
         alpha is frozen, so the discretization cannot move."""
         if self.state.stage != 2:
             raise RuntimeError("run stage 1 before stage 2")
-        weights = self.discretized_weights()
+        scheme = self.discretization()
+        weights = scheme_weights(self.cells, scheme)
         # only the chosen paths' parameters can receive gradients now; restrict
         # the optimizer to exactly that group (keeps the missing-grad check
         # strict) but carry the stage-1 moment estimates over
-        scheme_params = ad.ParameterSet()
-        for cell, choice in zip(self.cells, self.discretization()):
-            scheme_params.merge(cell.params_for_choice(choice), prefix=f"cell{cell.index}.")
-        opt_stage2 = ad.Adam(scheme_params, lr=self.cfg.lr_network)
-        opt_stage2.t = self.opt_net.t
-        for name in scheme_params:
-            opt_stage2._m[name] = self.opt_net._m[name]
-            opt_stage2._v[name] = self.opt_net._v[name]
+        opt = self.opt_net.restricted(scheme_params(self.cells, scheme))
         for _ in range(self.cfg.stage2_epochs):
             train_losses = []
-            for tb in self._batches(self.train_data, self._train_order_rng):
-                self._zero_all()
-                logits = cascade_forward(self.model, self.cells, ad.constant(tb.x), weights)
-                task = objective.task_loss(logits, tb.labels)
-                ad.backward(task)
-                opt_stage2.step()
-                self._zero_all()
+            for tb, loss in train_scheme_epoch(self.model, self.cells, weights, opt, self.train_data,
+                                               self.cfg.batch_size, self._train_order_rng):
                 self.state.train_ids_seen.update(int(i) for i in tb.ids)
-                train_losses.append(task.item())
+                train_losses.append(loss)
                 if step_callback:
                     step_callback("net", self)
             val_task, pen = self.evaluate(self.val_data)
@@ -250,12 +232,3 @@ class AdaptiveSearch:
         task = objective.task_loss(logits, data.labels)
         pen = objective.penalty(self.cells, weights, self.penalty_cfg)
         return task.item(), pen.item()
-
-
-def run_search(model, cells, train_data, val_data, penalty_cfg, cfg, step_callback=None):
-    """Convenience wrapper: stage 1 then (if configured) stage 2."""
-    search = AdaptiveSearch(model, cells, train_data, val_data, penalty_cfg, cfg)
-    search.run_stage1(step_callback=step_callback)
-    if cfg.stage2_epochs > 0:
-        search.run_stage2(step_callback=step_callback)
-    return search

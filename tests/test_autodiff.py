@@ -24,14 +24,6 @@ class TestForwardFixtures:
         out = ad.relu(ad.constant([-1.0, 2.0, -3.0]))
         assert np.array_equal(out.value, [0.0, 2.0, 0.0])
 
-    def test_forward_op_dispatch(self):
-        x = ad.constant([[1.0, -2.0]])
-        assert np.array_equal(ad.forward_op("relu", [x]).value, [[1.0, 0.0]])
-        assert ad.forward_op("sum", [x]).item() == -1.0
-        assert ad.forward_op("mean", [x], axis=-1).value.shape == (1,)
-        with pytest.raises(ValueError, match="unknown op"):
-            ad.forward_op("conv2d", [x])
-
     def test_bias_broadcast_over_batch(self):
         x = ad.constant(np.ones((3, 2)))
         b = ad.constant([1.0, 2.0])
@@ -263,6 +255,52 @@ class TestAdam:
         opt = ad.Adam(ad.ParameterSet({"p": ad.parameter(np.ones(1))}), lr=0.1)
         with pytest.raises(ValueError, match="no gradient"):
             opt.step()
+
+    def test_minimize_is_zero_backward_step(self):
+        def twin():
+            p = ad.parameter(np.array([1.5, -2.0]))
+            p.grad = np.array([7.0, 7.0])  # stale: minimize must zero it first
+            return p, ad.Adam(ad.ParameterSet({"p": p}), lr=0.1)
+
+        p, opt = twin()
+        loss = ad.tensor_sum(ad.mul(p, p))
+        assert opt.minimize(loss) == loss.item()
+        q, manual = twin()
+        q.grad = None
+        ad.backward(ad.tensor_sum(ad.mul(q, q)))
+        manual.step()
+        assert np.array_equal(p.value, q.value) and opt.t == manual.t == 1
+
+    def test_minimize_keeps_missing_grad_error(self):
+        p, unreached = ad.parameter(np.ones(2)), ad.parameter(np.ones(2))
+        opt = ad.Adam(ad.ParameterSet({"p": p, "unreached": unreached}), lr=0.1)
+        with pytest.raises(ValueError, match="'unreached' has no gradient"):
+            opt.minimize(ad.tensor_sum(ad.mul(p, p)))
+
+    def test_restricted_steps_subset_like_full(self):
+        def twin():
+            rng = np.random.default_rng(5)
+            ps = ad.ParameterSet({k: ad.parameter(rng.normal(size=3)) for k in "abc"})
+            opt = ad.Adam(ps, lr=0.05)
+            for _ in range(3):
+                opt.minimize(ad.tensor_sum(ad.mul(ps["a"], ad.mul(ps["b"], ps["c"]))))
+            return ps, opt
+
+        ps, full = twin()
+        sub = full.restricted(ad.ParameterSet({"a": ps["a"], "c": ps["c"]}))
+        assert sub.t == full.t == 3 and sub.lr == full.lr
+        assert sub._m["a"] is full._m["a"] and sub._v["c"] is full._v["c"]
+        sub.minimize(ad.tensor_sum(ad.mul(ps["a"], ps["c"])))
+        ref, ref_opt = twin()  # the full optimizer, stepping "b" on a zero gradient
+        ref.zero_grads()
+        ad.backward(ad.tensor_sum(ad.mul(ref["a"], ref["c"])))
+        ref["b"].grad = np.zeros(3)
+        ref_opt.step()
+        for k in "ac":
+            assert np.array_equal(ps[k].value, ref[k].value)
+            assert np.array_equal(full._m[k], ref_opt._m[k])
+            assert np.array_equal(full._v[k], ref_opt._v[k])
+        assert sub.t == 4 and full.t == 3
 
     def test_determinism(self):
         def run():

@@ -64,13 +64,13 @@ class TestParamCount:
             "W": ad.parameter(np.zeros((16, 16))),
             "b": ad.parameter(np.zeros(16)),
         })
-        assert cascade.param_count(ps) == 272
+        assert ps.count == 272
 
     def test_ba_16(self, rng):
         assert cascade.BottleneckAdapter(16, rng).param_count == 148
 
     def test_empty(self):
-        assert cascade.param_count(ad.ParameterSet()) == 0
+        assert ad.ParameterSet().count == 0
 
 
 class TestBottleneckAdapter:

@@ -225,6 +225,21 @@ class TestTrainableParams:
         assert c.params_for_choice("finetune").count == 544
         assert c.params_for_choice("adapter:BA").count == 148
 
+    @pytest.mark.parametrize("mode, path", [("NA", "finetune"), ("NFA", "bogus"),
+                                            ("NFA", "adapter:GA")])
+    def test_missing_path_rejected(self, mode, path):
+        c = make_cell(mode=mode)
+        with pytest.raises(ValueError, match="cell has no path"):
+            c.trainable_count(path)
+        with pytest.raises(ValueError, match="cell has no path"):
+            c.params_for_choice(path)
+        with pytest.raises(ValueError, match="cell has no path"):
+            c._path_output(path, ad.constant(np.ones((1, 16))), ad.constant(np.ones((1, 16))))
+
+    def test_duplicate_adapter_kinds_rejected(self):
+        with pytest.raises(ValueError, match="duplicate adapter kinds"):
+            make_cell(adapter_kinds=("BA", "GA", "BA"))
+
     def test_finetune_copy_bitwise_at_init(self):
         c = make_cell()
         for name, t in c.finetune_params.items():

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_config
 from nfa import cli, harness
@@ -51,6 +53,19 @@ class TestSyntheticData:
         src = generate_synthetic(SynthDataConfig(n_samples=64, domain="source"), 3)
         tgt = generate_synthetic(SynthDataConfig(n_samples=64, domain="target"), 3)
         assert not set(src.ids) & set(tgt.ids)
+
+    @given(n=st.integers(1, 60), batch_size=st.integers(1, 70), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_batches_are_one_shuffled_pass(self, n, batch_size, seed):
+        data = generate_synthetic(SynthDataConfig(n_samples=n, domain="target"), 0)
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        batches = data.batches(batch_size, rng)
+        ids = np.concatenate([b.ids for b in batches])
+        assert sorted(ids.tolist()) == data.ids.tolist()
+        assert all(len(b) == batch_size for b in batches[:-1])
+        assert 1 <= len(batches[-1]) <= batch_size
+        twin.permutation(n)
+        assert rng.random() == twin.random()  # exactly one permutation was drawn
 
     def test_intermediate_multiple_enforced(self):
         with pytest.raises(ValueError, match="multiple"):
@@ -144,6 +159,12 @@ class TestConfig:
         assert config_hash(a) != config_hash(c)
         assert len(config_hash(a)) == 16
 
+    @pytest.mark.parametrize("adapters", ["BA", ["BA", "BA"], ["XX"], [["BA"]], {"BA": 1}])
+    def test_bad_adapters_rejected(self, adapters):
+        raw = dict(fast_config().raw, adapters=adapters)
+        with pytest.raises(ConfigError, match="adapters must be a list of distinct kinds"):
+            config_from_dict(raw)
+
     def test_load_config_round_trip(self, tmp_path):
         raw = fast_config().raw
         p = tmp_path / "cfg.json"
@@ -184,6 +205,18 @@ class TestRunExperiment:
             harness.run_experiment(cfg, seed=0)
         flag = tmp_path / "runs" / "seed0" / "FAILED"
         assert "boom" in flag.read_text()
+
+    def test_success_clears_stale_flag_file(self, tmp_path, monkeypatch):
+        cfg = fast_config(stage1_epochs=1, stage2_epochs=1, output_dir=str(tmp_path / "runs"))
+        monkeypatch.setattr(harness.AdaptiveSearch, "run_stage2",
+                            lambda *a, **k: (_ for _ in ()).throw(ValueError("boom")))
+        with pytest.raises(RuntimeError, match="aborted during stage2"):
+            harness.run_experiment(cfg, seed=0)
+        flag = tmp_path / "runs" / "seed0" / "FAILED"
+        assert flag.exists()
+        monkeypatch.undo()
+        harness.run_experiment(cfg, seed=0)
+        assert not flag.exists()
 
     def test_repeat_run_byte_identical(self, tmp_path):
         cfg = fast_config()
@@ -273,6 +306,14 @@ class TestCli:
     def test_missing_config_is_error_exit(self, tmp_path, capsys):
         assert cli.main(["run", "--config", str(tmp_path / "nope.json")]) == 1
         assert "nfa: error:" in capsys.readouterr().err
+
+    def test_bad_adapters_is_error_exit(self, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        raw = fast_config(output_dir=str(tmp_path / "runs")).raw
+        p.write_text(json.dumps(dict(raw, adapters="BA")))
+        assert cli.main(["run", "--config", str(p)]) == 1
+        assert "adapters must be a list" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_bad_config_is_error_exit(self, tmp_path, capsys):
         p = tmp_path / "bad.json"

@@ -6,7 +6,7 @@ import pytest
 from nfa import autodiff as ad
 from nfa import cascade, cell, objective
 from nfa.data import SynthDataConfig, generate_synthetic
-from nfa.search import AdaptiveSearch, SearchConfig, run_search, split_dataset
+from nfa.search import AdaptiveSearch, SearchConfig, split_dataset
 
 
 def target_data(n=200, seed=4):
@@ -81,7 +81,8 @@ class TestStepContracts:
     def test_pretrained_backbone_never_moves(self):
         s = make_search()
         before = [m.params.checksum() for m in s.model.modules]
-        run_search(s.model, s.cells, s.train_data, s.val_data, s.penalty_cfg, s.cfg)
+        s.run_stage1()
+        s.run_stage2()
         assert [m.params.checksum() for m in s.model.modules] == before
 
     def test_empty_batch_rejected(self):
@@ -183,8 +184,8 @@ class TestStaging:
     def test_step_callback_sees_both_kinds(self):
         kinds = []
         s = make_search(stage1_epochs=1, stage2_epochs=1)
-        run_search(s.model, s.cells, s.train_data, s.val_data, s.penalty_cfg, s.cfg,
-                   step_callback=lambda kind, _: kinds.append(kind))
+        s.run_stage1(step_callback=lambda kind, _: kinds.append(kind))
+        s.run_stage2(step_callback=lambda kind, _: kinds.append(kind))
         assert "arch" in kinds and "net" in kinds
         assert kinds[0] == "arch"
 
@@ -203,7 +204,8 @@ class TestHygieneAndDeterminism:
     def test_full_run_deterministic(self):
         def final_state(seed):
             s = make_search(seed=seed)
-            run_search(s.model, s.cells, s.train_data, s.val_data, s.penalty_cfg, s.cfg)
+            s.run_stage1()
+            s.run_stage2()
             return s.net_params.checksum(), s.arch_params.checksum(), s.discretization()
 
         assert final_state(3) == final_state(3)
