@@ -85,7 +85,7 @@ class Tensor:
 
     def __init__(self, value, requires_grad=False, op="leaf", inputs=(), backward_fn=None):
         self.value = np.asarray(value, dtype=np.float64)
-        if _STRICT and not np.all(np.isfinite(self.value)):
+        if _STRICT and not np.isfinite(self.value).all():
             raise NonFiniteError(f"non-finite values in tensor produced by op '{op}'")
         self.requires_grad = bool(requires_grad)
         self.op = op
@@ -405,10 +405,18 @@ class Adam:
             v += (1.0 - self.beta2) * g * g
             p.value -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
-    def minimize(self, loss):
+    def minimize(self, loss, idle=()):
         """One training step: zero this optimizer's gradients, backpropagate
-        ``loss``, update, and return the loss value."""
+        ``loss``, update, and return the loss value.
+
+        ``idle`` names parameters that ``loss`` does not reach by design; they
+        take an exact zero gradient, so their moments decay and the momentum
+        step moves them as if the zeros had been backpropagated. Any other
+        parameter left without a gradient still fails the step."""
         self.params.zero_grads()
+        for name in idle:
+            p = self.params[name]
+            p.grad = np.zeros(p.shape)
         backward(loss)
         self.step()
         return loss.item()

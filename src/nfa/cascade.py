@@ -257,7 +257,9 @@ def pretrain_upstream(model: CascadedModel, source_data, epochs, lr, batch_size=
     n_inter = model.stage_modules(1)[-1].out_dim
 
     def recognize_loss(batch):
-        h = model.forward_stage(0, ad.constant(batch.x))
+        # stage 0 is trained and outside this stage's optimizer: feed its
+        # output as a constant so backward stops at the stage boundary
+        h = ad.constant(model.forward_stage(0, ad.constant(batch.x)).value)
         # stage-2 softmax output doubles as class posterior; train via log-loss
         probs = model.forward_stage(1, h)
         onehot = np.eye(n_inter)[batch.inter_labels]

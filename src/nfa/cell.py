@@ -136,17 +136,22 @@ class NfaCell:
 
     def forward(self, x, weights: PathWeights):
         """Weighted sum of path outputs. The frozen and adapter paths share one
-        backbone forward through the pretrained snapshot."""
+        backbone forward through the pretrained snapshot.
+
+        Under constant one-hot weights only the chosen path is evaluated, and
+        the backbone forward runs only if that path is frozen or an adapter."""
         if weights.values.shape != (self.n_paths,):
             raise ad.ShapeError(
                 f"cell {self.index}: got {weights.values.shape[0]} weights for {self.n_paths} paths"
             )
-        base = self.module.forward(x)
+        skip_dead = weights.hard and not weights.weights.requires_grad
+        live = [k for k in range(self.n_paths) if not (skip_dead and weights.values[k] == 0.0)]
+        base = (self.module.forward(x) if any(self.paths[k] != FINETUNE for k in live)
+                else None)
         out = None
-        for k, path in enumerate(self.paths):
-            if weights.hard and weights.values[k] == 0.0 and not weights.weights.requires_grad:
-                continue  # constant one-hot: skip dead paths entirely
-            term = ad.mul(ad.index_lastdim(weights.weights, k), self._path_output(path, x, base))
+        for k in live:
+            term = ad.mul(ad.index_lastdim(weights.weights, k),
+                          self._path_output(self.paths[k], x, base))
             out = term if out is None else ad.add(out, term)
         return out
 

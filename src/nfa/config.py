@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .cascade import (ADAPTER_KINDS, CascadeSpec, LayerSpec, ModuleSpec, StageSpec, default_spec,
@@ -27,10 +28,47 @@ class ConfigError(ValueError):
     """Raised for malformed or unknown configuration content."""
 
 
-def _check_keys(section, d, allowed):
-    unknown = set(d) - set(allowed)
+_KIND_NAMES = {"int": "an integer", "float": "a finite number", "bool": "true or false",
+               "str": "a string"}
+
+
+def _is_kind(value, kind):
+    """JSON typing of one scalar field: ints are not bools, floats take ints
+    but not bools, bools and strings take only themselves."""
+    if isinstance(value, bool):
+        return kind == "bool"
+    if kind == "int":
+        return isinstance(value, int)
+    if kind == "float":
+        try:
+            return isinstance(value, (int, float)) and math.isfinite(value)
+        except OverflowError:  # an int beyond the float range
+            return False
+    return isinstance(value, {"bool": bool, "str": str}[kind])
+
+
+def _section(name, d, kinds, required=()):
+    """Check that ``d`` is a dict whose keys all appear in ``kinds`` (field ->
+    'int', 'float', 'bool', 'str', or None for a nested value that its own
+    parser checks) and whose scalar values have those kinds."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {d!r}")
+    unknown = set(d) - set(kinds)
     if unknown:
-        raise ConfigError(f"unknown key(s) in {section}: {sorted(unknown)} (allowed: {sorted(allowed)})")
+        raise ConfigError(f"unknown key(s) in {name}: {sorted(unknown)} (allowed: {sorted(kinds)})")
+    missing = [k for k in required if k not in d]
+    if missing:
+        raise ConfigError(f"{name} is missing {missing}")
+    for key, value in d.items():
+        kind = kinds[key]
+        if kind is not None and not _is_kind(value, kind):
+            raise ConfigError(f"{name}.{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return d
+
+
+def _field_kinds(cls):
+    """Field name -> kind for a config dataclass, read off its annotations."""
+    return {f.name: getattr(f.type, "__name__", f.type) for f in fields(cls)}
 
 
 @dataclass(frozen=True)
@@ -68,7 +106,7 @@ class ExperimentConfig:
 
 
 def _cascade_from_dict(d):
-    _check_keys("cascade", d, {"preset", "dim", "n_labels", "stages"})
+    _section("cascade", d, {"preset": "str", "dim": "int", "n_labels": "int", "stages": None})
     if "preset" in d:
         if "stages" in d:
             raise ConfigError("cascade: give either 'preset' or 'stages', not both")
@@ -78,33 +116,39 @@ def _cascade_from_dict(d):
     if "stages" not in d or "n_labels" not in d:
         raise ConfigError("cascade: explicit specs need 'stages' and 'n_labels'")
     stages = []
-    for s in d["stages"]:
-        _check_keys("cascade.stages[]", s, {"name", "modules", "output_softmax"})
+    for s in _list("cascade.stages", d["stages"]):
+        _section("cascade.stages[]", s, {"name": "str", "modules": None, "output_softmax": "bool"},
+                 required=("name", "modules"))
         modules = []
-        for m in s["modules"]:
-            _check_keys("cascade.stages[].modules[]", m, {"name", "layers"})
-            layers = tuple(LayerSpec(*layer) for layer in m["layers"])
+        for m in _list("cascade.stages[].modules", s["modules"]):
+            _section("cascade.stages[].modules[]", m, {"name": "str", "layers": None},
+                     required=("name", "layers"))
+            layers = tuple(_layer(layer)
+                           for layer in _list("cascade.stages[].modules[].layers", m["layers"]))
             modules.append(ModuleSpec(m["name"], layers))
         stages.append(StageSpec(s["name"], tuple(modules), s.get("output_softmax", False)))
-    return CascadeSpec(tuple(stages), int(d["n_labels"]))
+    return CascadeSpec(tuple(stages), d["n_labels"])
 
 
-def _penalty_from_dict(d):
-    _check_keys("penalty", d, {"pfr_policy", "pfr_constant", "coefficient", "enabled"})
-    return PenaltyConfig(**d)
+def _list(name, value):
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a JSON list, got {value!r}")
+    return value
 
 
-def _search_from_dict(d):
-    allowed = {"split_ratio", "lr_network", "lr_arch", "stage1_epochs", "stage2_epochs",
-               "tau_start", "tau_end", "batch_size", "seed"}
-    _check_keys("search", d, allowed)
-    return SearchConfig(**d)
+def _layer(layer):
+    """A layer is [in_dim, out_dim] or [in_dim, out_dim, activation]."""
+    kinds = ("int", "int", "str")
+    if (not isinstance(layer, list) or not 2 <= len(layer) <= 3
+            or not all(_is_kind(v, k) for v, k in zip(layer, kinds))):
+        raise ConfigError(f"a layer must be [in_dim, out_dim(, activation)], got {layer!r}")
+    return LayerSpec(*layer)
 
 
 def _data_from_dict(d):
-    allowed = {"n_source", "n_target", "dim", "n_labels", "n_intermediate",
-               "noise_std_source", "noise_std_target", "shift_delta"}
-    _check_keys("data", d, allowed)
+    _section("data", d, {"n_source": "int", "n_target": "int", "dim": "int", "n_labels": "int",
+                         "n_intermediate": "int", "noise_std_source": "float",
+                         "noise_std_target": "float", "shift_delta": "float"})
     target = SynthDataConfig(
         n_samples=d.get("n_target", 512),
         dim=d.get("dim", 16),
@@ -114,12 +158,26 @@ def _data_from_dict(d):
         domain="target",
         shift_delta=d.get("shift_delta", 1.0),
     )
-    return target, int(d.get("n_source", 1024)), float(d.get("noise_std_source", 0.25))
+    n_source, noise_src = d.get("n_source", 1024), d.get("noise_std_source", 0.25)
+    if n_source <= 0 or noise_src < 0:
+        raise ConfigError("data.n_source must be positive and data.noise_std_source nonnegative")
+    return target, n_source, float(noise_src)
 
 
 def config_from_dict(d) -> ExperimentConfig:
-    allowed = {"cascade", "adapters", "mode", "penalty", "search", "pretrain", "data", "output_dir"}
-    _check_keys("config", dict(d), allowed)
+    """Parse and validate a config dict; any malformed content, including a
+    range check inside a config dataclass, raises :class:`ConfigError`."""
+    try:
+        return _config_from_dict(d)
+    except ConfigError:
+        raise
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+
+
+def _config_from_dict(d):
+    _section("config", d, {"cascade": None, "adapters": None, "mode": "str", "penalty": None,
+                           "search": None, "pretrain": None, "data": None, "output_dir": "str"})
     cascade = _cascade_from_dict(d.get("cascade", {"preset": "toy6"}))
     target_cfg, n_source, noise_src = _data_from_dict(d.get("data", {}))
     if target_cfg.dim != cascade.in_dim or target_cfg.n_labels != cascade.n_labels:
@@ -133,22 +191,22 @@ def config_from_dict(d) -> ExperimentConfig:
             or len(set(adapters)) != len(adapters)):
         raise ConfigError(f"adapters must be a list of distinct kinds from {sorted(ADAPTER_KINDS)}, "
                           f"got {adapters!r}")
-    pt = d.get("pretrain", {})
-    _check_keys("pretrain", pt, {"epochs", "lr", "batch_size"})
-    cfg = ExperimentConfig(
+    sections = {name: _section(name, d.get(name, {}), _field_kinds(cls))
+                for name, cls in (("penalty", PenaltyConfig), ("search", SearchConfig),
+                                  ("pretrain", PretrainConfig))}
+    return ExperimentConfig(
         cascade=cascade,
         adapters=tuple(adapters),
         mode=d.get("mode", "NFA"),
-        penalty=_penalty_from_dict(d.get("penalty", {})),
-        search=_search_from_dict(d.get("search", {})),
-        pretrain=PretrainConfig(**pt),
+        penalty=PenaltyConfig(**sections["penalty"]),
+        search=SearchConfig(**sections["search"]),
+        pretrain=PretrainConfig(**sections["pretrain"]),
         data=target_cfg,
         n_source=n_source,
         noise_std_source=noise_src,
         output_dir=d.get("output_dir", "runs"),
         raw=_canonical(d),
     )
-    return cfg
 
 
 def _canonical(d):

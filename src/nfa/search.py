@@ -152,12 +152,22 @@ class AdaptiveSearch:
 
     def net_step(self, train_batch):
         """One network update on a training batch; alpha stays untouched and
-        the penalty (a function of alpha alone) is excluded."""
+        the penalty (a function of alpha alone) is excluded.
+
+        Each cell's path is sampled as in ``arch_step`` (same Gumbel draws),
+        but only the sampled path is forwarded and backpropagated, under
+        constant one-hot weights: the straight-through gradient into alpha
+        would be discarded. The unsampled paths' parameters take an exact
+        zero gradient, which is what the all-path backward gave them."""
         if len(train_batch) == 0:
             raise ValueError("net_step needs a nonempty batch")
-        weights = self.sample_weights(hard=True, noise=True)
+        sampled = self.sample_weights(hard=True, noise=True)
+        scheme = [c.paths[int(np.argmax(w.values))] for c, w in zip(self.cells, sampled)]
+        weights = scheme_weights(self.cells, scheme)
+        live = scheme_params(self.cells, scheme)
+        idle = [name for name in self.net_params if name not in live]
         logits = cascade_forward(self.model, self.cells, ad.constant(train_batch.x), weights)
-        task = self.opt_net.minimize(objective.task_loss(logits, train_batch.labels))
+        task = self.opt_net.minimize(objective.task_loss(logits, train_batch.labels), idle=idle)
         self.state.train_ids_seen.update(int(i) for i in train_batch.ids)
         return task
 

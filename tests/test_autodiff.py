@@ -58,6 +58,14 @@ class TestNonFinite:
         with pytest.raises(ad.NonFiniteError, match="log"):
             ad.log(x)
 
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_strict_rejects_every_non_finite_kind(self, bad, shape):
+        v = np.ones(shape)
+        v.flat[-1] = bad
+        with pytest.raises(ad.NonFiniteError, match="op 'probe'"):
+            ad.Tensor(v, op="probe")
+
     def test_permissive_propagates(self):
         with ad.permissive():
             y = ad.log(ad.constant([0.0]))
@@ -275,6 +283,28 @@ class TestAdam:
         p, unreached = ad.parameter(np.ones(2)), ad.parameter(np.ones(2))
         opt = ad.Adam(ad.ParameterSet({"p": p, "unreached": unreached}), lr=0.1)
         with pytest.raises(ValueError, match="'unreached' has no gradient"):
+            opt.minimize(ad.tensor_sum(ad.mul(p, p)))
+
+    def test_minimize_zero_fills_declared_idle_only(self):
+        def twin():
+            p, idle = ad.parameter(np.ones(2)), ad.parameter(np.array([3.0, -1.0]))
+            opt = ad.Adam(ad.ParameterSet({"p": p, "idle": idle}), lr=0.1)
+            opt._m["idle"][:] = [0.5, -0.5]  # as if an earlier step had moved it
+            opt._v["idle"][:] = [0.25, 0.25]
+            return p, idle, opt
+
+        p, idle, opt = twin()
+        opt.minimize(ad.tensor_sum(ad.mul(p, p)), idle=["idle"])
+        q, ref_idle, ref = twin()  # the same step with the zeros backpropagated
+        ad.backward(ad.tensor_sum(ad.mul(q, ad.add(q, ad.scale(ref_idle, 0.0)))))
+        ref.step()
+        for a, b in ((p, q), (idle, ref_idle)):
+            assert a.value.tobytes() == b.value.tobytes()
+        assert opt._m["idle"].tobytes() == ref._m["idle"].tobytes()
+        assert np.array_equal(opt._m["idle"], [0.45, -0.45])  # the zero gradient decayed it
+        assert np.array_equal(idle.grad, np.zeros(2))
+        p, _, opt = twin()
+        with pytest.raises(ValueError, match="'idle' has no gradient"):
             opt.minimize(ad.tensor_sum(ad.mul(p, p)))
 
     def test_restricted_steps_subset_like_full(self):

@@ -179,6 +179,23 @@ class TestPretraining:
             for _, t in m.params.items():
                 assert t.grad is None
 
+    def test_recognize_stage_backprop_stops_at_denoise_stage(self, monkeypatch):
+        model = cascade.build_cascade(cascade.default_spec(), 3)
+        stage_params = [{id(t) for m in model.stage_modules(s) for _, t in m.params.items()}
+                        for s in (0, 1)]
+        graphs = []
+        backward = ad.backward
+
+        def recording(loss):
+            graphs.append({id(node) for node in ad._toposort(loss)})
+            backward(loss)
+
+        monkeypatch.setattr(ad, "backward", recording)
+        cascade.pretrain_upstream(model, source_data(), epochs=1, lr=0.01, seed=3)
+        recognize = [g for g in graphs if g & stage_params[1]]
+        assert len(recognize) == len(graphs) // 2 == 8
+        assert not any(g & stage_params[0] for g in recognize)
+
     def test_pretrained_snapshot_accessor(self):
         model = cascade.build_cascade(cascade.default_spec(), 3)
         with pytest.raises(RuntimeError, match="frozen"):

@@ -116,6 +116,24 @@ class TestCellForward:
         out = c.forward(x, w)
         np.testing.assert_allclose(out.value, c.module.forward(x).value, atol=1e-15)
 
+    def test_finetune_one_hot_skips_backbone_forward(self, rng, monkeypatch):
+        c = make_cell()
+        x = ad.constant(rng.normal(size=(4, 16)))
+        calls = []
+        forward = c.module.forward
+
+        def recording(h, params=None):
+            calls.append(params)
+            return forward(h, params)
+
+        monkeypatch.setattr(c.module, "forward", recording)
+        c.forward(x, cell.one_hot_weights(3, 1))
+        assert calls == [c.finetune_params]
+        for k in (0, 2):  # frozen and adapter paths need the backbone
+            calls.clear()
+            c.forward(x, cell.one_hot_weights(3, k))
+            assert calls == [None]
+
     def test_weighted_sum_linearity(self, rng):
         c = make_cell()
         c.adapters[0].params["up.W"].value[:] = rng.normal(size=(4, 16)) * 0.3

@@ -14,6 +14,29 @@ from nfa.config import ConfigError, config_from_dict, config_hash, load_config
 from nfa.data import SynthDataConfig, generate_synthetic, target_label_permutation
 
 
+# (section, field) for every scalar field, with "" for the top level
+SCALAR_FIELDS = [("", "mode"), ("", "output_dir"),
+                 ("cascade", "preset"), ("cascade", "dim"), ("cascade", "n_labels")] + [
+    (section, name)
+    for section, names in (
+        ("penalty", ("pfr_policy", "pfr_constant", "coefficient", "enabled")),
+        ("search", ("split_ratio", "lr_network", "lr_arch", "stage1_epochs", "stage2_epochs",
+                    "tau_start", "tau_end", "batch_size", "seed")),
+        ("pretrain", ("epochs", "lr", "batch_size")),
+        ("data", ("n_source", "n_target", "dim", "n_labels", "n_intermediate",
+                  "noise_std_source", "noise_std_target", "shift_delta")),
+    )
+    for name in names
+]
+SECTIONS = ["cascade", "penalty", "search", "pretrain", "data"]
+
+
+def with_field(raw, section, name, value):
+    raw = json.loads(json.dumps(raw))
+    (raw.setdefault(section, {}) if section else raw)[name] = value
+    return raw
+
+
 def fast_config(seed=0, **kw):
     kw.setdefault("preset", "toy3")
     kw.setdefault("stage1_epochs", 2)
@@ -165,6 +188,53 @@ class TestConfig:
         with pytest.raises(ConfigError, match="adapters must be a list of distinct kinds"):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize("section,name,value", [
+        ("search", "batch_size", 2.5), ("pretrain", "batch_size", 2.5),
+        ("search", "stage1_epochs", 1.5), ("search", "seed", 1.5), ("pretrain", "epochs", True),
+        ("penalty", "enabled", "no"), ("data", "n_source", -5), ("penalty", "coefficient", "1"),
+        ("search", "lr_network", "0.1"), ("search", "lr_network", True),
+        ("search", "tau_end", math.inf), ("", "search", None), ("", "penalty", [1]),
+        ("cascade", "dim", 0), ("search", "split_ratio", 2),
+    ])
+    def test_bad_field_rejected(self, section, name, value):
+        with pytest.raises(ConfigError):
+            config_from_dict(with_field(fast_config().raw, section, name, value))
+
+    @pytest.mark.parametrize("stages", [
+        "x", [{"modules": []}], [{"name": "s", "modules": "m"}], [{"name": "s", "modules": [1]}],
+        [{"name": "s", "modules": [{"name": "m", "layers": [[16, 2.5]]}]}],
+        [{"name": "s", "modules": [{"name": "m", "layers": ["16x8"]}]}],
+    ])
+    def test_bad_explicit_stages_rejected(self, stages):
+        with pytest.raises(ConfigError):
+            config_from_dict({"cascade": {"stages": stages, "n_labels": 8}})
+
+    def test_explicit_stages_accepted(self):
+        cfg = config_from_dict({"cascade": {"n_labels": 8, "stages": [
+            {"name": "s", "modules": [{"name": "m", "layers": [[16, 16], [16, 8, "linear"]]}]}]}})
+        layers = cfg.cascade.stages[0].modules[0].layers
+        assert [(ly.in_dim, ly.out_dim, ly.activation) for ly in layers] == [
+            (16, 16, "tanh"), (16, 8, "linear")]
+
+    def test_non_object_config_rejected(self):
+        with pytest.raises(ConfigError, match="config must be a JSON object"):
+            config_from_dict([])
+
+    def test_float_field_takes_int(self):
+        cfg = config_from_dict(with_field(fast_config().raw, "penalty", "coefficient", 2))
+        assert cfg.penalty.coefficient == 2
+
+    @given(field=st.sampled_from(SCALAR_FIELDS + [("", s) for s in SECTIONS]),
+           value=st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                           st.sampled_from([10**400, -10**400]), st.text(max_size=8)))
+    @settings(max_examples=300, deadline=None)
+    def test_any_scalar_yields_config_or_config_error(self, field, value):
+        raw = with_field(fast_config().raw, *field, value)
+        try:
+            config_from_dict(raw)
+        except ConfigError:
+            pass
+
     def test_load_config_round_trip(self, tmp_path):
         raw = fast_config().raw
         p = tmp_path / "cfg.json"
@@ -313,6 +383,14 @@ class TestCli:
         p.write_text(json.dumps(dict(raw, adapters="BA")))
         assert cli.main(["run", "--config", str(p)]) == 1
         assert "adapters must be a list" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_bad_scalar_type_is_error_exit(self, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        raw = fast_config(output_dir=str(tmp_path / "runs")).raw
+        p.write_text(json.dumps(with_field(raw, "penalty", "coefficient", "1")))
+        assert cli.main(["run", "--config", str(p)]) == 1
+        assert "penalty.coefficient must be a finite number" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
     def test_bad_config_is_error_exit(self, tmp_path, capsys):

@@ -29,6 +29,27 @@ def make_search(seed=0, n=128, mode="NFA", penalty_cfg=None, **cfg_kw):
     return AdaptiveSearch(model, cells, train, val, pcfg, cfg)
 
 
+def all_path_net_step(s, batch):
+    """The network step before single-path stepping: every path of every cell
+    forwarded under straight-through weights and the whole graph, alpha
+    included, backpropagated."""
+    weights = s.sample_weights(hard=True, noise=True)
+    logits = cell.cascade_forward(s.model, s.cells, ad.constant(batch.x), weights)
+    loss = objective.task_loss(logits, batch.labels)
+    s.net_params.zero_grads()
+    ad.backward(loss)
+    s.opt_net.step()
+    return loss.item()
+
+
+def step_state(s):
+    """Every byte a network step may touch."""
+    out = [s.opt_net.t, s._gumbel_rng.bit_generator.state]
+    for name, t in s.net_params.items():
+        out += [name, t.value.tobytes(), s.opt_net._m[name].tobytes(), s.opt_net._v[name].tobytes()]
+    return out + [c.alpha.value.tobytes() for c in s.cells]
+
+
 class TestSplit:
     def test_even_split(self):
         train, val = split_dataset(target_data(100), 0.5, 0)
@@ -100,6 +121,46 @@ class TestStepContracts:
         lo.net_step(batch)
         hi.net_step(batch)
         assert lo.net_params.checksum() == hi.net_params.checksum()
+
+    def test_single_path_step_matches_all_path_reference(self, monkeypatch):
+        evaluated = []
+        path_output = cell.NfaCell._path_output
+
+        def counting(c, path, x, base):
+            evaluated.append((c.index, path))
+            return path_output(c, path, x, base)
+
+        monkeypatch.setattr(cell.NfaCell, "_path_output", counting)
+        ref, new = make_search(), make_search()
+        batches = new.train_data.batches(16, np.random.default_rng(1))
+        all_paths = {(c.index, p) for c in new.cells for p in c.paths}
+        sampled_seen, idle_seen = set(), set()
+        for i in range(24):
+            batch = batches[i % len(batches)]
+            ref_loss = all_path_net_step(ref, batch)
+            evaluated.clear()
+            assert new.net_step(batch) == ref_loss
+            assert sorted(index for index, _ in evaluated) == list(range(len(new.cells)))
+            sampled_seen.update(evaluated)
+            idle_seen.update(all_paths - set(evaluated))
+            assert step_state(new) == step_state(ref)
+        assert sampled_seen == idle_seen == all_paths
+
+        # skipping the idle parameters instead of zero-filling them would show
+        def minimize_skipping_idle(opt, loss, idle=()):
+            kept = opt.restricted(ad.ParameterSet(
+                {n: t for n, t in opt.params.items() if n not in idle}))
+            kept.params.zero_grads()
+            ad.backward(loss)
+            kept.step()
+            opt.t = kept.t
+            return loss.item()
+
+        skipping = make_search()
+        monkeypatch.setattr(ad.Adam, "minimize", minimize_skipping_idle)
+        for i in range(24):
+            skipping.net_step(batches[i % len(batches)])
+        assert step_state(skipping) != step_state(new)
 
     def test_net_step_fits_the_toy_task(self):
         # pin the sampler onto the fine-tune path so every step trains it
