@@ -347,10 +347,11 @@ class ParameterSet:
             self.add(prefix + name, t)
         return self
 
-    def clone(self, requires_grad=True):
+    def clone(self):
+        """A trainable bitwise copy of every tensor."""
         out = ParameterSet()
         for name, t in self.items():
-            out.add(name, Tensor(t.value.copy(), requires_grad=requires_grad))
+            out.add(name, Tensor(t.value.copy(), requires_grad=True))
         return out
 
     def set_requires_grad(self, flag):

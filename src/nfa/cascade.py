@@ -160,10 +160,6 @@ class NetModule:
         self.params.set_requires_grad(False)
         self._frozen = True
 
-    def clone_params(self, requires_grad=True):
-        """Bitwise copy of the current weights (fine-tune path initializer)."""
-        return self.params.clone(requires_grad=requires_grad)
-
     def forward(self, x, params=None):
         p = params if params is not None else self.params
         h = x

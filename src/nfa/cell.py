@@ -98,7 +98,7 @@ class NfaCell:
         self.module = module
         self.mode = mode
         self.index = index
-        self.finetune_params = module.clone_params(requires_grad=True) if mode == "NFA" else None
+        self.finetune_params = module.params.clone() if mode == "NFA" else None
         self.adapters = [make_adapter(k, module.out_dim, rng) for k in adapter_kinds]
         self.paths = ([FROZEN, FINETUNE] if mode == "NFA" else [FROZEN])
         self.paths += [adapter_choice(a.kind) for a in self.adapters]
@@ -134,24 +134,21 @@ class NfaCell:
             return adapter.forward(base)
         return self.module.forward(x, self.finetune_params) if path == FINETUNE else base
 
-    def forward(self, x, weights: PathWeights):
-        """Weighted sum of path outputs. The frozen and adapter paths share one
-        backbone forward through the pretrained snapshot.
-
-        Under constant one-hot weights only the chosen path is evaluated, and
-        the backbone forward runs only if that path is frozen or an adapter."""
+    def forward(self, x, weights):
+        """A path name runs that path alone (the backbone forward only if it is
+        not fine-tune); ``PathWeights`` give the weighted sum of every path's
+        output, the frozen and adapter paths sharing one backbone forward."""
+        if isinstance(weights, str):
+            base = None if weights == FINETUNE else self.module.forward(x)
+            return self._path_output(weights, x, base)
         if weights.values.shape != (self.n_paths,):
             raise ad.ShapeError(
                 f"cell {self.index}: got {weights.values.shape[0]} weights for {self.n_paths} paths"
             )
-        skip_dead = weights.hard and not weights.weights.requires_grad
-        live = [k for k in range(self.n_paths) if not (skip_dead and weights.values[k] == 0.0)]
-        base = (self.module.forward(x) if any(self.paths[k] != FINETUNE for k in live)
-                else None)
+        base = self.module.forward(x)
         out = None
-        for k in live:
-            term = ad.mul(ad.index_lastdim(weights.weights, k),
-                          self._path_output(self.paths[k], x, base))
+        for k, path in enumerate(self.paths):
+            term = ad.mul(ad.index_lastdim(weights.weights, k), self._path_output(path, x, base))
             out = term if out is None else ad.add(out, term)
         return out
 
@@ -193,7 +190,9 @@ def build_cells(model, mode="NFA", adapter_kinds=("BA",), seed=0):
 
 
 def cascade_forward(model, cells, x, weights_per_cell):
-    """Run the whole cascade through its cells, honoring stage boundaries."""
+    """Run the whole cascade through its cells, honoring stage boundaries.
+    ``weights_per_cell`` is a scheme (one path name per cell) or one
+    ``PathWeights`` per cell."""
     if len(cells) != len(model.modules):
         raise ValueError(f"{len(cells)} cells for {len(model.modules)} modules")
     if len(weights_per_cell) != len(cells):

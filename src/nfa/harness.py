@@ -9,6 +9,7 @@ binary checkpoints with JSON manifests at each stage boundary.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import os
@@ -20,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from . import objective
 from .cascade import build_cascade, pretrain_upstream
-from .cell import build_cells, cascade_forward, network_group, scheme_params, scheme_weights
+from .cell import build_cells, cascade_forward, network_group, scheme_params
 from .config import ExperimentConfig, config_hash
 from .data import SynthDataConfig, generate_synthetic
 from .search import AdaptiveSearch, split_dataset, train_scheme_epoch
@@ -107,7 +108,6 @@ def make_decision(model, cells, choices, cfg_hash, seed):
 
 
 def export_architecture(decision: ArchitectureDecision, path):
-    path = Path(path)
     doc = {
         "cells": [
             {
@@ -124,34 +124,34 @@ def export_architecture(decision: ArchitectureDecision, path):
         "seed": decision.seed,
     }
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        return _write_atomic(path, _json_bytes(doc))
     except OSError as e:
         raise OSError(f"failed to write architecture report to {path}: {e}") from e
-    return path
 
 
 def import_architecture(path) -> ArchitectureDecision:
-    with open(path) as fh:
-        doc = json.load(fh)
-    cells = tuple(
-        CellDecision(
-            index=int(c["index"]),
-            module=c["module"],
-            choice=c["choice"],
-            alpha=tuple(float(v) for v in c["alpha"]),
-            path_params={k: int(v) for k, v in c["P"].items()},
+    try:
+        doc = json.loads(Path(path).read_text())
+        cells = tuple(
+            CellDecision(
+                index=int(c["index"]),
+                module=c["module"],
+                choice=c["choice"],
+                alpha=tuple(float(v) for v in c["alpha"]),
+                path_params={k: int(v) for k, v in c["P"].items()},
+            )
+            for c in sorted(doc["cells"], key=lambda c: c["index"])
         )
-        for c in sorted(doc["cells"], key=lambda c: c["index"])
-    )
-    return ArchitectureDecision(
-        cells=cells,
-        totals={k: int(v) for k, v in doc["totals"].items()},
-        config_hash=doc["config_hash"],
-        seed=int(doc["seed"]),
-    )
+        if not all(isinstance(v, str) for c in cells for v in (c.module, c.choice)):
+            raise TypeError("a cell's module and choice must be strings")
+        return ArchitectureDecision(
+            cells=cells,
+            totals={k: int(v) for k, v in doc["totals"].items()},
+            config_hash=doc["config_hash"],
+            seed=int(doc["seed"]),
+        )
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise ValueError(f"{path} is not an architecture report: {e!r}") from e
 
 
 def diff_decisions(a: ArchitectureDecision, b: ArchitectureDecision):
@@ -170,25 +170,41 @@ def diff_decisions(a: ArchitectureDecision, b: ArchitectureDecision):
     return rows
 
 
-# -- checkpoints -------------------------------------------------------------
+# -- on-disk writes ------------------------------------------------------------
+
+
+def _write_atomic(path, data: bytes):
+    """Replace ``path`` with ``data`` via a temp file in its directory: a failed
+    write leaves the previous file intact and no temp file behind."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
+
+
+def _json_bytes(doc):
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
 
 def save_checkpoint(named_values, prefix):
     """Flat binary of float64 tensors plus a JSON manifest; bit-exact reload."""
     prefix = Path(prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
     manifest = {"dtype": "float64", "tensors": []}
+    chunks = []
     offset = 0
-    with open(prefix.with_suffix(".bin"), "wb") as fh:
-        for name, value in named_values.items():
-            arr = np.ascontiguousarray(value, dtype=np.float64)
-            fh.write(arr.tobytes())
-            manifest["tensors"].append({"name": name, "shape": list(arr.shape), "offset": offset})
-            offset += arr.nbytes
-    with open(prefix.with_suffix(".json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return prefix.with_suffix(".bin"), prefix.with_suffix(".json")
+    for name, value in named_values.items():
+        arr = np.ascontiguousarray(value, dtype=np.float64)
+        chunks.append(arr.tobytes())
+        manifest["tensors"].append({"name": name, "shape": list(arr.shape), "offset": offset})
+        offset += arr.nbytes
+    return (_write_atomic(prefix.with_suffix(".bin"), b"".join(chunks)),
+            _write_atomic(prefix.with_suffix(".json"), _json_bytes(manifest)))
 
 
 def load_checkpoint(prefix):
@@ -266,15 +282,13 @@ def _fmt(v):
 
 
 def write_metrics(history, path):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epoch", "stage", "train_loss", "val_loss", "penalty", "selected_params"])
-        for rec in history:
-            w.writerow([rec.epoch, rec.stage, _fmt(rec.train_loss), _fmt(rec.val_loss),
-                        _fmt(rec.penalty), rec.selected_params])
-    return path
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["epoch", "stage", "train_loss", "val_loss", "penalty", "selected_params"])
+    for rec in history:
+        w.writerow([rec.epoch, rec.stage, _fmt(rec.train_loss), _fmt(rec.val_loss),
+                    _fmt(rec.penalty), rec.selected_params])
+    return _write_atomic(path, buf.getvalue().encode())
 
 
 def run_experiment(cfg: ExperimentConfig, seed=None, out_dir=None, step_callback=None) -> RunResult:
@@ -325,15 +339,13 @@ def scheme_space(cells):
 
 
 def train_fixed_scheme(model, cells, scheme, train, val, lr, epochs, batch_size, seed):
-    """Train only the parameters the scheme selects, with constant one-hot
-    weights, and return the final validation task loss."""
-    weights = scheme_weights(cells, scheme)
+    """Train only the parameters the scheme selects; return the final val task loss."""
     opt = ad.Adam(scheme_params(cells, scheme), lr=lr)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x04AC]))
     for _ in range(epochs if len(opt.params) else 0):  # an all-frozen scheme has nothing to train
-        for _ in train_scheme_epoch(model, cells, weights, opt, train, batch_size, rng):
+        for _ in train_scheme_epoch(model, cells, scheme, opt, train, batch_size, rng):
             pass
-    logits = cascade_forward(model, cells, ad.constant(val.x), weights)
+    logits = cascade_forward(model, cells, ad.constant(val.x), scheme)
     return objective.task_loss(logits, val.labels).item()
 
 

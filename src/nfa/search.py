@@ -80,12 +80,12 @@ def split_dataset(data, ratio, seed):
     return data.subset(order[:n_train]), data.subset(order[n_train:])
 
 
-def train_scheme_epoch(model, cells, weights, opt, data, batch_size, rng):
-    """One shuffled pass over ``data`` training a fixed scheme: per minibatch,
-    one ``opt`` step on the task loss under the constant path ``weights``.
+def train_scheme_epoch(model, cells, scheme, opt, data, batch_size, rng):
+    """One shuffled pass over ``data`` training a fixed ``scheme`` (one path
+    name per cell): per minibatch, one ``opt`` step on the task loss.
     Yields each batch with its loss once the step is taken."""
     for batch in data.batches(batch_size, rng):
-        logits = cascade_forward(model, cells, ad.constant(batch.x), weights)
+        logits = cascade_forward(model, cells, ad.constant(batch.x), scheme)
         yield batch, opt.minimize(objective.task_loss(logits, batch.labels))
 
 
@@ -121,12 +121,6 @@ class AdaptiveSearch:
     def discretization(self):
         return [c.discretize() for c in self.cells]
 
-    def discretized_weights(self):
-        return scheme_weights(self.cells, self.discretization())
-
-    def selected_params_now(self):
-        return sum(c.trainable_count(c.discretize()) for c in self.cells)
-
     def tau_at(self, epoch):
         """Exponential anneal from tau_start to tau_end across stage-1 epochs."""
         e1 = self.cfg.stage1_epochs
@@ -155,18 +149,17 @@ class AdaptiveSearch:
         the penalty (a function of alpha alone) is excluded.
 
         Each cell's path is sampled as in ``arch_step`` (same Gumbel draws),
-        but only the sampled path is forwarded and backpropagated, under
-        constant one-hot weights: the straight-through gradient into alpha
-        would be discarded. The unsampled paths' parameters take an exact
-        zero gradient, which is what the all-path backward gave them."""
+        but only the sampled path is forwarded and backpropagated: the
+        straight-through gradient into alpha would be discarded. The unsampled
+        paths' parameters take an exact zero gradient, which is what the
+        all-path backward gave them."""
         if len(train_batch) == 0:
             raise ValueError("net_step needs a nonempty batch")
         sampled = self.sample_weights(hard=True, noise=True)
         scheme = [c.paths[int(np.argmax(w.values))] for c, w in zip(self.cells, sampled)]
-        weights = scheme_weights(self.cells, scheme)
         live = scheme_params(self.cells, scheme)
         idle = [name for name in self.net_params if name not in live]
-        logits = cascade_forward(self.model, self.cells, ad.constant(train_batch.x), weights)
+        logits = cascade_forward(self.model, self.cells, ad.constant(train_batch.x), scheme)
         task = self.opt_net.minimize(objective.task_loss(logits, train_batch.labels), idle=idle)
         self.state.train_ids_seen.update(int(i) for i in train_batch.ids)
         return task
@@ -180,7 +173,7 @@ class AdaptiveSearch:
             penalty=pen,
             alphas=[c.alpha.value.tolist() for c in self.cells],
             discretization=self.discretization(),
-            selected_params=self.selected_params_now(),
+            selected_params=sum(c.trainable_count(c.discretize()) for c in self.cells),
         ))
         self.state.epoch += 1
 
@@ -217,14 +210,13 @@ class AdaptiveSearch:
         if self.state.stage != 2:
             raise RuntimeError("run stage 1 before stage 2")
         scheme = self.discretization()
-        weights = scheme_weights(self.cells, scheme)
         # only the chosen paths' parameters can receive gradients now; restrict
         # the optimizer to exactly that group (keeps the missing-grad check
         # strict) but carry the stage-1 moment estimates over
         opt = self.opt_net.restricted(scheme_params(self.cells, scheme))
         for _ in range(self.cfg.stage2_epochs):
             train_losses = []
-            for tb, loss in train_scheme_epoch(self.model, self.cells, weights, opt, self.train_data,
+            for tb, loss in train_scheme_epoch(self.model, self.cells, scheme, opt, self.train_data,
                                                self.cfg.batch_size, self._train_order_rng):
                 self.state.train_ids_seen.update(int(i) for i in tb.ids)
                 train_losses.append(loss)
@@ -234,11 +226,10 @@ class AdaptiveSearch:
             self._record_epoch(2, float(np.mean(train_losses)), val_task, pen)
         return self.state
 
-    def evaluate(self, data, weights=None):
+    def evaluate(self, data):
         """Task loss (and penalty) of the current discretized architecture."""
-        if weights is None:
-            weights = self.discretized_weights()
-        logits = cascade_forward(self.model, self.cells, ad.constant(data.x), weights)
+        scheme = self.discretization()
+        logits = cascade_forward(self.model, self.cells, ad.constant(data.x), scheme)
         task = objective.task_loss(logits, data.labels)
-        pen = objective.penalty(self.cells, weights, self.penalty_cfg)
+        pen = objective.penalty(self.cells, scheme_weights(self.cells, scheme), self.penalty_cfg)
         return task.item(), pen.item()

@@ -116,7 +116,7 @@ class TestCellForward:
         out = c.forward(x, w)
         np.testing.assert_allclose(out.value, c.module.forward(x).value, atol=1e-15)
 
-    def test_finetune_one_hot_skips_backbone_forward(self, rng, monkeypatch):
+    def test_finetune_path_skips_backbone_forward(self, rng, monkeypatch):
         c = make_cell()
         x = ad.constant(rng.normal(size=(4, 16)))
         calls = []
@@ -127,12 +127,33 @@ class TestCellForward:
             return forward(h, params)
 
         monkeypatch.setattr(c.module, "forward", recording)
-        c.forward(x, cell.one_hot_weights(3, 1))
+        c.forward(x, "finetune")
         assert calls == [c.finetune_params]
-        for k in (0, 2):  # frozen and adapter paths need the backbone
+        for path in ("frozen", "adapter:BA"):  # both need the backbone
             calls.clear()
-            c.forward(x, cell.one_hot_weights(3, k))
+            c.forward(x, path)
             assert calls == [None]
+
+    @pytest.mark.parametrize("mode, kinds", [("NFA", ("BA",)), ("NFA", ("GA",)), ("NA", ("BA",))],
+                             ids=["NFA-BA", "NFA-GA", "NA-BA"])
+    def test_path_name_matches_one_hot_weights_bitwise(self, rng, mode, kinds):
+        c = make_cell(mode=mode, adapter_kinds=kinds)
+        for _, t in c.trainable_params().items():  # make every path's output distinct
+            t.value += rng.normal(size=t.shape) * 0.3
+        x = rng.normal(size=(4, 16))
+        probe = ad.constant(rng.normal(size=(4, 16)))
+
+        def run(path, weights):
+            c.trainable_params().zero_grads()
+            out = c.forward(ad.constant(x), weights)
+            ad.backward(ad.tensor_sum(ad.mul(out, probe)))
+            grads = [t.grad.tobytes() for _, t in c.params_for_choice(path).items()]
+            return out.value.tobytes(), grads
+
+        for k, path in enumerate(c.paths):
+            assert run(path, path) == run(path, cell.one_hot_weights(c.n_paths, k))
+        with pytest.raises(ValueError, match="cell has no path"):
+            c.forward(ad.constant(x), "bogus")
 
     def test_weighted_sum_linearity(self, rng):
         c = make_cell()

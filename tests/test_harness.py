@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from conftest import make_config
 from nfa import cli, harness
 from nfa.config import ConfigError, config_from_dict, config_hash, load_config
 from nfa.data import SynthDataConfig, generate_synthetic, target_label_permutation
+from nfa.search import EpochRecord
 
 
 # (section, field) for every scalar field, with "" for the top level
@@ -163,6 +165,50 @@ class TestReports:
         for k in named:
             assert loaded[k].shape == named[k].shape
             assert loaded[k].tobytes() == named[k].tobytes()
+
+    @pytest.mark.parametrize("text", [
+        json.dumps({"cells": [], "totals": {}}),
+        json.dumps([1, 2]),
+        json.dumps({"cells": [{"index": 0, "choice": "frozen", "alpha": [0.0], "P": {}}],
+                    "totals": {}, "config_hash": "h", "seed": 0}),
+        json.dumps({"cells": [1], "totals": {}, "config_hash": "h", "seed": 0}),
+        json.dumps({"cells": [{"index": 0, "module": None, "choice": "frozen", "alpha": [0.0],
+                               "P": {}}], "totals": {}, "config_hash": "h", "seed": 0}),
+        '{"cells": [',
+    ], ids=["no-config_hash", "not-an-object", "cell-without-module", "cell-not-an-object",
+            "null-module", "truncated"])
+    def test_malformed_architecture_rejected(self, tmp_path, text):
+        path = tmp_path / "architecture.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"{path} is not an architecture report"):
+            harness.import_architecture(path)
+
+    @pytest.mark.parametrize("report", ["architecture", "metrics", "checkpoint"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, report):
+        def write(version):
+            if report == "architecture":
+                cells = (harness.CellDecision(0, "m", "frozen", (0.0,), {"frozen": 0}),)
+                harness.export_architecture(
+                    harness.ArchitectureDecision(cells, {}, "h", version), tmp_path / "a.json")
+            elif report == "metrics":
+                rec = EpochRecord(version, 1, 1.0, 1.0, 0.5, [], [], 3)
+                harness.write_metrics([rec], tmp_path / "metrics.csv")
+            else:
+                harness.save_checkpoint({"w": np.arange(3.0 + version)}, tmp_path / "ck")
+
+        def files():
+            return {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        write(0)
+        before = files()
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            write(1)
+        assert files() == before
 
 
 class TestConfig:
@@ -365,6 +411,12 @@ class TestCli:
         b = tmp_path / "runs" / "seed1" / "architecture.json"
         assert cli.main(["compare", "--runs", str(a), str(b)]) == 0
         assert "cells differ" in capsys.readouterr().out
+
+    def test_compare_malformed_architecture_is_error_exit(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"cells": [], "totals": {}}))
+        assert cli.main(["compare", "--runs", str(bad), str(bad)]) == 1
+        assert "is not an architecture report" in capsys.readouterr().err
 
     def test_pretrain(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path)

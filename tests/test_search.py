@@ -274,12 +274,15 @@ class TestHygieneAndDeterminism:
 
     def test_evaluate_uses_discretized_weights(self):
         s = make_search()
-        for c in s.cells:
-            c.alpha.value[:] = [5.0, 0.0, 0.0]
+        for i, c in enumerate(s.cells):
+            c.alpha.value[:] = 5.0 * np.eye(3)[i]
+        scheme = s.discretization()
+        assert scheme == ["frozen", "finetune", "adapter:BA"]
         task, pen = s.evaluate(s.val_data)
-        explicit = [cell.one_hot_weights(c.n_paths, 0) for c in s.cells]
-        task2, pen2 = s.evaluate(s.val_data, weights=explicit)
-        assert task == task2 and pen == pen2
+        logits = cell.cascade_forward(s.model, s.cells, ad.constant(s.val_data.x), scheme)
+        assert task == objective.task_loss(logits, s.val_data.labels).item()
+        weights = cell.scheme_weights(s.cells, scheme)
+        assert pen == objective.penalty(s.cells, weights, s.penalty_cfg).item()
 
 
 def test_config_validation():
