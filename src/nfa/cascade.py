@@ -10,7 +10,7 @@ initialization and only ever adapts on target data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -156,8 +156,11 @@ class NetModule:
         return self.params
 
     def freeze(self):
-        """Snapshot the current weights as the immutable pretrained state."""
+        """Snapshot the current weights as the immutable pretrained state: the
+        arrays become read-only, so a write into a shared snapshot raises."""
         self.params.set_requires_grad(False)
+        for _, t in self.params.items():
+            t.value.flags.writeable = False
         self._frozen = True
 
     def forward(self, x, params=None):
@@ -238,13 +241,13 @@ def pretrain_upstream(model: CascadedModel, source_data, epochs, lr, batch_size=
         raise ValueError("pretraining requires a nonempty source dataset")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9E7A]))
 
-    def run_stage(loss_fn, stage_index):
+    def run_stage(loss_fn, stage_index, data):
         params = ParameterSet()
         for m in model.stage_modules(stage_index):
             params.merge(m.params, prefix=m.name + ".")
         opt = ad.Adam(params, lr=lr)
         for _ in range(epochs):
-            for batch in source_data.batches(batch_size, rng):
+            for batch in data.batches(batch_size, rng):
                 opt.minimize(loss_fn(batch))
 
     def denoise_loss(batch):
@@ -253,18 +256,18 @@ def pretrain_upstream(model: CascadedModel, source_data, epochs, lr, batch_size=
     n_inter = model.stage_modules(1)[-1].out_dim
 
     def recognize_loss(batch):
-        # stage 0 is trained and outside this stage's optimizer: feed its
-        # output as a constant so backward stops at the stage boundary
-        h = ad.constant(model.forward_stage(0, ad.constant(batch.x)).value)
         # stage-2 softmax output doubles as class posterior; train via log-loss
-        probs = model.forward_stage(1, h)
+        probs = model.forward_stage(1, ad.constant(batch.x))
         onehot = np.eye(n_inter)[batch.inter_labels]
         picked = ad.tensor_sum(ad.mul(ad.constant(onehot), ad.log(probs)), axis=-1)
         return ad.scale(ad.tensor_mean(picked), -1.0)
 
     if epochs > 0:
-        run_stage(denoise_loss, 0)
-        run_stage(recognize_loss, 1)
+        run_stage(denoise_loss, 0, source_data)
+        # stage 0 is trained and outside the next stage's optimizer: its output
+        # over every source row, computed once, is stage 1's constant input
+        h = model.forward_stage(0, ad.constant(source_data.x)).value
+        run_stage(recognize_loss, 1, replace(source_data, x=h))
     model.freeze()
 
 

@@ -12,6 +12,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -208,17 +209,25 @@ def save_checkpoint(named_values, prefix):
 
 
 def load_checkpoint(prefix):
+    """Read a checkpoint back; raises ``ValueError`` naming the file when the
+    manifest and the binary disagree."""
     prefix = Path(prefix)
-    with open(prefix.with_suffix(".json")) as fh:
-        manifest = json.load(fh)
-    raw = prefix.with_suffix(".bin").read_bytes()
+    manifest_path, bin_path = prefix.with_suffix(".json"), prefix.with_suffix(".bin")
+    manifest = json.loads(manifest_path.read_text())
+    raw = bin_path.read_bytes()
+    if manifest.get("dtype") != "float64":
+        raise ValueError(f"{manifest_path}: dtype {manifest.get('dtype')!r} is not float64")
+    tensors = manifest["tensors"]
+    starts = [0, *itertools.accumulate(8 * math.prod(e["shape"]) for e in tensors)]
+    if starts[-1] != len(raw):
+        raise ValueError(f"{bin_path} holds {len(raw)} bytes; {manifest_path} describes {starts[-1]}")
     out = {}
-    for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
-        n = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        arr = np.frombuffer(raw, dtype=np.float64, count=n, offset=start).reshape(shape)
-        out[entry["name"]] = arr.copy()
+    for entry, start in zip(tensors, starts):
+        if entry["offset"] != start:
+            raise ValueError(f"{manifest_path}: tensor {entry['name']!r} is at offset "
+                             f"{entry['offset']}, not {start} after the tensors before it")
+        arr = np.frombuffer(raw, np.float64, math.prod(entry["shape"]), start)
+        out[entry["name"]] = arr.reshape(entry["shape"]).copy()
     return out
 
 
@@ -247,14 +256,26 @@ def source_data_config(cfg: ExperimentConfig) -> SynthDataConfig:
     )
 
 
+_PRETRAINED = {}  # the last pretraining's complete input -> its frozen model
+
+
 def pretrained_cascade(cfg: ExperimentConfig, seed):
     """The cascade for (cfg, seed), pretrained on its source data; returns
-    ``(model, source)``."""
-    source = generate_synthetic(source_data_config(cfg), seed)
-    model = build_cascade(cfg.cascade, seed)
-    pretrain_upstream(model, source, epochs=cfg.pretrain.epochs, lr=cfg.pretrain.lr,
-                      batch_size=cfg.pretrain.batch_size, seed=seed)
-    return model, source
+    ``(model, source)``. The frozen model of the last pretraining is served
+    again while its input is unchanged: the pretraining function, the cascade
+    spec, the source data config, the pretrain config and the seed. The
+    source dataset is generated afresh on every call."""
+    seed = int(seed)
+    source_cfg = source_data_config(cfg)
+    source = generate_synthetic(source_cfg, seed)
+    key = (pretrain_upstream, cfg.cascade, source_cfg, cfg.pretrain, seed)
+    if key not in _PRETRAINED:
+        model = build_cascade(cfg.cascade, seed)
+        pretrain_upstream(model, source, epochs=cfg.pretrain.epochs, lr=cfg.pretrain.lr,
+                          batch_size=cfg.pretrain.batch_size, seed=seed)
+        _PRETRAINED.clear()
+        _PRETRAINED[key] = model
+    return _PRETRAINED[key], source
 
 
 def build_experiment(cfg: ExperimentConfig, seed):

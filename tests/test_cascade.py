@@ -5,12 +5,42 @@ import pytest
 
 from conftest import check_grad
 from nfa import autodiff as ad
-from nfa import cascade
+from nfa import cascade, cell
 from nfa.data import SynthDataConfig, generate_synthetic
 
 
 def source_data(n=256, seed=0):
     return generate_synthetic(SynthDataConfig(n_samples=n, domain="source"), seed)
+
+
+def per_batch_recognize_pretrain(model, source_data, epochs, lr, batch_size=32, seed=0):
+    """Pretraining before stage-0 reuse: the recognize loss runs the finished
+    denoise stage's forward again on every batch of every epoch."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9E7A]))
+    n_inter = model.stage_modules(1)[-1].out_dim
+
+    def run_stage(loss_fn, stage_index):
+        params = ad.ParameterSet()
+        for m in model.stage_modules(stage_index):
+            params.merge(m.params, prefix=m.name + ".")
+        opt = ad.Adam(params, lr=lr)
+        for _ in range(epochs):
+            for batch in source_data.batches(batch_size, rng):
+                opt.minimize(loss_fn(batch))
+
+    def denoise_loss(batch):
+        return ad.mse(model.forward_stage(0, ad.constant(batch.x)), ad.constant(batch.clean))
+
+    def recognize_loss(batch):
+        h = ad.constant(model.forward_stage(0, ad.constant(batch.x)).value)
+        probs = model.forward_stage(1, h)
+        onehot = np.eye(n_inter)[batch.inter_labels]
+        picked = ad.tensor_sum(ad.mul(ad.constant(onehot), ad.log(probs)), axis=-1)
+        return ad.scale(ad.tensor_mean(picked), -1.0)
+
+    run_stage(denoise_loss, 0)
+    run_stage(recognize_loss, 1)
+    model.freeze()
 
 
 class TestSpecs:
@@ -195,6 +225,36 @@ class TestPretraining:
         recognize = [g for g in graphs if g & stage_params[1]]
         assert len(recognize) == len(graphs) // 2 == 8
         assert not any(g & stage_params[0] for g in recognize)
+
+    @pytest.mark.parametrize("seed", [0, 150])
+    @pytest.mark.parametrize("spec", [cascade.default_spec, cascade.small_spec],
+                             ids=["toy6", "toy3"])
+    def test_stage0_reuse_matches_per_batch_reference_bitwise(self, spec, seed):
+        # 1000 rows: the last batch of each pass is a short one of 8 rows
+        data = source_data(n=1000, seed=seed)
+        ref, new = cascade.build_cascade(spec(), seed), cascade.build_cascade(spec(), seed)
+        per_batch_recognize_pretrain(ref, data, epochs=4, lr=0.01, seed=seed)
+        cascade.pretrain_upstream(new, data, epochs=4, lr=0.01, seed=seed)
+        for a, b in zip(ref.modules, new.modules):
+            for (name, ta), (_, tb) in zip(a.pretrained_params.items(), b.pretrained_params.items()):
+                assert ta.value.tobytes() == tb.value.tobytes(), (a.name, name)
+
+    def test_frozen_snapshots_are_read_only(self):
+        model = cascade.build_cascade(cascade.small_spec(), 3)
+        cascade.pretrain_upstream(model, source_data(), epochs=1, lr=0.01, seed=3)
+        before = [m.params.checksum() for m in model.modules]
+        for m in model.modules:
+            for _, t in m.pretrained_params.items():
+                with pytest.raises(ValueError, match="read-only"):
+                    t.value[...] = 0.0
+                with pytest.raises(ValueError, match="read-only"):
+                    t.value += 1.0
+        c = cell.NfaCell(model.modules[0])
+        tuned = c.finetune_params.checksum()
+        loss = ad.tensor_sum(c.forward(ad.constant(np.ones((2, 16))), "finetune"))
+        ad.Adam(c.finetune_params, lr=0.01).minimize(loss)
+        assert c.finetune_params.checksum() != tuned
+        assert [m.params.checksum() for m in model.modules] == before
 
     def test_pretrained_snapshot_accessor(self):
         model = cascade.build_cascade(cascade.default_spec(), 3)

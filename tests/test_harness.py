@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_config
-from nfa import cli, harness
+from nfa import cascade, cli, harness
 from nfa.config import ConfigError, config_from_dict, config_hash, load_config
 from nfa.data import SynthDataConfig, generate_synthetic, target_label_permutation
 from nfa.search import EpochRecord
@@ -209,6 +210,97 @@ class TestReports:
         with pytest.raises(OSError, match="disk full"):
             write(1)
         assert files() == before
+
+    @pytest.mark.parametrize("damage", ["truncated", "short-by-3-bytes", "trailing-bytes",
+                                        "offset", "dtype"])
+    def test_damaged_checkpoint_rejected(self, tmp_path, damage):
+        harness.save_checkpoint({"w": np.arange(6.0).reshape(2, 3), "b": np.ones(3)},
+                                tmp_path / "ck")
+        bin_path, manifest_path = tmp_path / "ck.bin", tmp_path / "ck.json"
+        raw, manifest = bin_path.read_bytes(), json.loads(manifest_path.read_text())
+        named = bin_path
+        if damage == "truncated":
+            bin_path.write_bytes(raw[:-8])
+        elif damage == "short-by-3-bytes":
+            bin_path.write_bytes(raw[:-3])
+        elif damage == "trailing-bytes":
+            bin_path.write_bytes(raw + bytes(8))
+        else:
+            if damage == "offset":
+                manifest["tensors"][1]["offset"] = 40  # overlaps "w", which ends at 48
+            else:
+                manifest["dtype"] = "float32"
+            manifest_path.write_text(json.dumps(manifest))
+            named = manifest_path
+        with pytest.raises(ValueError, match=re.escape(str(named))):
+            harness.load_checkpoint(tmp_path / "ck")
+
+
+class TestPretrainedMemo:
+    @staticmethod
+    def counting_pretrain(monkeypatch):
+        """Replace ``harness.pretrain_upstream`` with a counting wrapper;
+        returns the list of models it pretrained."""
+        calls = []
+        real = harness.pretrain_upstream
+
+        def counting(model, *args, **kwargs):
+            calls.append(model)
+            return real(model, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "pretrain_upstream", counting)
+        return calls
+
+    def test_run_then_oracle_pretrains_once(self, tmp_path, monkeypatch):
+        cfg = fast_config(stage2_epochs=1)
+        calls = self.counting_pretrain(monkeypatch)
+        result = harness.run_experiment(cfg, seed=2, out_dir=tmp_path)
+        entries = harness.enumerate_oracle(cfg, seed=2)
+        assert len(calls) == 1 and len(entries) == 27
+        assert result.search.model is calls[0]
+
+    def test_hit_matches_fresh_pretraining(self):
+        cfg = fast_config()
+        model, source = harness.pretrained_cascade(cfg, 4)
+        again, fresh_source = harness.pretrained_cascade(cfg, 4)
+        assert again is model and fresh_source is not source
+        assert fresh_source.x.tobytes() == source.x.tobytes()
+        fresh = cascade.build_cascade(cfg.cascade, 4)
+        cascade.pretrain_upstream(fresh, generate_synthetic(harness.source_data_config(cfg), 4),
+                                  epochs=cfg.pretrain.epochs, lr=cfg.pretrain.lr,
+                                  batch_size=cfg.pretrain.batch_size, seed=4)
+        assert ([m.params.checksum() for m in again.modules]
+                == [m.params.checksum() for m in fresh.modules])
+
+    @pytest.mark.parametrize("section, name, value, hits", [
+        ("pretrain", "epochs", 4, False),
+        ("pretrain", "lr", 0.02, False),
+        ("pretrain", "batch_size", 16, False),
+        ("data", "n_source", 128, False),
+        ("data", "noise_std_source", 0.5, False),
+        ("cascade", "preset", "toy6", False),
+        ("search", "stage1_epochs", 3, True),
+        ("search", "lr_network", 0.02, True),
+        ("penalty", "coefficient", 2.0, True),
+        ("", "output_dir", "elsewhere", True),
+    ])
+    def test_key_is_the_pretraining_input(self, monkeypatch, section, name, value, hits):
+        cfg = fast_config()
+        changed = config_from_dict(with_field(cfg.raw, section, name, value))
+        calls = self.counting_pretrain(monkeypatch)
+        harness.pretrained_cascade(cfg, 0)
+        harness.pretrained_cascade(changed, 0)
+        assert len(calls) == (1 if hits else 2)
+
+    def test_seed_and_replaced_pretraining_miss(self, monkeypatch):
+        cfg = fast_config()
+        calls = self.counting_pretrain(monkeypatch)
+        harness.pretrained_cascade(cfg, 0)
+        harness.pretrained_cascade(cfg, 1)
+        assert len(calls) == 2
+        replaced = self.counting_pretrain(monkeypatch)
+        harness.pretrained_cascade(cfg, 1)
+        assert len(replaced) == 1
 
 
 class TestConfig:
