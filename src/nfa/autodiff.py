@@ -13,6 +13,7 @@ smaller operand's shape must be an exact suffix of the larger one's.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from contextlib import contextmanager
 
 import numpy as np
@@ -42,6 +43,7 @@ __all__ = [
     "scale",
     "index_lastdim",
     "affine",
+    "dense",
     "mse",
 ]
 
@@ -55,6 +57,7 @@ class NonFiniteError(ArithmeticError):
 
 
 _STRICT = True
+_SEQ = itertools.count()  # creation order of tensors: every input is older than its consumer
 
 
 def strict_enabled():
@@ -78,10 +81,11 @@ class Tensor:
 
     ``grad`` is lazily allocated: only nodes with ``requires_grad`` that are
     graph leaves (parameters) keep gradients after :func:`backward`;
-    intermediate gradients live in a scratch map during the sweep.
+    intermediate gradients live in a scratch map during the sweep. ``seq``
+    numbers tensors in creation order.
     """
 
-    __slots__ = ("value", "grad", "requires_grad", "op", "inputs", "_backward_fn", "visits")
+    __slots__ = ("value", "grad", "requires_grad", "op", "inputs", "_backward_fn", "visits", "seq")
 
     def __init__(self, value, requires_grad=False, op="leaf", inputs=(), backward_fn=None):
         self.value = np.asarray(value, dtype=np.float64)
@@ -93,6 +97,7 @@ class Tensor:
         self.grad = None
         self._backward_fn = backward_fn
         self.visits = 0
+        self.seq = next(_SEQ)
 
     @property
     def shape(self):
@@ -261,42 +266,43 @@ def index_lastdim(x, k):
     return _make("index_lastdim", x.value[..., k], (x,), bwd)
 
 
+def _seq(node):
+    return node.seq
+
+
 def _toposort(root):
-    order = []
-    VISITING, DONE = 0, 1
-    state = {}
-    stack = [(root, iter(root.inputs))]
-    state[id(root)] = VISITING
+    """The requires_grad nodes reachable from ``root`` through requires_grad
+    nodes, in creation order (root last). Inputs are created before their
+    consumers, so creation order is topological; an input no older than its
+    consumer can only come from a rewired graph, and is reported as a cycle."""
+    if not root.requires_grad:
+        return []
+    seen = {root}
+    stack = [root]
     while stack:
-        node, it = stack[-1]
-        child = next(it, None)
-        if child is None:
-            stack.pop()
-            state[id(node)] = DONE
-            order.append(node)
-            continue
-        mark = state.get(id(child))
-        if mark is VISITING:
-            raise ValueError(f"cycle detected in computation graph at op '{child.op}'")
-        if mark is None:
-            state[id(child)] = VISITING
-            stack.append((child, iter(child.inputs)))
-    return order  # parents after children; root last
+        node = stack.pop()
+        for child in node.inputs:
+            if child.seq >= node.seq:
+                raise ValueError(f"cycle detected in computation graph at op '{child.op}'")
+            if child.requires_grad and child not in seen:
+                seen.add(child)
+                stack.append(child)
+    return sorted(seen, key=_seq)
 
 
 def backward(loss):
     """Populate ``grad`` on every reachable requires_grad leaf of ``loss``.
 
-    Each node's backward contribution is applied exactly once (topological
-    order); ``visits`` counts applications for auditability.
+    Nodes are swept newest first, so each node's backward contribution is
+    applied exactly once, after all of its consumers'; ``visits`` counts
+    applications for auditability.
     """
     if loss.value.shape != ():
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.value.shape}")
-    order = _toposort(loss)
-    grads = {id(loss): np.ones(())}
-    for node in reversed(order):
-        g = grads.pop(id(node), None)
-        if g is None or not node.requires_grad:
+    grads = {loss: np.ones(())}
+    for node in reversed(_toposort(loss)):
+        g = grads.pop(node, None)
+        if g is None:
             continue
         node.visits += 1
         if node._backward_fn is None:
@@ -305,8 +311,8 @@ def backward(loss):
         for inp, gi in zip(node.inputs, node._backward_fn(g)):
             if gi is None or not inp.requires_grad:
                 continue
-            prev = grads.get(id(inp))
-            grads[id(inp)] = gi if prev is None else prev + gi
+            prev = grads.get(inp)
+            grads[inp] = gi if prev is None else prev + gi
 
 
 class ParameterSet:
@@ -374,7 +380,10 @@ class ParameterSet:
 
 
 class Adam:
-    """Standard adaptive-moment optimizer over a :class:`ParameterSet`."""
+    """Standard adaptive-moment optimizer over a :class:`ParameterSet`.
+
+    The moments of all parameters live in two flat arrays, one update over
+    them per step; ``_m`` and ``_v`` map each name to its view into them."""
 
     def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8):
         if lr <= 0:
@@ -384,27 +393,45 @@ class Adam:
         self.beta1, self.beta2 = float(betas[0]), float(betas[1])
         self.eps = float(eps)
         self.t = 0
-        self._m = {name: np.zeros(t.shape) for name, t in params.items()}
-        self._v = {name: np.zeros(t.shape) for name, t in params.items()}
+        self._spans = {}  # name -> (start, stop) in this optimizer's parameter order
+        offset = 0
+        for name, p in params.items():
+            self._spans[name] = (offset, offset + p.value.size)
+            offset += p.value.size
+        self._flat_m, self._flat_v = np.zeros(offset), np.zeros(offset)
+        self._index = None  # positions of the moments in the flat arrays; None: all, in order
+        self._m = self._views(self._flat_m)
+        self._v = self._views(self._flat_v)
+
+    def _views(self, flat):
+        return {name: flat[a:b].reshape(self.params[name].shape)
+                for name, (a, b) in self._spans.items()}
 
     def step(self):
         if len(self.params) == 0:
             return
+        grads = []
         for name, p in self.params.items():
             if p.grad is None:
                 raise ValueError(f"adam step: parameter {name!r} has no gradient")
+            grads.append(p.grad)
+        g = np.concatenate(grads, axis=None)
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for name, p in self.params.items():
-            g = p.grad
-            m = self._m[name]
-            v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.value -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        idx = self._index
+        m = self._flat_m if idx is None else self._flat_m[idx]
+        v = self._flat_v if idx is None else self._flat_v[idx]
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        if idx is not None:
+            self._flat_m[idx] = m
+            self._flat_v[idx] = v
+        update = self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        for (_, p), (a, b) in zip(self.params.items(), self._spans.values()):
+            p.value -= update[a:b].reshape(p.shape)
 
     def minimize(self, loss, idle=()):
         """One training step: zero this optimizer's gradients, backpropagate
@@ -424,17 +451,62 @@ class Adam:
 
     def restricted(self, params):
         """An optimizer over a subset of this one's parameters that continues
-        from its step count and shares its moment arrays."""
+        from its step count and shares its moments: it gathers them from this
+        optimizer's flat arrays and scatters them back on every step."""
         opt = Adam(params, self.lr, (self.beta1, self.beta2), self.eps)
         opt.t = self.t
+        opt._flat_m, opt._flat_v = self._flat_m, self._flat_v
+        where = np.arange(self._flat_m.size) if self._index is None else self._index
+        opt._index = np.concatenate([where[:0]] + [where[slice(*self._spans[name])] for name in params])
         opt._m = {name: self._m[name] for name in params}
         opt._v = {name: self._v[name] for name in params}
         return opt
 
 
 def affine(x, w, b):
-    """x @ w + b, the building block for dense layers and adapters."""
+    """x @ w + b, the building block for adapters."""
     return add(matmul(x, w), b)
+
+
+def dense(x, w, b, act):
+    """``act(x @ w + b)`` as one node, for the layers of a dense module. Its
+    forward and backward evaluate the numpy expressions of :func:`affine`
+    followed by the activation op, so values and gradients equal theirs bit
+    for bit; ``act`` is "tanh", "relu", "sigmoid" or "linear"."""
+    if x.value.ndim != 2 or w.value.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeError(f"dense: incompatible shapes {x.shape} @ {w.shape}")
+    z = x.value @ w.value
+    if not _suffix_broadcastable(z.shape, b.shape):
+        raise ShapeError(f"dense: bias shape {b.shape} does not suffix-broadcast with {z.shape}")
+    z = z + b.value
+    # tanh and sigmoid saturate, so a non-finite pre-activation is caught here
+    if _STRICT and not np.isfinite(z).all():
+        raise NonFiniteError("non-finite values in tensor produced by op 'dense'")
+    if act == "tanh":
+        y = np.tanh(z)
+    elif act == "relu":
+        mask = z > 0.0
+        y = np.where(mask, z, 0.0)
+    elif act == "sigmoid":
+        with np.errstate(over="ignore"):  # exp overflow saturates to exactly 0 or 1
+            y = 1.0 / (1.0 + np.exp(-z))
+    elif act == "linear":
+        y = z
+    else:
+        raise ValueError(f"dense: unknown activation {act!r}")
+
+    def bwd(g):
+        if act == "tanh":
+            g = g * (1.0 - y * y)
+        elif act == "relu":
+            g = g * mask
+        elif act == "sigmoid":
+            g = g * y * (1.0 - y)
+        return (g @ w.value.T if x.requires_grad else None,
+                x.value.T @ g if w.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
+
+    return _make("dense", y, (x, w, b), bwd)
 
 
 def mse(pred, target):

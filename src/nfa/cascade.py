@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParameterSet, Tensor
 
-_ACTIVATIONS = {"tanh": ad.tanh, "relu": ad.relu, "sigmoid": ad.sigmoid, "linear": None}
+_ACTIVATIONS = frozenset(("tanh", "relu", "sigmoid", "linear"))  # what ad.dense applies
 
 
 @dataclass(frozen=True)
@@ -167,10 +167,7 @@ class NetModule:
         p = params if params is not None else self.params
         h = x
         for i, layer in enumerate(self.spec.layers):
-            h = ad.affine(h, p[f"L{i}.W"], p[f"L{i}.b"])
-            act = _ACTIVATIONS[layer.activation]
-            if act is not None:
-                h = act(h)
+            h = ad.dense(h, p[f"L{i}.W"], p[f"L{i}.b"], layer.activation)
         return h
 
 

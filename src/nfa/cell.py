@@ -55,6 +55,11 @@ def one_hot_weights(n_paths, index):
     return PathWeights(ad.constant(v), hard=True)
 
 
+def _check_tau(tau):
+    if tau <= 0:
+        raise ValueError(f"gumbel_softmax temperature must be positive, got {tau}")
+
+
 def gumbel_softmax(alpha, tau, rng=None, hard=False, noise=True):
     """Sample differentiable path weights from logits ``alpha``.
 
@@ -63,8 +68,7 @@ def gumbel_softmax(alpha, tau, rng=None, hard=False, noise=True):
     ``hard`` snaps the forward value to one-hot while the backward pass treats
     the output as the soft weights (straight-through estimator).
     """
-    if tau <= 0:
-        raise ValueError(f"gumbel_softmax temperature must be positive, got {tau}")
+    _check_tau(tau)
     logits = alpha
     if noise:
         if rng is None:
@@ -79,6 +83,20 @@ def gumbel_softmax(alpha, tau, rng=None, hard=False, noise=True):
     st = Tensor(onehot, requires_grad=soft.requires_grad, op="straight_through",
                 inputs=(soft,), backward_fn=lambda grad: (grad,))
     return PathWeights(st, hard=True)
+
+
+def gumbel_argmax(alpha, tau, rng):
+    """The path index that ``gumbel_softmax(alpha, tau, rng, hard=True)``
+    picks, from the same Gumbel draw, computed in numpy without a graph: the
+    same expressions as ``ad.add``, ``ad.scale`` and ``ad.softmax_lastdim``,
+    and in strict mode the same ``NonFiniteError`` for non-finite logits."""
+    _check_tau(tau)
+    logits = (alpha.value + rng.gumbel(size=alpha.shape)) * float(1.0 / tau)
+    if ad.strict_enabled() and not np.isfinite(logits).all():
+        raise ad.NonFiniteError("non-finite values in Gumbel-softmax logits")
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return int(np.argmax(e / e.sum(axis=-1, keepdims=True)))
 
 
 class NfaCell:

@@ -16,7 +16,7 @@ from .cascade import (ADAPTER_KINDS, CascadeSpec, LayerSpec, ModuleSpec, StageSp
                       small_spec)
 from .data import SynthDataConfig
 from .objective import PenaltyConfig
-from .search import SearchConfig
+from .search import SearchConfig, train_size
 
 _PRESETS = {
     "toy6": lambda d: default_spec(dim=d.get("dim", 16), n_labels=d.get("n_labels", 8)),
@@ -194,12 +194,23 @@ def _config_from_dict(d):
     sections = {name: _section(name, d.get(name, {}), _field_kinds(cls))
                 for name, cls in (("penalty", PenaltyConfig), ("search", SearchConfig),
                                   ("pretrain", PretrainConfig))}
+    search = SearchConfig(**sections["search"])
+    n = target_cfg.n_samples
+    try:
+        n_train = train_size(n, search.split_ratio)
+    except OverflowError:
+        raise ConfigError(f"data.n_target={n} is too large to split") from None
+    if not 1 <= n_train <= n - 1:
+        raise ConfigError(
+            f"data.n_target={n} split at search.split_ratio={search.split_ratio} leaves "
+            f"{n_train} train and {n - n_train} validation rows; both parts must be nonempty"
+        )
     return ExperimentConfig(
         cascade=cascade,
         adapters=tuple(adapters),
         mode=d.get("mode", "NFA"),
         penalty=PenaltyConfig(**sections["penalty"]),
-        search=SearchConfig(**sections["search"]),
+        search=search,
         pretrain=PretrainConfig(**sections["pretrain"]),
         data=target_cfg,
         n_source=n_source,

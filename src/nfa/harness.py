@@ -208,16 +208,39 @@ def save_checkpoint(named_values, prefix):
             _write_atomic(prefix.with_suffix(".json"), _json_bytes(manifest)))
 
 
-def load_checkpoint(prefix):
-    """Read a checkpoint back; raises ``ValueError`` naming the file when the
-    manifest and the binary disagree."""
-    prefix = Path(prefix)
-    manifest_path, bin_path = prefix.with_suffix(".json"), prefix.with_suffix(".bin")
-    manifest = json.loads(manifest_path.read_text())
-    raw = bin_path.read_bytes()
+def _is_shape(value):
+    return isinstance(value, list) and all(
+        isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in value)
+
+
+def _manifest_tensors(manifest_path):
+    """The tensor entries of a checkpoint manifest; raises ``ValueError``
+    naming the manifest when it is not one."""
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{manifest_path}: not a JSON manifest ({e})") from None
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{manifest_path}: manifest is not a JSON object")
     if manifest.get("dtype") != "float64":
         raise ValueError(f"{manifest_path}: dtype {manifest.get('dtype')!r} is not float64")
-    tensors = manifest["tensors"]
+    tensors = manifest.get("tensors")
+    if not isinstance(tensors, list):
+        raise ValueError(f"{manifest_path}: manifest has no 'tensors' list")
+    for entry in tensors:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and _is_shape(entry.get("shape")) and isinstance(entry.get("offset"), int)):
+            raise ValueError(f"{manifest_path}: malformed tensor entry {entry!r}")
+    return tensors
+
+
+def load_checkpoint(prefix):
+    """Read a checkpoint back; raises ``ValueError`` naming the file when the
+    manifest is malformed or the manifest and the binary disagree."""
+    prefix = Path(prefix)
+    manifest_path, bin_path = prefix.with_suffix(".json"), prefix.with_suffix(".bin")
+    tensors = _manifest_tensors(manifest_path)
+    raw = bin_path.read_bytes()
     starts = [0, *itertools.accumulate(8 * math.prod(e["shape"]) for e in tensors)]
     if starts[-1] != len(raw):
         raise ValueError(f"{bin_path} holds {len(raw)} bytes; {manifest_path} describes {starts[-1]}")

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import objective
-from .cell import (arch_group, cascade_forward, gumbel_softmax, network_group, scheme_params,
-                   scheme_weights)
+from .cell import (arch_group, cascade_forward, gumbel_argmax, gumbel_softmax, network_group,
+                   scheme_params, scheme_weights)
 
 
 @dataclass(frozen=True)
@@ -66,9 +66,13 @@ class SearchState:
     val_ids_seen: set = field(default_factory=set)
 
 
+def train_size(n, ratio):
+    """|train| of a split of ``n`` rows: round(ratio * n) with halves rounded up."""
+    return int(np.floor(ratio * n + 0.5))
+
+
 def split_dataset(data, ratio, seed):
-    """Disjoint, exhaustive, seeded-shuffled split; |train| = round(ratio * N)
-    with halves rounded up."""
+    """Disjoint, exhaustive, seeded-shuffled split; |train| = ``train_size``."""
     n = len(data)
     if n == 0:
         raise ValueError("cannot split an empty dataset")
@@ -76,7 +80,7 @@ def split_dataset(data, ratio, seed):
         raise ValueError("split ratio must lie in (0, 1)")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5711]))
     order = rng.permutation(n)
-    n_train = int(np.floor(ratio * n + 0.5))
+    n_train = train_size(n, ratio)
     return data.subset(order[:n_train]), data.subset(order[n_train:])
 
 
@@ -148,15 +152,14 @@ class AdaptiveSearch:
         """One network update on a training batch; alpha stays untouched and
         the penalty (a function of alpha alone) is excluded.
 
-        Each cell's path is sampled as in ``arch_step`` (same Gumbel draws),
-        but only the sampled path is forwarded and backpropagated: the
-        straight-through gradient into alpha would be discarded. The unsampled
+        Each cell's path is sampled as in ``arch_step`` (same Gumbel draws,
+        no graph), and only the sampled path is forwarded and backpropagated:
+        the straight-through gradient into alpha would be discarded. The unsampled
         paths' parameters take an exact zero gradient, which is what the
         all-path backward gave them."""
         if len(train_batch) == 0:
             raise ValueError("net_step needs a nonempty batch")
-        sampled = self.sample_weights(hard=True, noise=True)
-        scheme = [c.paths[int(np.argmax(w.values))] for c, w in zip(self.cells, sampled)]
+        scheme = [c.paths[gumbel_argmax(c.alpha, self.tau, self._gumbel_rng)] for c in self.cells]
         live = scheme_params(self.cells, scheme)
         idle = [name for name in self.net_params if name not in live]
         logits = cascade_forward(self.model, self.cells, ad.constant(train_batch.x), scheme)

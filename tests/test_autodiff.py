@@ -195,6 +195,20 @@ class TestGradcheckPerOp:
     def test_index_lastdim(self, rng):
         check_grad(lambda t: ad.scale(ad.index_lastdim(ad.mul(t, t), 2), 2.0), rng.normal(size=(5,)))
 
+    @pytest.mark.parametrize("act", ["tanh", "relu", "sigmoid", "linear"])
+    def test_dense(self, act, rng):
+        x, w, b = rng.normal(size=(5, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)
+        assert np.abs(x @ w + b).min() > 1e-3  # relu's kink is out of the probes' reach
+        r = rng.normal(size=(5, 3))
+
+        def probe(out):
+            return ad.tensor_sum(ad.mul(out, ad.constant(r)))
+
+        c = ad.constant
+        check_grad(lambda t: probe(ad.dense(t, c(w), c(b), act)), x)
+        check_grad(lambda t: probe(ad.dense(c(x), t, c(b), act)), w)
+        check_grad(lambda t: probe(ad.dense(c(x), c(w), t, act)), b)
+
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))

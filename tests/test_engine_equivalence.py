@@ -1,0 +1,254 @@
+"""The engine's fast paths against the code they replace, byte for byte.
+
+Each reference below is the earlier implementation, kept here as a test-local
+copy: ``affine`` plus an activation op for ``dense``, the depth-first
+topological sort for ``backward``, per-tensor moment arrays for ``Adam`` and
+the Gumbel-softmax graph for ``gumbel_argmax``.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nfa import autodiff as ad
+from nfa import cascade, cell, objective
+from nfa.data import SynthDataConfig, generate_synthetic
+from nfa.search import AdaptiveSearch, SearchConfig, split_dataset
+
+ACTIVATIONS = {"tanh": ad.tanh, "relu": ad.relu, "sigmoid": ad.sigmoid, "linear": None}
+
+
+def affine_then(x, w, b, act):
+    h = ad.affine(x, w, b)
+    return h if ACTIVATIONS[act] is None else ACTIVATIONS[act](h)
+
+
+class TestDense:
+    @pytest.mark.parametrize("act", sorted(ACTIVATIONS))
+    def test_matches_affine_and_activation(self, act, rng):
+        values = rng.normal(size=(5, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)
+        r = rng.normal(size=(5, 3))
+        results = []
+        for layer in (ad.dense, affine_then):
+            x, w, b = (ad.parameter(v.copy()) for v in values)
+            out = layer(x, w, b, act)
+            ad.backward(ad.tensor_sum(ad.mul(out, ad.constant(r))))
+            results.append([out.value.tobytes()] + [t.grad.tobytes() for t in (x, w, b)])
+        assert results[0] == results[1]
+
+    def test_frozen_weights_pass_input_gradient(self, rng):
+        x = ad.parameter(rng.normal(size=(2, 3)))
+        w, b = ad.constant(rng.normal(size=(3, 3))), ad.constant(np.zeros(3))
+        ad.backward(ad.tensor_sum(ad.dense(x, w, b, "tanh")))
+        assert x.grad is not None and w.grad is None and b.grad is None
+
+    def test_rejects_bad_input(self):
+        x, w, b = ad.constant(np.ones((2, 3))), ad.constant(np.ones((3, 4))), ad.constant(np.ones(4))
+        with pytest.raises(ad.ShapeError, match="dense"):
+            ad.dense(x, ad.constant(np.ones((2, 4))), b, "tanh")
+        with pytest.raises(ad.ShapeError, match="bias"):
+            ad.dense(x, w, ad.constant(np.ones(3)), "tanh")
+        with pytest.raises(ValueError, match="unknown activation"):
+            ad.dense(x, w, b, "gelu")
+
+    def test_strict_catches_saturated_overflow(self):
+        # tanh(inf) is finite, so only the pre-activation shows the overflow
+        x, b = ad.constant(np.full((1, 2), 1e200)), ad.constant(np.zeros(2))
+        with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError, match="dense"):
+            ad.dense(x, ad.constant(np.full((2, 2), 1e200)), b, "tanh")
+
+
+# -- backward ------------------------------------------------------------------
+
+
+def dfs_toposort(root):
+    order = []
+    VISITING, DONE = 0, 1
+    state = {id(root): VISITING}
+    stack = [(root, iter(root.inputs))]
+    while stack:
+        node, it = stack[-1]
+        child = next(it, None)
+        if child is None:
+            stack.pop()
+            state[id(node)] = DONE
+            order.append(node)
+            continue
+        mark = state.get(id(child))
+        if mark is VISITING:
+            raise ValueError(f"cycle detected in computation graph at op '{child.op}'")
+        if mark is None:
+            state[id(child)] = VISITING
+            stack.append((child, iter(child.inputs)))
+    return order
+
+
+def dfs_backward(loss):
+    grads = {id(loss): np.ones(())}
+    for node in reversed(dfs_toposort(loss)):
+        g = grads.pop(id(node), None)
+        if g is None or not node.requires_grad:
+            continue
+        if node._backward_fn is None:
+            node.grad = g if node.grad is None else node.grad + g
+            continue
+        for inp, gi in zip(node.inputs, node._backward_fn(g)):
+            if gi is None or not inp.requires_grad:
+                continue
+            prev = grads.get(id(inp))
+            grads[id(inp)] = gi if prev is None else prev + gi
+
+
+def toy6_search(seed):
+    model = cascade.build_cascade(cascade.default_spec(), seed)
+    source = generate_synthetic(SynthDataConfig(n_samples=128, domain="source"), seed)
+    cascade.pretrain_upstream(model, source, epochs=2, lr=0.01, seed=seed)
+    cfg = SearchConfig(seed=seed, lr_network=0.01, lr_arch=0.05)
+    target = generate_synthetic(SynthDataConfig(n_samples=128, domain="target"), seed)
+    train, val = split_dataset(target, cfg.split_ratio, seed)
+    cells = cell.build_cells(model, seed=seed)
+    return AdaptiveSearch(model, cells, train, val, objective.PenaltyConfig(), cfg)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_backward_matches_depth_first_sweep_on_arch_step_graph(seed):
+    s = toy6_search(seed)
+    for _ in range(3):  # move alpha and the adapters off their initial values
+        s.arch_step(s.val_data.subset(np.arange(32)))
+        s.net_step(s.train_data.subset(np.arange(32)))
+    batch = s.val_data.subset(np.arange(32))
+    # soft weights: every path of every cell carries a nonzero gradient, so the
+    # order in which a node's contributions are summed shows in its bytes
+    weights = s.sample_weights(hard=False, noise=True)
+    logits = cell.cascade_forward(s.model, s.cells, ad.constant(batch.x), weights)
+    task = objective.task_loss(logits, batch.labels)
+    loss = objective.total_loss(task, objective.penalty(s.cells, weights, s.penalty_cfg),
+                                s.penalty_cfg)
+    consumers = {}
+    for node in dfs_toposort(loss):
+        for inp in node.inputs:
+            if inp.requires_grad:
+                consumers[id(inp)] = consumers.get(id(inp), 0) + 1
+    assert max(consumers.values()) >= 3  # the summation order into a node matters
+    leaves = dict(s.net_params.items()) | dict(s.arch_params.items())
+    sweeps = []
+    for sweep in (ad.backward, dfs_backward):
+        for t in leaves.values():
+            t.grad = None
+        sweep(loss)
+        sweeps.append({name: t.grad.tobytes() for name, t in leaves.items()
+                       if t.grad is not None})
+    assert sweeps[0] == sweeps[1]
+    assert len(sweeps[0]) == len(leaves)
+
+
+# -- Adam ----------------------------------------------------------------------
+
+
+class PerTensorAdam:
+    """Adam with one moment array per tensor."""
+
+    def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8):
+        self.params = params
+        self.lr, (self.beta1, self.beta2), self.eps = lr, betas, eps
+        self.t = 0
+        self._m = {name: np.zeros(t.shape) for name, t in params.items()}
+        self._v = {name: np.zeros(t.shape) for name, t in params.items()}
+
+    def step(self):
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for name, p in self.params.items():
+            g, m, v = p.grad, self._m[name], self._v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            p.value -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+    def minimize(self, loss, idle=()):
+        self.params.zero_grads()
+        for name in idle:
+            self.params[name].grad = np.zeros(self.params[name].shape)
+        ad.backward(loss)
+        self.step()
+
+    def restricted(self, params):
+        opt = PerTensorAdam(params, self.lr, (self.beta1, self.beta2), self.eps)
+        opt.t = self.t
+        opt._m = {name: self._m[name] for name in params}
+        opt._v = {name: self._v[name] for name in params}
+        return opt
+
+
+SHAPES = {"W": (4, 3), "b": (3,), "s": (), "u": (2, 2), "c": (5,)}
+
+
+def adam_run(opt_cls):
+    rng = np.random.default_rng(17)
+    ps = ad.ParameterSet({k: ad.parameter(rng.normal(size=shape)) for k, shape in SHAPES.items()})
+    probes = {k: rng.normal(size=(20,) + shape) for k, shape in SHAPES.items()}
+    opt = opt_cls(ps, lr=0.05)
+
+    def loss(step, names):
+        terms = [ad.tensor_sum(ad.mul(ps[k], ad.mul(ps[k], ad.constant(probes[k][step]))))
+                 for k in names]
+        total = terms[0]
+        for t in terms[1:]:
+            total = ad.add(total, t)
+        return total
+
+    for step in range(20):
+        idle = ["u", "c"] if step % 3 == 0 else ["s"] if step % 3 == 1 else []
+        opt.minimize(loss(step, [k for k in SHAPES if k not in idle]), idle=idle)
+    sub = opt.restricted(ad.ParameterSet({k: ps[k] for k in ("c", "W")}))
+    for step in range(5):
+        sub.minimize(loss(step, ["W"]), idle=["c"])
+    return [(opt.t, sub.t)] + [(k, ps[k].value.tobytes(), opt._m[k].tobytes(),
+                                opt._v[k].tobytes()) for k in SHAPES]
+
+
+def test_flat_adam_matches_per_tensor_adam():
+    assert adam_run(ad.Adam) == adam_run(PerTensorAdam)
+
+
+def test_restricted_of_restricted_shares_moments():
+    ps = ad.ParameterSet({k: ad.parameter(np.ones(shape)) for k, shape in SHAPES.items()})
+    opt = ad.Adam(ps, lr=0.1)
+    sub = opt.restricted(ad.ParameterSet({k: ps[k] for k in ("c", "b", "W")}))
+    inner = sub.restricted(ad.ParameterSet({"W": ps["W"]}))
+    ps["W"].grad = np.ones(SHAPES["W"])
+    inner.step()
+    assert inner._m["W"] is opt._m["W"]
+    assert np.array_equal(opt._m["W"], np.full(SHAPES["W"], 1.0 - 0.9))
+    assert not opt._m["b"].any() and not opt._m["c"].any()
+
+
+# -- net-step sampling ---------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
+       tau=st.floats(0.05, 10.0), spread=st.floats(0.0, 20.0))
+def test_gumbel_argmax_matches_hard_gumbel_softmax(seed, n, tau, spread):
+    alpha = ad.parameter(np.random.default_rng(seed).normal(size=n) * spread)
+    a, b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    for _ in range(3):
+        want = int(np.argmax(cell.gumbel_softmax(alpha, tau, rng=a, hard=True).values))
+        assert cell.gumbel_argmax(alpha, tau, b) == want
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_gumbel_argmax_keeps_checks():
+    alpha = ad.parameter(np.zeros(3))
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="temperature must be positive"):
+        cell.gumbel_argmax(alpha, 0.0, rng)
+    with pytest.raises(ad.NonFiniteError):
+        cell.gumbel_argmax(alpha, 1e-320, rng)  # 1/tau overflows
+    alpha.value[1] = np.nan
+    for sample in (cell.gumbel_argmax, lambda a, t, r: cell.gumbel_softmax(a, t, rng=r, hard=True)):
+        with pytest.raises(ad.NonFiniteError):
+            sample(alpha, 1.0, rng)

@@ -236,6 +236,21 @@ class TestReports:
             harness.load_checkpoint(tmp_path / "ck")
 
 
+    @pytest.mark.parametrize("manifest", [
+        "{",
+        "[]",
+        json.dumps({"dtype": "float64"}),
+        json.dumps({"dtype": "float64", "tensors": [{"name": "w", "offset": 0}]}),
+        json.dumps({"dtype": "float64", "tensors": [{"name": "w", "shape": 2, "offset": 0}]}),
+    ], ids=["not-json", "not-an-object", "no-tensors", "entry-without-shape", "scalar-shape"])
+    def test_malformed_manifest_rejected(self, tmp_path, manifest):
+        harness.save_checkpoint({"w": np.ones(2)}, tmp_path / "ck")
+        manifest_path = tmp_path / "ck.json"
+        manifest_path.write_text(manifest)
+        with pytest.raises(ValueError, match=re.escape(str(manifest_path))):
+            harness.load_checkpoint(tmp_path / "ck")
+
+
 class TestPretrainedMemo:
     @staticmethod
     def counting_pretrain(monkeypatch):
@@ -361,6 +376,17 @@ class TestConfig:
     def test_float_field_takes_int(self):
         cfg = config_from_dict(with_field(fast_config().raw, "penalty", "coefficient", 2))
         assert cfg.penalty.coefficient == 2
+
+    @pytest.mark.parametrize("n_target,ratio", [(1, 0.5), (2, 0.9)])
+    def test_empty_split_part_rejected(self, n_target, ratio):
+        raw = with_field(fast_config().raw, "data", "n_target", n_target)
+        with pytest.raises(ConfigError, match="both parts must be nonempty"):
+            config_from_dict(with_field(raw, "search", "split_ratio", ratio))
+
+    def test_smallest_split_accepted(self):
+        raw = with_field(fast_config().raw, "data", "n_target", 2)
+        cfg = config_from_dict(with_field(raw, "search", "split_ratio", 0.5))
+        assert (cfg.data.n_samples, cfg.search.split_ratio) == (2, 0.5)
 
     @given(field=st.sampled_from(SCALAR_FIELDS + [("", s) for s in SECTIONS]),
            value=st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
@@ -542,3 +568,11 @@ class TestCli:
         p.write_text(json.dumps({"cascade": {"preset": "toy3"}, "bogus": 1}))
         assert cli.main(["run", "--config", str(p)]) == 1
         assert "nfa: error:" in capsys.readouterr().err
+
+    def test_empty_split_is_error_exit(self, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        raw = fast_config(output_dir=str(tmp_path / "runs")).raw
+        p.write_text(json.dumps(with_field(raw, "data", "n_target", 1)))
+        assert cli.main(["run", "--config", str(p)]) == 1
+        assert "both parts must be nonempty" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
