@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -24,8 +23,9 @@ __all__ = [
     "Adam",
     "ShapeError",
     "NonFiniteError",
-    "strict_enabled",
-    "permissive",
+    "ACTIVATIONS",
+    "check_finite",
+    "softmax",
     "backward",
     "constant",
     "parameter",
@@ -44,6 +44,7 @@ __all__ = [
     "index_lastdim",
     "affine",
     "dense",
+    "nll",
     "mse",
 ]
 
@@ -53,27 +54,38 @@ class ShapeError(ValueError):
 
 
 class NonFiniteError(ArithmeticError):
-    """Raised in strict mode when a tensor holds NaN or infinity."""
+    """Raised when a tensor holds NaN or infinity."""
 
 
-_STRICT = True
 _SEQ = itertools.count()  # creation order of tensors: every input is older than its consumer
 
 
-def strict_enabled():
-    return _STRICT
+def check_finite(value, what):
+    """Raise :class:`NonFiniteError` naming the op ``what`` unless every
+    element of ``value`` is finite."""
+    if not np.logical_and.reduce(np.isfinite(value), axis=None):
+        raise NonFiniteError(f"non-finite values in tensor produced by op '{what}'")
 
 
-@contextmanager
-def permissive():
-    """Temporarily allow non-finite values to propagate."""
-    global _STRICT
-    prev = _STRICT
-    _STRICT = False
-    try:
-        yield
-    finally:
-        _STRICT = prev
+def _sigmoid(z):
+    with np.errstate(over="ignore"):  # exp overflow saturates to exactly 0 or 1
+        return 1.0 / (1.0 + np.exp(-z))
+
+
+# activation name -> (forward from the pre-activation z,
+#                     input gradient from the output gradient g, z and the output y)
+ACTIVATIONS = {
+    "tanh": (np.tanh, lambda g, z, y: g * (1.0 - y * y)),
+    "relu": (lambda z: np.where(z > 0.0, z, 0.0), lambda g, z, y: g * (z > 0.0)),
+    "sigmoid": (_sigmoid, lambda g, z, y: g * y * (1.0 - y)),
+    "linear": (lambda z: z, lambda g, z, y: g),
+}
+
+
+def softmax(z):
+    """Softmax over the last axis of a numpy array."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 class Tensor:
@@ -89,8 +101,7 @@ class Tensor:
 
     def __init__(self, value, requires_grad=False, op="leaf", inputs=(), backward_fn=None):
         self.value = np.asarray(value, dtype=np.float64)
-        if _STRICT and not np.isfinite(self.value).all():
-            raise NonFiniteError(f"non-finite values in tensor produced by op '{op}'")
+        check_finite(self.value, op)
         self.requires_grad = bool(requires_grad)
         self.op = op
         self.inputs = tuple(inputs)
@@ -174,26 +185,27 @@ def matmul(a, b):
     )
 
 
+def _activation(act, x):
+    forward, grad = ACTIVATIONS[act]
+    z = x.value
+    y = forward(z)
+    return _make(act, y, (x,), lambda g: (grad(g, z, y),))
+
+
 def relu(x):
-    mask = x.value > 0.0
-    return _make("relu", np.where(mask, x.value, 0.0), (x,), lambda g: (g * mask,))
+    return _activation("relu", x)
 
 
 def tanh(x):
-    y = np.tanh(x.value)
-    return _make("tanh", y, (x,), lambda g: (g * (1.0 - y * y),))
+    return _activation("tanh", x)
 
 
 def sigmoid(x):
-    with np.errstate(over="ignore"):  # exp overflow saturates to exactly 0 or 1
-        y = 1.0 / (1.0 + np.exp(-x.value))
-    return _make("sigmoid", y, (x,), lambda g: (g * y * (1.0 - y),))
+    return _activation("sigmoid", x)
 
 
 def softmax_lastdim(x):
-    z = x.value - x.value.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=-1, keepdims=True)
+    s = softmax(x.value)
 
     def bwd(g):
         dot = (g * s).sum(axis=-1, keepdims=True)
@@ -472,41 +484,34 @@ def dense(x, w, b, act):
     """``act(x @ w + b)`` as one node, for the layers of a dense module. Its
     forward and backward evaluate the numpy expressions of :func:`affine`
     followed by the activation op, so values and gradients equal theirs bit
-    for bit; ``act`` is "tanh", "relu", "sigmoid" or "linear"."""
+    for bit; ``act`` is a key of :data:`ACTIVATIONS`."""
+    if act not in ACTIVATIONS:
+        raise ValueError(f"dense: unknown activation {act!r}")
     if x.value.ndim != 2 or w.value.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ShapeError(f"dense: incompatible shapes {x.shape} @ {w.shape}")
     z = x.value @ w.value
-    if not _suffix_broadcastable(z.shape, b.shape):
-        raise ShapeError(f"dense: bias shape {b.shape} does not suffix-broadcast with {z.shape}")
+    _check_binary("dense bias", b, z)
     z = z + b.value
-    # tanh and sigmoid saturate, so a non-finite pre-activation is caught here
-    if _STRICT and not np.isfinite(z).all():
-        raise NonFiniteError("non-finite values in tensor produced by op 'dense'")
-    if act == "tanh":
-        y = np.tanh(z)
-    elif act == "relu":
-        mask = z > 0.0
-        y = np.where(mask, z, 0.0)
-    elif act == "sigmoid":
-        with np.errstate(over="ignore"):  # exp overflow saturates to exactly 0 or 1
-            y = 1.0 / (1.0 + np.exp(-z))
-    elif act == "linear":
-        y = z
-    else:
-        raise ValueError(f"dense: unknown activation {act!r}")
+    check_finite(z, "dense")  # tanh and sigmoid saturate: only z shows an overflow
+    forward, grad = ACTIVATIONS[act]
+    y = forward(z)
 
     def bwd(g):
-        if act == "tanh":
-            g = g * (1.0 - y * y)
-        elif act == "relu":
-            g = g * mask
-        elif act == "sigmoid":
-            g = g * y * (1.0 - y)
+        g = grad(g, z, y)
         return (g @ w.value.T if x.requires_grad else None,
                 x.value.T @ g if w.requires_grad else None,
                 _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _make("dense", y, (x, w, b), bwd)
+
+
+def nll(probs, labels):
+    """Mean negative log-likelihood of the integer ``labels`` under the rows
+    of ``probs`` (a batch of distributions over the last axis)."""
+    onehot = np.eye(probs.shape[-1])[labels]
+    logp = log(probs)
+    picked = tensor_sum(mul(constant(onehot), logp), axis=-1)
+    return scale(tensor_mean(picked), -1.0)
 
 
 def mse(pred, target):

@@ -17,8 +17,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParameterSet, Tensor
 
-_ACTIVATIONS = frozenset(("tanh", "relu", "sigmoid", "linear"))  # what ad.dense applies
-
 
 @dataclass(frozen=True)
 class LayerSpec:
@@ -29,7 +27,7 @@ class LayerSpec:
     def __post_init__(self):
         if self.in_dim <= 0 or self.out_dim <= 0:
             raise ValueError(f"layer dims must be positive, got {self.in_dim}->{self.out_dim}")
-        if self.activation not in _ACTIVATIONS:
+        if self.activation not in ad.ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
 
 
@@ -250,14 +248,9 @@ def pretrain_upstream(model: CascadedModel, source_data, epochs, lr, batch_size=
     def denoise_loss(batch):
         return ad.mse(model.forward_stage(0, ad.constant(batch.x)), ad.constant(batch.clean))
 
-    n_inter = model.stage_modules(1)[-1].out_dim
-
     def recognize_loss(batch):
         # stage-2 softmax output doubles as class posterior; train via log-loss
-        probs = model.forward_stage(1, ad.constant(batch.x))
-        onehot = np.eye(n_inter)[batch.inter_labels]
-        picked = ad.tensor_sum(ad.mul(ad.constant(onehot), ad.log(probs)), axis=-1)
-        return ad.scale(ad.tensor_mean(picked), -1.0)
+        return ad.nll(model.forward_stage(1, ad.constant(batch.x)), batch.inter_labels)
 
     if epochs > 0:
         run_stage(denoise_loss, 0, source_data)

@@ -89,14 +89,11 @@ def gumbel_argmax(alpha, tau, rng):
     """The path index that ``gumbel_softmax(alpha, tau, rng, hard=True)``
     picks, from the same Gumbel draw, computed in numpy without a graph: the
     same expressions as ``ad.add``, ``ad.scale`` and ``ad.softmax_lastdim``,
-    and in strict mode the same ``NonFiniteError`` for non-finite logits."""
+    and the same ``NonFiniteError`` for non-finite logits."""
     _check_tau(tau)
     logits = (alpha.value + rng.gumbel(size=alpha.shape)) * float(1.0 / tau)
-    if ad.strict_enabled() and not np.isfinite(logits).all():
-        raise ad.NonFiniteError("non-finite values in Gumbel-softmax logits")
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return int(np.argmax(e / e.sum(axis=-1, keepdims=True)))
+    ad.check_finite(logits, "gumbel_argmax")
+    return int(np.argmax(ad.softmax(logits)))
 
 
 class NfaCell:
@@ -137,10 +134,7 @@ class NfaCell:
 
     def trainable_count(self, path):
         """Trainable parameters of one path (frozen contributes nothing)."""
-        adapter = self._adapter(path)
-        if adapter is not None:
-            return adapter.param_count
-        return self.module.param_count if path == FINETUNE else 0
+        return self.params_for_choice(path).count
 
     @property
     def path_param_counts(self):

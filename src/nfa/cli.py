@@ -60,7 +60,7 @@ def cmd_compare(args):
 def cmd_pretrain(args):
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.search.seed
-    model, _ = harness.pretrained_cascade(cfg, seed)
+    model = harness.pretrained_cascade(cfg, seed)
     out = harness.resolve_out_dir(cfg, args.out, seed=seed)
     named = {}
     for m in model.modules:

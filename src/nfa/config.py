@@ -103,6 +103,9 @@ class ExperimentConfig:
             raise ConfigError(f"mode must be 'NFA' or 'NA', got {self.mode!r}")
         if not self.adapters:
             raise ConfigError("at least one adapter candidate is required")
+        if self.mode == "NA" and len(self.adapters) != 1:
+            raise ConfigError(f"mode 'NA' searches skip vs one adapter; adapters must name exactly "
+                              f"one kind, got {list(self.adapters)}")
 
 
 def _cascade_from_dict(d):
@@ -185,6 +188,11 @@ def _config_from_dict(d):
             f"data dims ({target_cfg.dim}, L={target_cfg.n_labels}) do not match "
             f"cascade ({cascade.in_dim}, L={cascade.n_labels})"
         )
+    if len(cascade.stages) > 1:  # pretraining classifies stage 1's output into the intermediate labels
+        width = cascade.stages[1].modules[-1].out_dim
+        if target_cfg.n_intermediate != width:
+            raise ConfigError(f"data.n_intermediate={target_cfg.n_intermediate} must equal {width}, "
+                              f"the output width of stage {cascade.stages[1].name!r}")
     adapters = d.get("adapters", ["BA"])
     if (not isinstance(adapters, list)
             or not all(isinstance(a, str) and a in ADAPTER_KINDS for a in adapters)

@@ -20,12 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from . import objective
 from .cascade import build_cascade, pretrain_upstream
-from .cell import build_cells, cascade_forward, network_group, scheme_params
+from .cell import arch_group, build_cells, network_group, scheme_params
 from .config import ExperimentConfig, config_hash
 from .data import SynthDataConfig, generate_synthetic
-from .search import AdaptiveSearch, split_dataset, train_scheme_epoch
+from .search import AdaptiveSearch, cascade_loss, split_dataset, train_scheme_epoch
 
 OUTPUT_ROOT_ENV = "NFA_OUTPUT_ROOT"
 DEFAULT_ORACLE_CAP = 243
@@ -77,7 +76,7 @@ def account_params(model, cells, choices):
     """
     if len(choices) != len(cells):
         raise ValueError(f"{len(choices)} choices for {len(cells)} cells")
-    alpha_count = sum(c.alpha.value.size for c in cells)
+    alpha_count = arch_group(cells).count
     network = network_group(cells).count
     selected = sum(c.trainable_count(choice) for c, choice in zip(cells, choices))
     totals = {
@@ -256,12 +255,8 @@ def load_checkpoint(prefix):
 
 def snapshot_tensors(cells):
     """All search-time state worth checkpointing: network group plus alpha."""
-    named = {}
-    for name, t in network_group(cells).items():
-        named[name] = t.value
-    for c in cells:
-        named[f"cell{c.index}.alpha"] = c.alpha.value
-    return named
+    groups = (network_group(cells), arch_group(cells))
+    return {name: t.value for group in groups for name, t in group.items()}
 
 
 # -- experiment assembly -----------------------------------------------------
@@ -283,32 +278,32 @@ _PRETRAINED = {}  # the last pretraining's complete input -> its frozen model
 
 
 def pretrained_cascade(cfg: ExperimentConfig, seed):
-    """The cascade for (cfg, seed), pretrained on its source data; returns
-    ``(model, source)``. The frozen model of the last pretraining is served
-    again while its input is unchanged: the pretraining function, the cascade
-    spec, the source data config, the pretrain config and the seed. The
-    source dataset is generated afresh on every call."""
+    """The cascade for (cfg, seed), pretrained on its source data. The frozen
+    model of the last pretraining is served again while its input is
+    unchanged: the pretraining function, the cascade spec, the source data
+    config, the pretrain config and the seed. The source dataset is
+    generated only when the model is not served again."""
     seed = int(seed)
     source_cfg = source_data_config(cfg)
-    source = generate_synthetic(source_cfg, seed)
     key = (pretrain_upstream, cfg.cascade, source_cfg, cfg.pretrain, seed)
     if key not in _PRETRAINED:
         model = build_cascade(cfg.cascade, seed)
-        pretrain_upstream(model, source, epochs=cfg.pretrain.epochs, lr=cfg.pretrain.lr,
-                          batch_size=cfg.pretrain.batch_size, seed=seed)
+        pretrain_upstream(model, generate_synthetic(source_cfg, seed), epochs=cfg.pretrain.epochs,
+                          lr=cfg.pretrain.lr, batch_size=cfg.pretrain.batch_size, seed=seed)
         _PRETRAINED.clear()
         _PRETRAINED[key] = model
-    return _PRETRAINED[key], source
+    return _PRETRAINED[key]
 
 
 def build_experiment(cfg: ExperimentConfig, seed):
     """Deterministically build everything the search and the oracle share:
-    datasets, the pretrained cascade, the target split, and fresh cells."""
+    the pretrained cascade, fresh cells and the target split; returns
+    ``(model, cells, train, val)``."""
     seed = int(seed)
-    model, source = pretrained_cascade(cfg, seed)
+    model = pretrained_cascade(cfg, seed)
     train, val = split_dataset(generate_synthetic(cfg.data, seed), cfg.search.split_ratio, seed)
     cells = build_cells(model, mode=cfg.mode, adapter_kinds=cfg.adapters, seed=seed)
-    return model, cells, source, train, val
+    return model, cells, train, val
 
 
 def resolve_out_dir(cfg: ExperimentConfig, out_dir=None, seed=None):
@@ -344,7 +339,7 @@ def run_experiment(cfg: ExperimentConfig, seed=None, out_dir=None, step_callback
     (out / "FAILED").unlink(missing_ok=True)
     stage = "setup"
     try:
-        model, cells, _, train, val = build_experiment(cfg, seed)
+        model, cells, train, val = build_experiment(cfg, seed)
         search = AdaptiveSearch(model, cells, train, val, cfg.penalty, search_cfg)
         checkpoints = []
         stage = "stage1"
@@ -389,15 +384,14 @@ def train_fixed_scheme(model, cells, scheme, train, val, lr, epochs, batch_size,
     for _ in range(epochs if len(opt.params) else 0):  # an all-frozen scheme has nothing to train
         for _ in train_scheme_epoch(model, cells, scheme, opt, train, batch_size, rng):
             pass
-    logits = cascade_forward(model, cells, ad.constant(val.x), scheme)
-    return objective.task_loss(logits, val.labels).item()
+    return cascade_loss(model, cells, scheme, val).item()
 
 
 def enumerate_oracle(cfg: ExperimentConfig, seed=None, cap=DEFAULT_ORACLE_CAP):
     """Budget-matched exhaustive baseline: train every discrete scheme with the
     stage-2 epoch budget and rank by validation task loss (ascending)."""
     seed = int(seed) if seed is not None else cfg.search.seed
-    model, cells, _, train, val = build_experiment(cfg, seed)
+    model, cells, train, val = build_experiment(cfg, seed)
     space = scheme_space(cells)
     if len(space) > cap:
         raise ValueError(

@@ -83,10 +83,7 @@ def task_loss(logits, labels):
         raise ad.ShapeError(f"labels shape {labels.shape} does not match batch {n}")
     if labels.min() < 0 or labels.max() >= width:
         raise ValueError(f"labels must lie in [0, {width}), got range [{labels.min()}, {labels.max()}]")
-    onehot = np.eye(width)[labels]
-    logp = ad.log(ad.softmax_lastdim(logits))
-    picked = ad.tensor_sum(ad.mul(ad.constant(onehot), logp), axis=-1)
-    return ad.scale(ad.tensor_mean(picked), -1.0)
+    return ad.nll(ad.softmax_lastdim(logits), labels)
 
 
 def total_loss(task, pen, cfg: PenaltyConfig):

@@ -84,13 +84,19 @@ def split_dataset(data, ratio, seed):
     return data.subset(order[:n_train]), data.subset(order[n_train:])
 
 
+def cascade_loss(model, cells, weights_per_cell, data):
+    """The task loss of the cascade on the rows of ``data`` when each cell runs
+    its entry of ``weights_per_cell`` (a path name or ``PathWeights``)."""
+    logits = cascade_forward(model, cells, ad.constant(data.x), weights_per_cell)
+    return objective.task_loss(logits, data.labels)
+
+
 def train_scheme_epoch(model, cells, scheme, opt, data, batch_size, rng):
     """One shuffled pass over ``data`` training a fixed ``scheme`` (one path
     name per cell): per minibatch, one ``opt`` step on the task loss.
     Yields each batch with its loss once the step is taken."""
     for batch in data.batches(batch_size, rng):
-        logits = cascade_forward(model, cells, ad.constant(batch.x), scheme)
-        yield batch, opt.minimize(objective.task_loss(logits, batch.labels))
+        yield batch, opt.minimize(cascade_loss(model, cells, scheme, batch))
 
 
 class AdaptiveSearch:
@@ -118,8 +124,9 @@ class AdaptiveSearch:
 
     # -- weights ---------------------------------------------------------
 
-    def sample_weights(self, hard=True, noise=True):
-        return [gumbel_softmax(c.alpha, self.tau, rng=self._gumbel_rng, hard=hard, noise=noise)
+    def sample_weights(self):
+        """Straight-through Gumbel-softmax path weights, one per cell."""
+        return [gumbel_softmax(c.alpha, self.tau, rng=self._gumbel_rng, hard=True)
                 for c in self.cells]
 
     def discretization(self):
@@ -140,9 +147,8 @@ class AdaptiveSearch:
         are computed by the same backward pass and then discarded."""
         if len(val_batch) == 0:
             raise ValueError("arch_step needs a nonempty batch")
-        weights = self.sample_weights(hard=True, noise=True)
-        logits = cascade_forward(self.model, self.cells, ad.constant(val_batch.x), weights)
-        task = objective.task_loss(logits, val_batch.labels)
+        weights = self.sample_weights()
+        task = cascade_loss(self.model, self.cells, weights, val_batch)
         pen = objective.penalty(self.cells, weights, self.penalty_cfg)
         total = self.opt_arch.minimize(objective.total_loss(task, pen, self.penalty_cfg))
         self.state.val_ids_seen.update(int(i) for i in val_batch.ids)
@@ -162,8 +168,8 @@ class AdaptiveSearch:
         scheme = [c.paths[gumbel_argmax(c.alpha, self.tau, self._gumbel_rng)] for c in self.cells]
         live = scheme_params(self.cells, scheme)
         idle = [name for name in self.net_params if name not in live]
-        logits = cascade_forward(self.model, self.cells, ad.constant(train_batch.x), scheme)
-        task = self.opt_net.minimize(objective.task_loss(logits, train_batch.labels), idle=idle)
+        task = self.opt_net.minimize(cascade_loss(self.model, self.cells, scheme, train_batch),
+                                     idle=idle)
         self.state.train_ids_seen.update(int(i) for i in train_batch.ids)
         return task
 
@@ -232,7 +238,6 @@ class AdaptiveSearch:
     def evaluate(self, data):
         """Task loss (and penalty) of the current discretized architecture."""
         scheme = self.discretization()
-        logits = cascade_forward(self.model, self.cells, ad.constant(data.x), scheme)
-        task = objective.task_loss(logits, data.labels)
+        task = cascade_loss(self.model, self.cells, scheme, data)
         pen = objective.penalty(self.cells, scheme_weights(self.cells, scheme), self.penalty_cfg)
         return task.item(), pen.item()

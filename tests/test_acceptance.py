@@ -180,7 +180,7 @@ def test_criterion_4_group_exclusivity_and_frozen_isolation(tmp_path):
     network steps, the network group never moves during architecture steps,
     and the pretrained backbone never moves at all."""
     cfg = exp_config(0, preset="toy3", stage1=3, stage2=2, output_dir=tmp_path)
-    model, cells, _, train, val = harness.build_experiment(cfg, 0)
+    model, cells, train, val = harness.build_experiment(cfg, 0)
     search = AdaptiveSearch(model, cells, train, val, cfg.penalty, cfg.search)
     pre = [m.params.checksum() for m in model.modules]
     state = {"alpha": search.arch_params.checksum(),

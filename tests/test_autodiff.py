@@ -66,12 +66,6 @@ class TestNonFinite:
         with pytest.raises(ad.NonFiniteError, match="op 'probe'"):
             ad.Tensor(v, op="probe")
 
-    def test_permissive_propagates(self):
-        with ad.permissive():
-            y = ad.log(ad.constant([0.0]))
-            assert np.isneginf(y.value[0])
-        assert ad.strict_enabled()
-
 
 class TestBackward:
     def test_sum_gradient_is_ones(self):
@@ -194,6 +188,10 @@ class TestGradcheckPerOp:
 
     def test_index_lastdim(self, rng):
         check_grad(lambda t: ad.scale(ad.index_lastdim(ad.mul(t, t), 2), 2.0), rng.normal(size=(5,)))
+
+    def test_nll(self, rng):
+        labels = rng.integers(0, 5, size=4)
+        check_grad(lambda t: ad.nll(t, labels), rng.uniform(0.1, 1.0, size=(4, 5)))
 
     @pytest.mark.parametrize("act", ["tanh", "relu", "sigmoid", "linear"])
     def test_dense(self, act, rng):

@@ -120,7 +120,7 @@ def test_backward_matches_depth_first_sweep_on_arch_step_graph(seed):
     batch = s.val_data.subset(np.arange(32))
     # soft weights: every path of every cell carries a nonzero gradient, so the
     # order in which a node's contributions are summed shows in its bytes
-    weights = s.sample_weights(hard=False, noise=True)
+    weights = [cell.gumbel_softmax(c.alpha, s.tau, rng=s._gumbel_rng, hard=False) for c in s.cells]
     logits = cell.cascade_forward(s.model, s.cells, ad.constant(batch.x), weights)
     task = objective.task_loss(logits, batch.labels)
     loss = objective.total_loss(task, objective.penalty(s.cells, weights, s.penalty_cfg),

@@ -101,7 +101,7 @@ class TestSyntheticData:
 class TestAccounting:
     def test_toy3_fixture(self):
         cfg = fast_config()
-        model, cells, _, _, _ = harness.build_experiment(cfg, 0)
+        model, cells, _, _ = harness.build_experiment(cfg, 0)
         choices = ["frozen", "finetune", "adapter:BA"]
         totals = harness.account_params(model, cells, choices)
         pretrained = 544 + 544 + 408
@@ -114,13 +114,13 @@ class TestAccounting:
 
     def test_choice_count_mismatch(self):
         cfg = fast_config()
-        model, cells, _, _, _ = harness.build_experiment(cfg, 0)
+        model, cells, _, _ = harness.build_experiment(cfg, 0)
         with pytest.raises(ValueError, match="choices"):
             harness.account_params(model, cells, ["frozen"])
 
     def test_selected_never_exceeds_train(self):
         cfg = fast_config()
-        model, cells, _, _, _ = harness.build_experiment(cfg, 0)
+        model, cells, _, _ = harness.build_experiment(cfg, 0)
         for scheme in harness.scheme_space(cells)[:5]:
             t = harness.account_params(model, cells, list(scheme))
             assert t["selected_params"] <= t["train_params"]
@@ -129,7 +129,7 @@ class TestAccounting:
 class TestReports:
     def test_architecture_round_trip(self, tmp_path):
         cfg = fast_config()
-        model, cells, _, _, _ = harness.build_experiment(cfg, 0)
+        model, cells, _, _ = harness.build_experiment(cfg, 0)
         decision = harness.make_decision(model, cells, ["frozen", "finetune", "adapter:BA"],
                                          config_hash(cfg), 0)
         path = harness.export_architecture(decision, tmp_path / "architecture.json")
@@ -137,7 +137,7 @@ class TestReports:
 
     def test_export_is_canonical_json(self, tmp_path):
         cfg = fast_config()
-        model, cells, _, _, _ = harness.build_experiment(cfg, 0)
+        model, cells, _, _ = harness.build_experiment(cfg, 0)
         decision = harness.make_decision(model, cells, ["frozen"] * 3, config_hash(cfg), 0)
         a = harness.export_architecture(decision, tmp_path / "a.json").read_bytes()
         b = harness.export_architecture(decision, tmp_path / "b.json").read_bytes()
@@ -147,7 +147,7 @@ class TestReports:
 
     def test_diff_decisions(self, tmp_path):
         cfg = fast_config()
-        model, cells, _, _, _ = harness.build_experiment(cfg, 0)
+        model, cells, _, _ = harness.build_experiment(cfg, 0)
         h = config_hash(cfg)
         a = harness.make_decision(model, cells, ["frozen", "frozen", "frozen"], h, 0)
         b = harness.make_decision(model, cells, ["frozen", "finetune", "adapter:BA"], h, 1)
@@ -276,10 +276,9 @@ class TestPretrainedMemo:
 
     def test_hit_matches_fresh_pretraining(self):
         cfg = fast_config()
-        model, source = harness.pretrained_cascade(cfg, 4)
-        again, fresh_source = harness.pretrained_cascade(cfg, 4)
-        assert again is model and fresh_source is not source
-        assert fresh_source.x.tobytes() == source.x.tobytes()
+        model = harness.pretrained_cascade(cfg, 4)
+        again = harness.pretrained_cascade(cfg, 4)
+        assert again is model
         fresh = cascade.build_cascade(cfg.cascade, 4)
         cascade.pretrain_upstream(fresh, generate_synthetic(harness.source_data_config(cfg), 4),
                                   epochs=cfg.pretrain.epochs, lr=cfg.pretrain.lr,
@@ -306,6 +305,21 @@ class TestPretrainedMemo:
         harness.pretrained_cascade(cfg, 0)
         harness.pretrained_cascade(changed, 0)
         assert len(calls) == (1 if hits else 2)
+
+    def test_hit_generates_no_source_data(self, monkeypatch):
+        cfg = fast_config()
+        harness.pretrained_cascade(cfg, 0)
+        domains = []
+        real = harness.generate_synthetic
+
+        def counting(data_cfg, seed):
+            domains.append(data_cfg.domain)
+            return real(data_cfg, seed)
+
+        monkeypatch.setattr(harness, "generate_synthetic", counting)
+        harness.pretrained_cascade(cfg, 0)
+        harness.build_experiment(cfg, 0)
+        assert domains == ["target"]
 
     def test_seed_and_replaced_pretraining_miss(self, monkeypatch):
         cfg = fast_config()
@@ -368,6 +382,19 @@ class TestConfig:
         layers = cfg.cascade.stages[0].modules[0].layers
         assert [(ly.in_dim, ly.out_dim, ly.activation) for ly in layers] == [
             (16, 16, "tanh"), (16, 8, "linear")]
+
+    @pytest.mark.parametrize("adapters", [["BA", "GA"], ["GA", "BA"]])
+    def test_na_mode_needs_exactly_one_adapter(self, adapters):
+        raw = dict(fast_config().raw, mode="NA", adapters=adapters)
+        with pytest.raises(ConfigError, match="adapters must name exactly one kind"):
+            config_from_dict(raw)
+        assert config_from_dict(dict(raw, adapters=adapters[:1])).adapters == tuple(adapters[:1])
+
+    @pytest.mark.parametrize("preset, n_intermediate", [("toy3", 32), ("toy6", 8)])
+    def test_n_intermediate_must_match_stage_1_width(self, preset, n_intermediate):
+        raw = with_field(fast_config(preset=preset).raw, "data", "n_intermediate", n_intermediate)
+        with pytest.raises(ConfigError, match="n_intermediate=.* must equal 16"):
+            config_from_dict(raw)
 
     def test_non_object_config_rejected(self):
         with pytest.raises(ConfigError, match="config must be a JSON object"):
@@ -568,6 +595,23 @@ class TestCli:
         p.write_text(json.dumps({"cascade": {"preset": "toy3"}, "bogus": 1}))
         assert cli.main(["run", "--config", str(p)]) == 1
         assert "nfa: error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_na_mode_with_two_adapters_is_error_exit(self, tmp_path, capsys, command):
+        p = tmp_path / "bad.json"
+        raw = fast_config(output_dir=str(tmp_path / "runs")).raw
+        p.write_text(json.dumps(dict(raw, mode="NA", adapters=["BA", "GA"])))
+        assert cli.main([command, "--config", str(p)]) == 1
+        assert "adapters must name exactly one kind" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_n_intermediate_mismatch_is_error_exit(self, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        raw = fast_config(output_dir=str(tmp_path / "runs")).raw
+        p.write_text(json.dumps(with_field(raw, "data", "n_intermediate", 32)))
+        assert cli.main(["pretrain", "--config", str(p)]) == 1
+        assert "data.n_intermediate=32" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_empty_split_is_error_exit(self, tmp_path, capsys):
         p = tmp_path / "bad.json"

@@ -33,7 +33,7 @@ def all_path_net_step(s, batch):
     """The network step before single-path stepping: every path of every cell
     forwarded under straight-through weights and the whole graph, alpha
     included, backpropagated."""
-    weights = s.sample_weights(hard=True, noise=True)
+    weights = s.sample_weights()
     logits = cell.cascade_forward(s.model, s.cells, ad.constant(batch.x), weights)
     loss = objective.task_loss(logits, batch.labels)
     s.net_params.zero_grads()
