@@ -222,24 +222,20 @@ def log(x):
 
 def tensor_sum(x, axis=None):
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, x.shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis), x.shape).copy(),)
+        return (np.full(x.shape, g if axis is None else np.expand_dims(g, axis)),)
 
     return _make("sum", x.value.sum(axis=axis), (x,), bwd)
 
 
-def tensor_mean(x, axis=None):
-    n = x.value.size if axis is None else x.shape[axis]
+def tensor_mean(x):
+    n = x.value.size
     if n == 0:
-        raise ShapeError("mean: cannot reduce over an empty axis")
+        raise ShapeError("mean: cannot reduce an empty tensor")
 
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g / n, x.shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis) / n, x.shape).copy(),)
+        return (np.full(x.shape, g / n),)
 
-    return _make("mean", x.value.mean(axis=axis), (x,), bwd)
+    return _make("mean", x.value.mean(), (x,), bwd)
 
 
 def concat_lastdim(nodes):

@@ -16,9 +16,20 @@ from . import harness
 from .config import ConfigError, load_config
 
 
+def _seed(text):
+    """A ``--seed`` value: a nonnegative integer, as ``np.random.SeedSequence`` needs."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return seed
+
+
 def _add_config_arg(p):
     p.add_argument("--config", required=True, help="path to the experiment JSON config")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p.add_argument("--seed", type=_seed, default=None, help="override the config seed")
 
 
 def cmd_run(args):

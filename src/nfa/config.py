@@ -12,16 +12,12 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .cascade import (ADAPTER_KINDS, CascadeSpec, LayerSpec, ModuleSpec, StageSpec, default_spec,
-                      small_spec)
+from .cascade import ADAPTER_KINDS, CascadeSpec, default_spec, small_spec
 from .data import SynthDataConfig
 from .objective import PenaltyConfig
 from .search import SearchConfig, train_size
 
-_PRESETS = {
-    "toy6": lambda d: default_spec(dim=d.get("dim", 16), n_labels=d.get("n_labels", 8)),
-    "toy3": lambda d: small_spec(dim=d.get("dim", 16), n_labels=d.get("n_labels", 8)),
-}
+_PRESETS = {"toy6": default_spec, "toy3": small_spec}
 
 
 class ConfigError(ValueError):
@@ -109,54 +105,23 @@ class ExperimentConfig:
 
 
 def _cascade_from_dict(d):
-    _section("cascade", d, {"preset": "str", "dim": "int", "n_labels": "int", "stages": None})
-    if "preset" in d:
-        if "stages" in d:
-            raise ConfigError("cascade: give either 'preset' or 'stages', not both")
-        if d["preset"] not in _PRESETS:
-            raise ConfigError(f"unknown cascade preset {d['preset']!r}")
-        return _PRESETS[d["preset"]](d)
-    if "stages" not in d or "n_labels" not in d:
-        raise ConfigError("cascade: explicit specs need 'stages' and 'n_labels'")
-    stages = []
-    for s in _list("cascade.stages", d["stages"]):
-        _section("cascade.stages[]", s, {"name": "str", "modules": None, "output_softmax": "bool"},
-                 required=("name", "modules"))
-        modules = []
-        for m in _list("cascade.stages[].modules", s["modules"]):
-            _section("cascade.stages[].modules[]", m, {"name": "str", "layers": None},
-                     required=("name", "layers"))
-            layers = tuple(_layer(layer)
-                           for layer in _list("cascade.stages[].modules[].layers", m["layers"]))
-            modules.append(ModuleSpec(m["name"], layers))
-        stages.append(StageSpec(s["name"], tuple(modules), s.get("output_softmax", False)))
-    return CascadeSpec(tuple(stages), d["n_labels"])
+    _section("cascade", d, {"preset": "str", "dim": "int", "n_labels": "int"})
+    preset = d.get("preset", "toy6")
+    if preset not in _PRESETS:
+        raise ConfigError(f"unknown cascade preset {preset!r}")
+    return _PRESETS[preset](dim=d.get("dim", 16), n_labels=d.get("n_labels", 8))
 
 
-def _list(name, value):
-    if not isinstance(value, list):
-        raise ConfigError(f"{name} must be a JSON list, got {value!r}")
-    return value
-
-
-def _layer(layer):
-    """A layer is [in_dim, out_dim] or [in_dim, out_dim, activation]."""
-    kinds = ("int", "int", "str")
-    if (not isinstance(layer, list) or not 2 <= len(layer) <= 3
-            or not all(_is_kind(v, k) for v, k in zip(layer, kinds))):
-        raise ConfigError(f"a layer must be [in_dim, out_dim(, activation)], got {layer!r}")
-    return LayerSpec(*layer)
-
-
-def _data_from_dict(d):
-    _section("data", d, {"n_source": "int", "n_target": "int", "dim": "int", "n_labels": "int",
-                         "n_intermediate": "int", "noise_std_source": "float",
+def _data_from_dict(d, cascade: CascadeSpec):
+    """The target data config; its dimensions come from the cascade, and the
+    intermediate labels are what pretraining classifies stage 1's output into."""
+    _section("data", d, {"n_source": "int", "n_target": "int", "noise_std_source": "float",
                          "noise_std_target": "float", "shift_delta": "float"})
     target = SynthDataConfig(
         n_samples=d.get("n_target", 512),
-        dim=d.get("dim", 16),
-        n_labels=d.get("n_labels", 8),
-        n_intermediate=d.get("n_intermediate", 16),
+        dim=cascade.in_dim,
+        n_labels=cascade.n_labels,
+        n_intermediate=cascade.stages[1].modules[-1].out_dim,
         noise_std=d.get("noise_std_target", 0.25),
         domain="target",
         shift_delta=d.get("shift_delta", 1.0),
@@ -181,18 +146,8 @@ def config_from_dict(d) -> ExperimentConfig:
 def _config_from_dict(d):
     _section("config", d, {"cascade": None, "adapters": None, "mode": "str", "penalty": None,
                            "search": None, "pretrain": None, "data": None, "output_dir": "str"})
-    cascade = _cascade_from_dict(d.get("cascade", {"preset": "toy6"}))
-    target_cfg, n_source, noise_src = _data_from_dict(d.get("data", {}))
-    if target_cfg.dim != cascade.in_dim or target_cfg.n_labels != cascade.n_labels:
-        raise ConfigError(
-            f"data dims ({target_cfg.dim}, L={target_cfg.n_labels}) do not match "
-            f"cascade ({cascade.in_dim}, L={cascade.n_labels})"
-        )
-    if len(cascade.stages) > 1:  # pretraining classifies stage 1's output into the intermediate labels
-        width = cascade.stages[1].modules[-1].out_dim
-        if target_cfg.n_intermediate != width:
-            raise ConfigError(f"data.n_intermediate={target_cfg.n_intermediate} must equal {width}, "
-                              f"the output width of stage {cascade.stages[1].name!r}")
+    cascade = _cascade_from_dict(d.get("cascade", {}))
+    target_cfg, n_source, noise_src = _data_from_dict(d.get("data", {}), cascade)
     adapters = d.get("adapters", ["BA"])
     if (not isinstance(adapters, list)
             or not all(isinstance(a, str) and a in ADAPTER_KINDS for a in adapters)

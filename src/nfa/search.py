@@ -42,6 +42,8 @@ class SearchConfig:
             raise ValueError("temperatures must be positive")
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass

@@ -2,8 +2,9 @@
 
 Each reference below is the earlier implementation, kept here as a test-local
 copy: ``affine`` plus an activation op for ``dense``, the depth-first
-topological sort for ``backward``, per-tensor moment arrays for ``Adam`` and
-the Gumbel-softmax graph for ``gumbel_argmax``.
+topological sort for ``backward``, per-tensor moment arrays for ``Adam``,
+the Gumbel-softmax graph for ``gumbel_argmax`` and ``np.broadcast_to(...).copy()``
+for the gradients of ``tensor_sum`` and ``tensor_mean``.
 """
 
 import numpy as np
@@ -60,6 +61,22 @@ class TestDense:
 
 
 # -- backward ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (4, 3), (2, 3, 4)])
+def test_reduction_gradients_match_broadcast_copy(shape, rng):
+    x = ad.parameter(rng.normal(size=shape))
+    g = np.asarray(rng.normal())
+    cases = [(ad.tensor_sum(x), g, np.broadcast_to(g, shape).copy()),
+             (ad.tensor_mean(x), g, np.broadcast_to(g / x.value.size, shape).copy())]
+    if shape:
+        g_rows = rng.normal(size=shape[:-1])
+        cases.append((ad.tensor_sum(x, axis=-1), g_rows,
+                      np.broadcast_to(np.expand_dims(g_rows, -1), shape).copy()))
+    for node, upstream, want in cases:
+        (got,) = node._backward_fn(upstream)
+        assert (got.dtype, got.shape, got.flags.c_contiguous) == (want.dtype, want.shape, True)
+        assert got.tobytes() == want.tobytes()
 
 
 def dfs_toposort(root):

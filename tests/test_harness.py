@@ -1,5 +1,6 @@
 """Experiment harness: data generation, accounting, reports, oracle, CLI."""
 
+import itertools
 import json
 import math
 import os
@@ -26,8 +27,7 @@ SCALAR_FIELDS = [("", "mode"), ("", "output_dir"),
         ("search", ("split_ratio", "lr_network", "lr_arch", "stage1_epochs", "stage2_epochs",
                     "tau_start", "tau_end", "batch_size", "seed")),
         ("pretrain", ("epochs", "lr", "batch_size")),
-        ("data", ("n_source", "n_target", "dim", "n_labels", "n_intermediate",
-                  "noise_std_source", "noise_std_target", "shift_delta")),
+        ("data", ("n_source", "n_target", "noise_std_source", "noise_std_target", "shift_delta")),
     )
     for name in names
 ]
@@ -373,15 +373,44 @@ class TestConfig:
         [{"name": "s", "modules": [{"name": "m", "layers": ["16x8"]}]}],
     ])
     def test_bad_explicit_stages_rejected(self, stages):
-        with pytest.raises(ConfigError):
+        # the preset is the only way to describe the cascade
+        with pytest.raises(ConfigError, match=re.escape("unknown key(s) in cascade: ['stages']")):
             config_from_dict({"cascade": {"stages": stages, "n_labels": 8}})
 
-    def test_explicit_stages_accepted(self):
-        cfg = config_from_dict({"cascade": {"n_labels": 8, "stages": [
-            {"name": "s", "modules": [{"name": "m", "layers": [[16, 16], [16, 8, "linear"]]}]}]}})
-        layers = cfg.cascade.stages[0].modules[0].layers
-        assert [(ly.in_dim, ly.out_dim, ly.activation) for ly in layers] == [
-            (16, 16, "tanh"), (16, 8, "linear")]
+    @pytest.mark.parametrize("section, name, value", [
+        ("cascade", "stages", []), ("data", "dim", 16), ("data", "n_labels", 8),
+        ("data", "n_intermediate", 16),
+    ])
+    def test_removed_key_is_unknown(self, tmp_path, capsys, section, name, value):
+        # even the value the cascade implies is rejected: the key itself is gone
+        raw = with_field(fast_config(output_dir=str(tmp_path / "runs")).raw, section, name, value)
+        message = f"unknown key(s) in {section}: ['{name}']"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            config_from_dict(raw)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(raw))
+        assert cli.main(["run", "--config", str(p)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_every_accepted_preset_shape_runs(self, tmp_path):
+        accepted = []
+        for preset, dim, n_labels in itertools.product(("toy3", "toy6"), range(1, 11), range(1, 11)):
+            name = f"{preset}-{dim}-{n_labels}"
+            raw = fast_config(stage1_epochs=1, stage2_epochs=1, pretrain_epochs=1, n_source=64,
+                              n_target=32, output_dir=str(tmp_path / name)).raw
+            raw["cascade"].update(preset=preset, dim=dim, n_labels=n_labels)
+            try:
+                cfg = config_from_dict(raw)
+            except ConfigError:
+                continue
+            accepted.append(name)
+            data, spec = cfg.data, cfg.cascade
+            assert (data.dim, data.n_labels, data.n_intermediate) == (
+                spec.in_dim, spec.n_labels, spec.stages[1].modules[-1].out_dim) == (dim, n_labels, dim)
+            assert harness.run_experiment(cfg, seed=0).architecture_path.exists()
+        # n_labels must divide dim, the width of the intermediate labels
+        assert len(accepted) == 2 * sum(dim % n == 0 for dim in range(1, 11) for n in range(1, 11))
 
     @pytest.mark.parametrize("adapters", [["BA", "GA"], ["GA", "BA"]])
     def test_na_mode_needs_exactly_one_adapter(self, adapters):
@@ -390,11 +419,9 @@ class TestConfig:
             config_from_dict(raw)
         assert config_from_dict(dict(raw, adapters=adapters[:1])).adapters == tuple(adapters[:1])
 
-    @pytest.mark.parametrize("preset, n_intermediate", [("toy3", 32), ("toy6", 8)])
-    def test_n_intermediate_must_match_stage_1_width(self, preset, n_intermediate):
-        raw = with_field(fast_config(preset=preset).raw, "data", "n_intermediate", n_intermediate)
-        with pytest.raises(ConfigError, match="n_intermediate=.* must equal 16"):
-            config_from_dict(raw)
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be nonnegative, got -1"):
+            config_from_dict(with_field(fast_config().raw, "search", "seed", -1))
 
     def test_non_object_config_rejected(self):
         with pytest.raises(ConfigError, match="config must be a JSON object"):
@@ -605,12 +632,21 @@ class TestCli:
         assert "adapters must name exactly one kind" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
-    def test_n_intermediate_mismatch_is_error_exit(self, tmp_path, capsys):
+    def test_negative_config_seed_is_error_exit(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         raw = fast_config(output_dir=str(tmp_path / "runs")).raw
-        p.write_text(json.dumps(with_field(raw, "data", "n_intermediate", 32)))
-        assert cli.main(["pretrain", "--config", str(p)]) == 1
-        assert "data.n_intermediate=32" in capsys.readouterr().err
+        p.write_text(json.dumps(with_field(raw, "search", "seed", -1)))
+        assert cli.main(["run", "--config", str(p)]) == 1
+        assert "seed must be nonnegative, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("command", ["run", "oracle", "pretrain"])
+    def test_negative_seed_option_is_error_exit(self, tmp_path, capsys, command):
+        cfg = self.write_cfg(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, "--config", str(cfg), "--seed", "-3"])
+        assert exit_info.value.code != 0
+        assert "argument --seed: expected a nonnegative integer, got '-3'" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
     def test_empty_split_is_error_exit(self, tmp_path, capsys):
