@@ -18,130 +18,41 @@ from . import autodiff as ad
 from .autodiff import ParameterSet, Tensor
 
 
-@dataclass(frozen=True)
-class LayerSpec:
-    in_dim: int
-    out_dim: int
-    activation: str = "tanh"
-
-    def __post_init__(self):
-        if self.in_dim <= 0 or self.out_dim <= 0:
-            raise ValueError(f"layer dims must be positive, got {self.in_dim}->{self.out_dim}")
-        if self.activation not in ad.ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-
-
-@dataclass(frozen=True)
-class ModuleSpec:
-    name: str
-    layers: tuple[LayerSpec, ...]
-
-    def __post_init__(self):
-        if not self.layers:
-            raise ValueError(f"module {self.name!r} has no layers")
-        for a, b in zip(self.layers, self.layers[1:]):
-            if a.out_dim != b.in_dim:
-                raise ValueError(f"module {self.name!r}: layer dims {a.out_dim} -> {b.in_dim} disagree")
-
-    @property
-    def in_dim(self):
-        return self.layers[0].in_dim
-
-    @property
-    def out_dim(self):
-        return self.layers[-1].out_dim
-
-
-@dataclass(frozen=True)
-class StageSpec:
-    name: str
-    modules: tuple[ModuleSpec, ...]
-    output_softmax: bool = False
-
-    def __post_init__(self):
-        for a, b in zip(self.modules, self.modules[1:]):
-            if a.out_dim != b.in_dim:
-                raise ValueError(f"stage {self.name!r}: module dims {a.out_dim} -> {b.in_dim} disagree")
+STAGES = ("denoise", "recognize", "label")
+RECOGNIZE = STAGES.index("recognize")  # its output is a class posterior: softmax
 
 
 @dataclass(frozen=True)
 class CascadeSpec:
-    stages: tuple[StageSpec, ...]
-    n_labels: int
+    """The toy cascade: each of the :data:`STAGES` is ``modules_per_stage``
+    dense two-layer modules of widths dim -> dim -> dim, except the last
+    module, which ends in a linear layer of width ``n_labels``."""
+
+    dim: int = 16
+    n_labels: int = 8
+    modules_per_stage: int = 2
 
     def __post_init__(self):
-        if not self.stages:
-            raise ValueError("cascade needs at least one stage")
-        for a, b in zip(self.stages, self.stages[1:]):
-            if a.modules[-1].out_dim != b.modules[0].in_dim:
-                raise ValueError(
-                    f"stage interface mismatch: {a.name!r} emits {a.modules[-1].out_dim}, "
-                    f"{b.name!r} expects {b.modules[0].in_dim}"
-                )
-        final = self.stages[-1].modules[-1].out_dim
-        if final != self.n_labels:
-            raise ValueError(f"final stage emits width {final}, expected {self.n_labels} labels")
-
-    @property
-    def in_dim(self):
-        return self.stages[0].modules[0].in_dim
-
-    def module_specs(self):
-        """Flattened (stage_index, ModuleSpec) pairs in cascade order."""
-        return [(si, m) for si, stage in enumerate(self.stages) for m in stage.modules]
-
-
-def _dense_module(name, dims, final_activation="tanh"):
-    layers = []
-    for i, (a, b) in enumerate(zip(dims, dims[1:])):
-        act = final_activation if i == len(dims) - 2 else "tanh"
-        layers.append(LayerSpec(a, b, act))
-    return ModuleSpec(name, tuple(layers))
-
-
-def default_spec(dim=16, n_labels=8, modules_per_stage=2):
-    """The toy cascade: 3 stages, dense 2-layer modules, dims dim->dim->dim->n_labels."""
-    stages = []
-    for si, name in enumerate(("denoise", "recognize", "label")):
-        mods = []
-        for mi in range(modules_per_stage):
-            mod_name = f"{name}.{mi}"
-            last_in_stage = mi == modules_per_stage - 1
-            if si == 2 and last_in_stage:
-                mods.append(_dense_module(mod_name, (dim, dim, n_labels), final_activation="linear"))
-            else:
-                mods.append(_dense_module(mod_name, (dim, dim, dim)))
-        stages.append(StageSpec(name, tuple(mods), output_softmax=(si == 1)))
-    return CascadeSpec(tuple(stages), n_labels)
-
-
-def small_spec(dim=16, n_labels=8):
-    """3-cell cascade (one module per stage), used for oracle enumeration."""
-    return default_spec(dim=dim, n_labels=n_labels, modules_per_stage=1)
+        for name in ("dim", "n_labels", "modules_per_stage"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"cascade {name} must be positive, got {getattr(self, name)}")
 
 
 class NetModule:
-    """One searchable unit: a small stack of dense layers with a frozen
-    pretrained snapshot once :meth:`freeze` has been called."""
+    """One searchable unit: a small stack of dense layers of widths ``dims``,
+    tanh except for ``final_activation`` on the last, with a frozen pretrained
+    snapshot once :meth:`freeze` has been called."""
 
-    def __init__(self, spec: ModuleSpec, rng: np.random.Generator):
-        self.spec = spec
-        self.name = spec.name
+    def __init__(self, name, dims, rng: np.random.Generator, final_activation="tanh"):
+        self.name = name
+        self.out_dim = dims[-1]
+        self.activations = ["tanh"] * (len(dims) - 2) + [final_activation]
         self.params = ParameterSet()
-        for i, layer in enumerate(spec.layers):
-            w = rng.normal(0.0, 1.0 / math.sqrt(layer.in_dim), size=(layer.in_dim, layer.out_dim))
-            b = np.zeros(layer.out_dim)
+        for i, (a, b) in enumerate(zip(dims, dims[1:])):
+            w = rng.normal(0.0, 1.0 / math.sqrt(a), size=(a, b))
             self.params.add(f"L{i}.W", Tensor(w, requires_grad=True))
-            self.params.add(f"L{i}.b", Tensor(b, requires_grad=True))
+            self.params.add(f"L{i}.b", Tensor(np.zeros(b), requires_grad=True))
         self._frozen = False
-
-    @property
-    def in_dim(self):
-        return self.spec.in_dim
-
-    @property
-    def out_dim(self):
-        return self.spec.out_dim
 
     @property
     def param_count(self):
@@ -164,51 +75,37 @@ class NetModule:
     def forward(self, x, params=None):
         p = params if params is not None else self.params
         h = x
-        for i, layer in enumerate(self.spec.layers):
-            h = ad.dense(h, p[f"L{i}.W"], p[f"L{i}.b"], layer.activation)
+        for i, act in enumerate(self.activations):
+            h = ad.dense(h, p[f"L{i}.W"], p[f"L{i}.b"], act)
         return h
 
 
 class CascadedModel:
-    """Modules of all stages in series, with the configured inter-stage softmax."""
+    """The stages' modules in series, with a softmax after the recognize stage."""
 
-    def __init__(self, spec: CascadeSpec, modules, stage_of_module):
-        self.spec = spec
-        self.modules = list(modules)
-        self.stage_of_module = list(stage_of_module)
+    def __init__(self, stages):
+        self.stages = stages  # one list of modules per entry of STAGES
+        self.modules = [m for stage in stages for m in stage]
+        # per module: does the softmax after the recognize stage follow it?
+        self.softmax_after = [m is stages[RECOGNIZE][-1] for m in self.modules]
 
     def __len__(self):
         return len(self.modules)
 
     def stage_modules(self, stage_index):
-        return [m for m, s in zip(self.modules, self.stage_of_module) if s == stage_index]
-
-    def is_stage_end(self, module_index):
-        s = self.stage_of_module[module_index]
-        return module_index + 1 == len(self.modules) or self.stage_of_module[module_index + 1] != s
-
-    def stage_output_transform(self, module_index, h):
-        """Apply the stage boundary transform (softmax after the middle stage)."""
-        s = self.stage_of_module[module_index]
-        if self.is_stage_end(module_index) and self.spec.stages[s].output_softmax:
-            return ad.softmax_lastdim(h)
-        return h
+        return self.stages[stage_index]
 
     def forward(self, x):
         h = x
-        for i, module in enumerate(self.modules):
-            h = module.forward(h)
-            h = self.stage_output_transform(i, h)
+        for stage_index in range(len(self.stages)):
+            h = self.forward_stage(stage_index, h)
         return h
 
     def forward_stage(self, stage_index, x):
         h = x
-        for i, module in enumerate(self.modules):
-            if self.stage_of_module[i] != stage_index:
-                continue
+        for module in self.stages[stage_index]:
             h = module.forward(h)
-            h = self.stage_output_transform(i, h)
-        return h
+        return ad.softmax_lastdim(h) if stage_index == RECOGNIZE else h
 
     def freeze(self):
         for m in self.modules:
@@ -219,13 +116,18 @@ class CascadedModel:
 
 
 def build_cascade(spec: CascadeSpec, seed: int) -> CascadedModel:
-    """Construct all modules with seeded random initialization."""
+    """Construct all modules, in cascade order, with seeded random initialization."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5EED]))
-    modules, stage_of = [], []
-    for si, mspec in spec.module_specs():
-        modules.append(NetModule(mspec, rng))
-        stage_of.append(si)
-    return CascadedModel(spec, modules, stage_of)
+    d, last = spec.dim, (len(STAGES) - 1, spec.modules_per_stage - 1)
+
+    def module(si, mi):
+        name = f"{STAGES[si]}.{mi}"
+        if (si, mi) == last:
+            return NetModule(name, (d, d, spec.n_labels), rng, final_activation="linear")
+        return NetModule(name, (d, d, d), rng)
+
+    return CascadedModel([[module(si, mi) for mi in range(spec.modules_per_stage)]
+                          for si in range(len(STAGES))])
 
 
 def pretrain_upstream(model: CascadedModel, source_data, epochs, lr, batch_size=32, seed=0):

@@ -119,6 +119,8 @@ class NfaCell:
         self.paths += [adapter_choice(a.kind) for a in self.adapters]
         self._adapter_of = dict.fromkeys(self.paths)
         self._adapter_of.update((adapter_choice(a.kind), a) for a in self.adapters)
+        # what each path trains, built once: the penalty and the steps read it
+        self._params_of = {path: self._path_params(path) for path in self.paths}
         self.alpha = Tensor(np.zeros(len(self.paths)), requires_grad=True)
 
     @property
@@ -182,11 +184,16 @@ class NfaCell:
         return out
 
     def params_for_choice(self, choice):
-        """Parameters that would train if ``choice`` were deployed."""
-        adapter = self._adapter(choice)
+        """Parameters that would train if ``choice`` were deployed (the cell's
+        own set for that path, shared by every caller)."""
+        self._adapter(choice)  # raises for a path this cell does not have
+        return self._params_of[choice]
+
+    def _path_params(self, path):
+        adapter = self._adapter(path)
         if adapter is not None:
             return ParameterSet().merge(adapter.params, prefix=f"adapter.{adapter.kind}.")
-        if choice == FINETUNE:
+        if path == FINETUNE:
             return ParameterSet().merge(self.finetune_params, prefix="finetune.")
         return ParameterSet()
 
@@ -212,7 +219,8 @@ def cascade_forward(model, cells, x, weights_per_cell):
     h = x
     for i, cell in enumerate(cells):
         h = cell.forward(h, weights_per_cell[i])
-        h = model.stage_output_transform(i, h)
+        if model.softmax_after[i]:
+            h = ad.softmax_lastdim(h)
     return h
 
 

@@ -12,12 +12,12 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .cascade import ADAPTER_KINDS, CascadeSpec, default_spec, small_spec
+from .cascade import ADAPTER_KINDS, CascadeSpec
 from .data import SynthDataConfig
 from .objective import PenaltyConfig
 from .search import SearchConfig, train_size
 
-_PRESETS = {"toy6": default_spec, "toy3": small_spec}
+_PRESETS = {"toy6": 2, "toy3": 1}  # preset -> modules per stage
 
 
 class ConfigError(ValueError):
@@ -109,7 +109,8 @@ def _cascade_from_dict(d):
     preset = d.get("preset", "toy6")
     if preset not in _PRESETS:
         raise ConfigError(f"unknown cascade preset {preset!r}")
-    return _PRESETS[preset](dim=d.get("dim", 16), n_labels=d.get("n_labels", 8))
+    sizes = {k: d[k] for k in ("dim", "n_labels") if k in d}
+    return CascadeSpec(modules_per_stage=_PRESETS[preset], **sizes)
 
 
 def _data_from_dict(d, cascade: CascadeSpec):
@@ -119,9 +120,9 @@ def _data_from_dict(d, cascade: CascadeSpec):
                          "noise_std_target": "float", "shift_delta": "float"})
     target = SynthDataConfig(
         n_samples=d.get("n_target", 512),
-        dim=cascade.in_dim,
+        dim=cascade.dim,
         n_labels=cascade.n_labels,
-        n_intermediate=cascade.stages[1].modules[-1].out_dim,
+        n_intermediate=cascade.dim,  # stage 1's output width
         noise_std=d.get("noise_std_target", 0.25),
         domain="target",
         shift_delta=d.get("shift_delta", 1.0),

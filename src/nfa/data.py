@@ -58,10 +58,6 @@ class Dataset:
     def __len__(self):
         return self.x.shape[0]
 
-    @property
-    def dim(self):
-        return self.x.shape[1]
-
     def subset(self, indices):
         idx = np.asarray(indices)
         return Dataset(

@@ -62,7 +62,6 @@ class EpochRecord:
 class SearchState:
     epoch: int = 0
     stage: int = 1
-    arch_frozen: bool = False
     history: list = field(default_factory=list)
     train_ids_seen: set = field(default_factory=set)
     val_ids_seen: set = field(default_factory=set)
@@ -212,7 +211,6 @@ class AdaptiveSearch:
             self._record_epoch(1, float(np.mean(train_losses)), float(np.mean(val_losses)),
                                float(np.mean(pens)))
         self.state.stage = 2
-        self.state.arch_frozen = True
         return self.state
 
     def run_stage2(self, step_callback=None):

@@ -247,7 +247,7 @@ def test_criterion_7_pfr_policy_steering():
     """Optimizing the penalty alone, the Zero policy drives every cell to
     Frozen and HalfFineTune drives every cell whose adapter is cheaper than
     half its module to Adapter."""
-    model = cascade.build_cascade(cascade.default_spec(), 0)
+    model = cascade.build_cascade(cascade.CascadeSpec(), 0)
     model.freeze()
 
     def converge(pfr):

@@ -45,45 +45,45 @@ def per_batch_recognize_pretrain(model, source_data, epochs, lr, batch_size=32, 
 
 class TestSpecs:
     def test_default_spec_shape(self):
-        spec = cascade.default_spec()
-        assert len(spec.stages) == 3
-        assert [len(s.modules) for s in spec.stages] == [2, 2, 2]
-        assert spec.stages[1].output_softmax
-        assert spec.stages[-1].modules[-1].out_dim == 8
-
-    def test_dim_mismatch_rejected(self):
-        m16 = cascade._dense_module("a", (16, 16, 16))
-        m8 = cascade._dense_module("b", (8, 8, 8))
-        with pytest.raises(ValueError, match="interface mismatch"):
-            cascade.CascadeSpec(
-                (cascade.StageSpec("s1", (m16,)), cascade.StageSpec("s2", (m8,))), 8
-            )
-
-    def test_final_width_must_match_labels(self):
-        m = cascade._dense_module("a", (16, 16, 16))
-        with pytest.raises(ValueError, match="labels"):
-            cascade.CascadeSpec((cascade.StageSpec("s", (m,)),), 8)
+        # what build_cascade makes of each preset, at the default size and a small one
+        param_counts = {(2, 16, 8): [544] * 5 + [408], (1, 16, 8): [544, 544, 408],
+                        (2, 6, 3): [84] * 5 + [63], (1, 6, 3): [84, 84, 63]}
+        for (per_stage, dim, n_labels), counts in param_counts.items():
+            model = cascade.build_cascade(cascade.CascadeSpec(dim, n_labels, per_stage), 0)
+            n = 3 * per_stage
+            assert [[m.name for m in model.stage_modules(s)] for s in range(3)] == [
+                [f"{stage}.{i}" for i in range(per_stage)]
+                for stage in ("denoise", "recognize", "label")]
+            assert model.softmax_after == [i == 2 * per_stage - 1 for i in range(n)]
+            for m in model.modules:
+                out = n_labels if m is model.modules[-1] else dim
+                assert [(k, t.shape) for k, t in m.params.items()] == [
+                    ("L0.W", (dim, dim)), ("L0.b", (dim,)), ("L1.W", (dim, out)), ("L1.b", (out,))]
+            assert [m.activations for m in model.modules] == (
+                [["tanh", "tanh"]] * (n - 1) + [["tanh", "linear"]])
+            assert [m.param_count for m in model.modules] == counts
+            assert model.forward(ad.constant(np.zeros((2, dim)))).shape == (2, n_labels)
 
 
 class TestBuild:
     def test_default_build_counts(self):
-        model = cascade.build_cascade(cascade.default_spec(), 7)
+        model = cascade.build_cascade(cascade.CascadeSpec(), 7)
         assert len(model.modules) == 6
         assert [m.param_count for m in model.modules] == [544, 544, 544, 544, 544, 408]
 
     def test_same_seed_identical(self):
-        a = cascade.build_cascade(cascade.default_spec(), 7)
-        b = cascade.build_cascade(cascade.default_spec(), 7)
+        a = cascade.build_cascade(cascade.CascadeSpec(), 7)
+        b = cascade.build_cascade(cascade.CascadeSpec(), 7)
         for ma, mb in zip(a.modules, b.modules):
             assert ma.params.checksum() == mb.params.checksum()
 
     def test_different_seed_differs(self):
-        a = cascade.build_cascade(cascade.default_spec(), 7)
-        b = cascade.build_cascade(cascade.default_spec(), 8)
+        a = cascade.build_cascade(cascade.CascadeSpec(), 7)
+        b = cascade.build_cascade(cascade.CascadeSpec(), 8)
         assert a.modules[0].params.checksum() != b.modules[0].params.checksum()
 
     def test_forward_shapes(self):
-        model = cascade.build_cascade(cascade.default_spec(), 0)
+        model = cascade.build_cascade(cascade.CascadeSpec(), 0)
         out = model.forward(ad.constant(np.zeros((5, 16))))
         assert out.shape == (5, 8)
 
@@ -173,7 +173,7 @@ def test_make_adapter_unknown_kind(rng):
 
 class TestPretraining:
     def test_denoising_improves_on_held_out(self):
-        model = cascade.build_cascade(cascade.default_spec(), 3)
+        model = cascade.build_cascade(cascade.CascadeSpec(), 3)
         train = source_data(n=512, seed=1)
         held_out = source_data(n=256, seed=2)
         before = cascade.denoise_eval(model, held_out)
@@ -182,26 +182,26 @@ class TestPretraining:
         assert after < before
 
     def test_stage3_untouched(self):
-        model = cascade.build_cascade(cascade.default_spec(), 3)
+        model = cascade.build_cascade(cascade.CascadeSpec(), 3)
         stage3_before = [m.params.checksum() for m in model.stage_modules(2)]
         cascade.pretrain_upstream(model, source_data(), epochs=3, lr=0.01, seed=3)
         assert [m.params.checksum() for m in model.stage_modules(2)] == stage3_before
 
     def test_zero_epochs_leaves_all_params(self):
-        model = cascade.build_cascade(cascade.default_spec(), 3)
+        model = cascade.build_cascade(cascade.CascadeSpec(), 3)
         before = [m.params.checksum() for m in model.modules]
         cascade.pretrain_upstream(model, source_data(), epochs=0, lr=0.01, seed=3)
         assert [m.params.checksum() for m in model.modules] == before
         assert model.modules[0]._frozen
 
     def test_empty_data_rejected(self):
-        model = cascade.build_cascade(cascade.default_spec(), 3)
+        model = cascade.build_cascade(cascade.CascadeSpec(), 3)
         data = source_data().subset(np.array([], dtype=int))
         with pytest.raises(ValueError, match="nonempty"):
             cascade.pretrain_upstream(model, data, epochs=1, lr=0.01)
 
     def test_freeze_blocks_gradients(self):
-        model = cascade.build_cascade(cascade.default_spec(), 3)
+        model = cascade.build_cascade(cascade.CascadeSpec(), 3)
         cascade.pretrain_upstream(model, source_data(), epochs=1, lr=0.01, seed=3)
         out = model.forward(ad.constant(np.ones((2, 16))))
         ad.backward(ad.tensor_sum(out))
@@ -210,7 +210,7 @@ class TestPretraining:
                 assert t.grad is None
 
     def test_recognize_stage_backprop_stops_at_denoise_stage(self, monkeypatch):
-        model = cascade.build_cascade(cascade.default_spec(), 3)
+        model = cascade.build_cascade(cascade.CascadeSpec(), 3)
         stage_params = [{id(t) for m in model.stage_modules(s) for _, t in m.params.items()}
                         for s in (0, 1)]
         graphs = []
@@ -227,12 +227,12 @@ class TestPretraining:
         assert not any(g & stage_params[0] for g in recognize)
 
     @pytest.mark.parametrize("seed", [0, 150])
-    @pytest.mark.parametrize("spec", [cascade.default_spec, cascade.small_spec],
+    @pytest.mark.parametrize("spec", [cascade.CascadeSpec(), cascade.CascadeSpec(modules_per_stage=1)],
                              ids=["toy6", "toy3"])
     def test_stage0_reuse_matches_per_batch_reference_bitwise(self, spec, seed):
         # 1000 rows: the last batch of each pass is a short one of 8 rows
         data = source_data(n=1000, seed=seed)
-        ref, new = cascade.build_cascade(spec(), seed), cascade.build_cascade(spec(), seed)
+        ref, new = cascade.build_cascade(spec, seed), cascade.build_cascade(spec, seed)
         per_batch_recognize_pretrain(ref, data, epochs=4, lr=0.01, seed=seed)
         cascade.pretrain_upstream(new, data, epochs=4, lr=0.01, seed=seed)
         for a, b in zip(ref.modules, new.modules):
@@ -240,7 +240,7 @@ class TestPretraining:
                 assert ta.value.tobytes() == tb.value.tobytes(), (a.name, name)
 
     def test_frozen_snapshots_are_read_only(self):
-        model = cascade.build_cascade(cascade.small_spec(), 3)
+        model = cascade.build_cascade(cascade.CascadeSpec(modules_per_stage=1), 3)
         cascade.pretrain_upstream(model, source_data(), epochs=1, lr=0.01, seed=3)
         before = [m.params.checksum() for m in model.modules]
         for m in model.modules:
@@ -257,7 +257,7 @@ class TestPretraining:
         assert [m.params.checksum() for m in model.modules] == before
 
     def test_pretrained_snapshot_accessor(self):
-        model = cascade.build_cascade(cascade.default_spec(), 3)
+        model = cascade.build_cascade(cascade.CascadeSpec(), 3)
         with pytest.raises(RuntimeError, match="frozen"):
             _ = model.modules[0].pretrained_params
         model.freeze()

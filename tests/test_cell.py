@@ -11,8 +11,7 @@ from nfa import cascade, cell
 
 
 def frozen_module(seed=0, dims=(16, 16, 16)):
-    spec = cascade._dense_module("m", dims)
-    m = cascade.NetModule(spec, np.random.default_rng(seed))
+    m = cascade.NetModule("m", dims, np.random.default_rng(seed))
     m.freeze()
     return m
 
@@ -286,7 +285,7 @@ class TestTrainableParams:
 
 
 def test_cascade_forward_with_cells(rng):
-    model = cascade.build_cascade(cascade.default_spec(), 5)
+    model = cascade.build_cascade(cascade.CascadeSpec(), 5)
     model.freeze()
     cells = cell.build_cells(model, seed=5)
     weights = [cell.one_hot_weights(c.n_paths, 0) for c in cells]
@@ -295,7 +294,7 @@ def test_cascade_forward_with_cells(rng):
 
 
 def test_groups(rng):
-    model = cascade.build_cascade(cascade.default_spec(), 5)
+    model = cascade.build_cascade(cascade.CascadeSpec(), 5)
     model.freeze()
     cells = cell.build_cells(model, seed=5)
     assert cell.arch_group(cells).count == 6 * 3

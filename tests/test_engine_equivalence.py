@@ -118,7 +118,7 @@ def dfs_backward(loss):
 
 
 def toy6_search(seed):
-    model = cascade.build_cascade(cascade.default_spec(), seed)
+    model = cascade.build_cascade(cascade.CascadeSpec(), seed)
     source = generate_synthetic(SynthDataConfig(n_samples=128, domain="source"), seed)
     cascade.pretrain_upstream(model, source, epochs=2, lr=0.01, seed=seed)
     cfg = SearchConfig(seed=seed, lr_network=0.01, lr_arch=0.05)

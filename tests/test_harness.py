@@ -361,7 +361,8 @@ class TestConfig:
         ("penalty", "enabled", "no"), ("data", "n_source", -5), ("penalty", "coefficient", "1"),
         ("search", "lr_network", "0.1"), ("search", "lr_network", True),
         ("search", "tau_end", math.inf), ("", "search", None), ("", "penalty", [1]),
-        ("cascade", "dim", 0), ("search", "split_ratio", 2),
+        ("cascade", "dim", 0), ("cascade", "n_labels", 0), ("cascade", "dim", -3),
+        ("search", "split_ratio", 2),
     ])
     def test_bad_field_rejected(self, section, name, value):
         with pytest.raises(ConfigError):
@@ -407,7 +408,7 @@ class TestConfig:
             accepted.append(name)
             data, spec = cfg.data, cfg.cascade
             assert (data.dim, data.n_labels, data.n_intermediate) == (
-                spec.in_dim, spec.n_labels, spec.stages[1].modules[-1].out_dim) == (dim, n_labels, dim)
+                spec.dim, spec.n_labels, spec.dim) == (dim, n_labels, dim)
             assert harness.run_experiment(cfg, seed=0).architecture_path.exists()
         # n_labels must divide dim, the width of the intermediate labels
         assert len(accepted) == 2 * sum(dim % n == 0 for dim in range(1, 11) for n in range(1, 11))

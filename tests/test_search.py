@@ -13,13 +13,12 @@ def target_data(n=200, seed=4):
     return generate_synthetic(SynthDataConfig(n_samples=n, domain="target"), seed)
 
 
-def make_search(seed=0, n=128, mode="NFA", penalty_cfg=None, **cfg_kw):
+def make_search(seed=0, n=128, mode="NFA", penalty_cfg=None, modules_per_stage=1, **cfg_kw):
     cfg_kw.setdefault("lr_network", 0.01)
     cfg_kw.setdefault("lr_arch", 0.05)
     cfg_kw.setdefault("stage1_epochs", 2)
     cfg_kw.setdefault("stage2_epochs", 1)
-    spec = cascade.small_spec()
-    model = cascade.build_cascade(spec, seed)
+    model = cascade.build_cascade(cascade.CascadeSpec(modules_per_stage=modules_per_stage), seed)
     source = generate_synthetic(SynthDataConfig(n_samples=256, domain="source"), seed)
     cascade.pretrain_upstream(model, source, epochs=10, lr=0.01, seed=seed)
     cells = cell.build_cells(model, mode=mode, seed=seed)
@@ -114,6 +113,20 @@ class TestStepContracts:
         with pytest.raises(ValueError, match="nonempty"):
             s.net_step(empty)
 
+    def test_arch_step_builds_no_parameter_set(self, monkeypatch):
+        # each cell's per-path parameter sets are built once, with the cell
+        s = make_search(modules_per_stage=2)
+        built = []
+        init = ad.ParameterSet.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ad.ParameterSet, "__init__", counting)
+        s.arch_step(s.val_data.subset(np.arange(32)))
+        assert built == []
+
     def test_net_step_ignores_penalty(self):
         lo = make_search(penalty_cfg=objective.PenaltyConfig(coefficient=0.0))
         hi = make_search(penalty_cfg=objective.PenaltyConfig(coefficient=50.0))
@@ -183,7 +196,7 @@ class TestStaging:
     def test_stage_bookkeeping(self):
         s = make_search(stage1_epochs=2, stage2_epochs=2)
         s.run_stage1()
-        assert s.state.stage == 2 and s.state.arch_frozen
+        assert s.state.stage == 2
         assert [r.stage for r in s.state.history] == [1, 1]
         s.run_stage2()
         assert [r.stage for r in s.state.history] == [1, 1, 2, 2]
