@@ -44,8 +44,10 @@ __all__ = [
     "index_lastdim",
     "affine",
     "dense",
+    "dense_forward",
+    "dense_backward",
+    "softmax_backward",
     "nll",
-    "mse",
 ]
 
 
@@ -149,13 +151,13 @@ def _unbroadcast(g, shape):
     return g
 
 
-def _check_binary(kind, a, b):
-    if not _suffix_broadcastable(a.shape, b.shape):
-        raise ShapeError(f"{kind}: shape {a.shape} does not suffix-broadcast with {b.shape}")
+def _check_binary(kind, sa, sb):
+    if not _suffix_broadcastable(sa, sb):
+        raise ShapeError(f"{kind}: shape {sa} does not suffix-broadcast with {sb}")
 
 
 def add(a, b):
-    _check_binary("add", a, b)
+    _check_binary("add", a.shape, b.shape)
     return _make(
         "add",
         a.value + b.value,
@@ -165,7 +167,7 @@ def add(a, b):
 
 
 def mul(a, b):
-    _check_binary("mul", a, b)
+    _check_binary("mul", a.shape, b.shape)
     return _make(
         "mul",
         a.value * b.value,
@@ -204,14 +206,16 @@ def sigmoid(x):
     return _activation("sigmoid", x)
 
 
+def softmax_backward(g, s):
+    """The input gradient of a last-axis softmax from its output ``s`` and
+    output gradient ``g``."""
+    dot = (g * s).sum(axis=-1, keepdims=True)
+    return s * (g - dot)
+
+
 def softmax_lastdim(x):
     s = softmax(x.value)
-
-    def bwd(g):
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        return (s * (g - dot),)
-
-    return _make("softmax_lastdim", s, (x,), bwd)
+    return _make("softmax_lastdim", s, (x,), lambda g: (softmax_backward(g, s),))
 
 
 def log(x):
@@ -476,27 +480,39 @@ def affine(x, w, b):
     return add(matmul(x, w), b)
 
 
+def dense_forward(x, w, b, act):
+    """``(z, y)`` of a dense layer on numpy arrays: ``z = x @ w + b``, checked
+    finite, and ``y = act(z)``; ``act`` is a key of :data:`ACTIVATIONS`."""
+    if act not in ACTIVATIONS:
+        raise ValueError(f"dense: unknown activation {act!r}")
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeError(f"dense: incompatible shapes {x.shape} @ {w.shape}")
+    z = x @ w
+    _check_binary("dense bias", b.shape, z.shape)
+    z = z + b
+    check_finite(z, "dense")  # tanh and sigmoid saturate: only z shows an overflow
+    return z, ACTIVATIONS[act][0](z)
+
+
+def dense_backward(g, x, w, b_shape, act, z, y, need_x=True, need_w=True, need_b=True):
+    """The gradients ``(dx, dw, db)`` of the dense layer :func:`dense_forward`
+    evaluated, from its output gradient ``g``; each one not needed is None."""
+    g = ACTIVATIONS[act][1](g, z, y)
+    return (g @ w.T if need_x else None,
+            x.T @ g if need_w else None,
+            _unbroadcast(g, b_shape) if need_b else None)
+
+
 def dense(x, w, b, act):
     """``act(x @ w + b)`` as one node, for the layers of a dense module. Its
     forward and backward evaluate the numpy expressions of :func:`affine`
     followed by the activation op, so values and gradients equal theirs bit
-    for bit; ``act`` is a key of :data:`ACTIVATIONS`."""
-    if act not in ACTIVATIONS:
-        raise ValueError(f"dense: unknown activation {act!r}")
-    if x.value.ndim != 2 or w.value.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise ShapeError(f"dense: incompatible shapes {x.shape} @ {w.shape}")
-    z = x.value @ w.value
-    _check_binary("dense bias", b, z)
-    z = z + b.value
-    check_finite(z, "dense")  # tanh and sigmoid saturate: only z shows an overflow
-    forward, grad = ACTIVATIONS[act]
-    y = forward(z)
+    for bit."""
+    z, y = dense_forward(x.value, w.value, b.value, act)
 
     def bwd(g):
-        g = grad(g, z, y)
-        return (g @ w.value.T if x.requires_grad else None,
-                x.value.T @ g if w.requires_grad else None,
-                _unbroadcast(g, b.shape) if b.requires_grad else None)
+        return dense_backward(g, x.value, w.value, b.shape, act, z, y,
+                              x.requires_grad, w.requires_grad, b.requires_grad)
 
     return _make("dense", y, (x, w, b), bwd)
 
@@ -508,9 +524,3 @@ def nll(probs, labels):
     logp = log(probs)
     picked = tensor_sum(mul(constant(onehot), logp), axis=-1)
     return scale(tensor_mean(picked), -1.0)
-
-
-def mse(pred, target):
-    """Mean squared error over all elements (regression pretraining loss)."""
-    diff = add(pred, scale(target, -1.0))
-    return tensor_mean(mul(diff, diff))

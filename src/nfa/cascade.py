@@ -89,9 +89,6 @@ class CascadedModel:
         # per module: does the softmax after the recognize stage follow it?
         self.softmax_after = [m is stages[RECOGNIZE][-1] for m in self.modules]
 
-    def __len__(self):
-        return len(self.modules)
-
     def stage_modules(self, stage_index):
         return self.stages[stage_index]
 
@@ -133,40 +130,99 @@ def build_cascade(spec: CascadeSpec, seed: int) -> CascadedModel:
 def pretrain_upstream(model: CascadedModel, source_data, epochs, lr, batch_size=32, seed=0):
     """Pretrain stage 1 (denoising regression) and stage 2 (intermediate
     classification) on source-domain data; the final stage stays at its random
-    init. Freezes all modules afterward, fixing the pretrained snapshots."""
+    init. Freezes all modules afterward, fixing the pretrained snapshots.
+
+    Each step runs without a graph: the stage's dense layers forward in numpy
+    with a tape, the loss gradient in closed form, and the tape swept backward
+    into each parameter's ``grad`` for :meth:`Adam.step`. Every array is
+    checked finite under the name of the graph op that would have made it,
+    and the weights equal graph training's bit for bit."""
     if len(source_data) == 0:
         raise ValueError("pretraining requires a nonempty source dataset")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9E7A]))
 
-    def run_stage(loss_fn, stage_index, data):
+    def run_stage(stage_index, data, loss_grad):
+        modules = model.stage_modules(stage_index)
         params = ParameterSet()
-        for m in model.stage_modules(stage_index):
+        for m in modules:
             params.merge(m.params, prefix=m.name + ".")
+        layers = _dense_layers(modules)
         opt = ad.Adam(params, lr=lr)
         for _ in range(epochs):
             for batch in data.batches(batch_size, rng):
-                opt.minimize(loss_fn(batch))
-
-    def denoise_loss(batch):
-        return ad.mse(model.forward_stage(0, ad.constant(batch.x)), ad.constant(batch.clean))
-
-    def recognize_loss(batch):
-        # stage-2 softmax output doubles as class posterior; train via log-loss
-        return ad.nll(model.forward_stage(1, ad.constant(batch.x)), batch.inter_labels)
+                out, tape = _forward(layers, batch.x)
+                g = loss_grad(out, batch)
+                for i in range(len(tape) - 1, -1, -1):
+                    x, w, b, act, z, y = tape[i]
+                    g, w.grad, b.grad = ad.dense_backward(g, x, w.value, b.shape, act, z, y,
+                                                          need_x=i > 0)
+                opt.step()
 
     if epochs > 0:
-        run_stage(denoise_loss, 0, source_data)
+        run_stage(0, source_data, lambda out, batch: _mse_grad(out, batch.clean))
         # stage 0 is trained and outside the next stage's optimizer: its output
         # over every source row, computed once, is stage 1's constant input
-        h = model.forward_stage(0, ad.constant(source_data.x)).value
-        run_stage(recognize_loss, 1, replace(source_data, x=h))
+        h, _ = _forward(_dense_layers(model.stage_modules(0)), source_data.x)
+        run_stage(1, replace(source_data, x=h), lambda out, batch: _nll_grad(out, batch.inter_labels))
     model.freeze()
 
 
-def denoise_eval(model: CascadedModel, data):
-    """Held-out stage-1 denoising loss (pretraining progress metric)."""
-    x = ad.constant(data.x)
-    return ad.mse(model.forward_stage(0, x), ad.constant(data.clean)).item()
+def _dense_layers(modules):
+    """``(W, b, activation)`` of every dense layer of ``modules``, in forward order."""
+    return [(m.params[f"L{i}.W"], m.params[f"L{i}.b"], act)
+            for m in modules for i, act in enumerate(m.activations)]
+
+
+def _forward(layers, x):
+    """The output of ``layers`` on the array ``x`` and the tape of
+    ``(x, W, b, act, z, y)`` per layer, checking ``x``, each ``z`` and each
+    ``y`` as the graph's leaf and dense nodes would."""
+    ad.check_finite(x, "leaf")
+    tape = []
+    for w, b, act in layers:
+        z, y = ad.dense_forward(x, w.value, b.value, act)
+        ad.check_finite(y, "dense")
+        tape.append((x, w, b, act, z, y))
+        x = y
+    return x, tape
+
+
+def _mse_grad(pred, target):
+    """The gradient of ``ad.mean((pred - target)**2)`` with respect to
+    ``pred``, computed as the graph of ``add(pred, scale(target, -1))``,
+    ``mul(diff, diff)`` and ``tensor_mean`` computes it."""
+    ad.check_finite(target, "leaf")
+    neg = target * -1.0
+    ad.check_finite(neg, "scale")
+    diff = pred + neg
+    ad.check_finite(diff, "add")
+    sq = diff * diff
+    ad.check_finite(sq, "mul")
+    ad.check_finite(sq.mean(), "mean")
+    t = np.full(sq.shape, 1.0 / sq.size) * diff
+    return t + t  # mul(diff, diff) gets one contribution per input
+
+
+def _nll_grad(logits, labels):
+    """The gradient of ``ad.nll(ad.softmax_lastdim(logits), labels)`` with
+    respect to ``logits``, computed as that graph computes it."""
+    probs = ad.softmax(logits)
+    ad.check_finite(probs, "softmax_lastdim")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logp = np.log(probs)
+    ad.check_finite(logp, "log")
+    onehot = np.eye(probs.shape[-1])[labels]
+    ad.check_finite(onehot, "leaf")
+    picked = onehot * logp
+    ad.check_finite(picked, "mul")
+    row = picked.sum(axis=-1)
+    ad.check_finite(row, "sum")
+    mean = row.mean()
+    ad.check_finite(mean, "mean")
+    ad.check_finite(mean * -1.0, "scale")
+    g = np.full(row.shape, -1.0 / row.size)
+    g = np.full(picked.shape, np.expand_dims(g, -1)) * onehot
+    return ad.softmax_backward(g / probs, probs)
 
 
 class BottleneckAdapter:

@@ -1,5 +1,7 @@
 """Cascade construction, adapters, parameter counts, and upstream pretraining."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,10 @@ def source_data(n=256, seed=0):
 
 
 def per_batch_recognize_pretrain(model, source_data, epochs, lr, batch_size=32, seed=0):
-    """Pretraining before stage-0 reuse: the recognize loss runs the finished
-    denoise stage's forward again on every batch of every epoch."""
+    """Pretraining through the graph, as before it ran graph-free and before
+    stage-0 reuse: ``Adam.minimize`` on each batch's loss graph, and the
+    recognize loss runs the finished denoise stage's forward again on every
+    batch of every epoch."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9E7A]))
     n_inter = model.stage_modules(1)[-1].out_dim
 
@@ -29,7 +33,9 @@ def per_batch_recognize_pretrain(model, source_data, epochs, lr, batch_size=32, 
                 opt.minimize(loss_fn(batch))
 
     def denoise_loss(batch):
-        return ad.mse(model.forward_stage(0, ad.constant(batch.x)), ad.constant(batch.clean))
+        pred = model.forward_stage(0, ad.constant(batch.x))
+        diff = ad.add(pred, ad.scale(ad.constant(batch.clean), -1.0))
+        return ad.tensor_mean(ad.mul(diff, diff))
 
     def recognize_loss(batch):
         h = ad.constant(model.forward_stage(0, ad.constant(batch.x)).value)
@@ -176,10 +182,14 @@ class TestPretraining:
         model = cascade.build_cascade(cascade.CascadeSpec(), 3)
         train = source_data(n=512, seed=1)
         held_out = source_data(n=256, seed=2)
-        before = cascade.denoise_eval(model, held_out)
+
+        def held_out_mse():
+            pred = model.forward_stage(0, ad.constant(held_out.x)).value
+            return np.mean((pred - held_out.clean) ** 2)
+
+        before = held_out_mse()
         cascade.pretrain_upstream(model, train, epochs=20, lr=0.01, seed=3)
-        after = cascade.denoise_eval(model, held_out)
-        assert after < before
+        assert held_out_mse() < before
 
     def test_stage3_untouched(self):
         model = cascade.build_cascade(cascade.CascadeSpec(), 3)
@@ -211,20 +221,32 @@ class TestPretraining:
 
     def test_recognize_stage_backprop_stops_at_denoise_stage(self, monkeypatch):
         model = cascade.build_cascade(cascade.CascadeSpec(), 3)
-        stage_params = [{id(t) for m in model.stage_modules(s) for _, t in m.params.items()}
+        stage_params = [[t for m in model.stage_modules(s) for _, t in m.params.items()]
                         for s in (0, 1)]
-        graphs = []
-        backward = ad.backward
+        stage1_ids = {id(t) for t in stage_params[1]}
+        steps = []  # per Adam step: its parameters, then stage 0's grads and values
+        step = ad.Adam.step
 
-        def recording(loss):
-            graphs.append({id(node) for node in ad._toposort(loss)})
-            backward(loss)
+        def recording(opt):
+            steps.append(({id(p) for _, p in opt.params.items()},
+                          [t.grad for t in stage_params[0]],
+                          [t.value.tobytes() for t in stage_params[0]]))
+            step(opt)
 
-        monkeypatch.setattr(ad, "backward", recording)
+        monkeypatch.setattr(ad.Adam, "step", recording)
         cascade.pretrain_upstream(model, source_data(), epochs=1, lr=0.01, seed=3)
-        recognize = [g for g in graphs if g & stage_params[1]]
-        assert len(recognize) == len(graphs) // 2 == 8
-        assert not any(g & stage_params[0] for g in recognize)
+        # 256 rows in batches of 32: 8 steps per stage, the recognize stage's last
+        assert [i for i, s in enumerate(steps) if s[0] & stage1_ids] == list(range(8, 16))
+        recognize = steps[8:]
+        assert all(ids == stage1_ids for ids, _, _ in recognize)
+        # stage 0's parameters are stepped before the recognize stage and only
+        # read during it: no gradient is assigned to them and none changes
+        _, grads, values = recognize[0]
+        assert all(g is not None for g in grads)
+        for _, step_grads, step_values in recognize:
+            assert all(a is b for a, b in zip(step_grads, grads))
+            assert step_values == values
+        assert [t.value.tobytes() for t in stage_params[0]] == values
 
     @pytest.mark.parametrize("seed", [0, 150])
     @pytest.mark.parametrize("spec", [cascade.CascadeSpec(), cascade.CascadeSpec(modules_per_stage=1)],
@@ -238,6 +260,62 @@ class TestPretraining:
         for a, b in zip(ref.modules, new.modules):
             for (name, ta), (_, tb) in zip(a.pretrained_params.items(), b.pretrained_params.items()):
                 assert ta.value.tobytes() == tb.value.tobytes(), (a.name, name)
+
+    def test_batch_sizes_not_powers_of_two_match_graph_reference_bitwise(self):
+        # a mean over 24 or 12 rows is not an exact power-of-two scaling, so
+        # every closed-form expression must be the graph's own to match
+        data = source_data(n=300, seed=5)
+        ref, new = (cascade.build_cascade(cascade.CascadeSpec(), 5) for _ in range(2))
+        per_batch_recognize_pretrain(ref, data, epochs=2, lr=0.01, batch_size=24, seed=5)
+        cascade.pretrain_upstream(new, data, epochs=2, lr=0.01, batch_size=24, seed=5)
+        for a, b in zip(ref.modules, new.modules):
+            assert a.params.checksum() == b.params.checksum(), a.name
+
+    @pytest.mark.parametrize("case, op", [
+        ("nan_in_x", "leaf"),  # a source input
+        ("nan_in_clean", "leaf"),  # a denoising target
+        ("clean_times_1e200", "mul"),  # the squared error overflows
+        ("inf_in_denoise_weight", "dense"),
+        ("nan_in_recognize_bias", "dense"),  # raised in the recognize stage
+        ("x_times_1e200", None),  # tanh saturates, so nothing overflows
+    ])
+    def test_non_finite_matches_graph_reference(self, case, op):
+        def setup():
+            data = source_data()
+            model = cascade.build_cascade(cascade.CascadeSpec(), 3)
+            x, clean = data.x.copy(), data.clean.copy()
+            if case == "nan_in_x":
+                x[40, 3] = np.nan
+            elif case == "nan_in_clean":
+                clean[100, 0] = np.nan
+            elif case == "clean_times_1e200":
+                clean *= 1e200
+            elif case == "inf_in_denoise_weight":
+                model.modules[0].params["L0.W"].value[0, 0] = np.inf
+            elif case == "nan_in_recognize_bias":
+                model.stage_modules(1)[-1].params["L1.b"].value[2] = np.nan
+            elif case == "x_times_1e200":
+                x *= 1e200
+            return model, replace(data, x=x, clean=clean)
+
+        (ref, ref_data), (new, new_data) = setup(), setup()
+        if op is None:
+            per_batch_recognize_pretrain(ref, ref_data, epochs=2, lr=0.01, seed=3)
+            cascade.pretrain_upstream(new, new_data, epochs=2, lr=0.01, seed=3)
+            for a, b in zip(ref.modules, new.modules):
+                assert a.params.checksum() == b.params.checksum(), a.name
+            return
+        message = f"non-finite values in tensor produced by op '{op}'"
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ad.NonFiniteError, match=message) as graph_error:
+            per_batch_recognize_pretrain(ref, ref_data, epochs=2, lr=0.01, seed=3)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ad.NonFiniteError, match=message) as error:
+            cascade.pretrain_upstream(new, new_data, epochs=2, lr=0.01, seed=3)
+        assert str(error.value) == str(graph_error.value)
+        # both routes stop at the same step: every weight stepped so far agrees
+        for a, b in zip(ref.modules, new.modules):
+            assert a.params.checksum() == b.params.checksum(), a.name
 
     def test_frozen_snapshots_are_read_only(self):
         model = cascade.build_cascade(cascade.CascadeSpec(modules_per_stage=1), 3)
