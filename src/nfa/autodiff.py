@@ -372,11 +372,13 @@ class ParameterSet:
             out.add(name, Tensor(t.value.copy(), requires_grad=True))
         return out
 
-    def set_requires_grad(self, flag):
+    def freeze(self):
+        """Make every tensor a constant: it takes no gradient, and a write
+        into its value raises."""
         for t in self._entries.values():
-            t.requires_grad = bool(flag)
-            if not flag:
-                t.grad = None
+            t.requires_grad = False
+            t.grad = None
+            t.value.flags.writeable = False
 
     def zero_grads(self):
         for t in self._entries.values():
@@ -480,27 +482,54 @@ def affine(x, w, b):
     return add(matmul(x, w), b)
 
 
-def dense_forward(x, w, b, act):
-    """``(z, y)`` of a dense layer on numpy arrays: ``z = x @ w + b``, checked
-    finite, and ``y = act(z)``; ``act`` is a key of :data:`ACTIVATIONS`."""
+def _stacked(shape):
+    return len(shape) == 3  # a leading scheme axis: (S, n, a) rows, (S, a, b) weights, (S, 1, b) biases
+
+
+def dense_forward(x, w, b, act, affine=False):
+    """``(z, y)`` of a dense layer on numpy arrays: ``z = x @ w + b`` and
+    ``y = act(z)``; ``act`` is a key of :data:`ACTIVATIONS`. ``x`` and ``w``
+    may carry a leading scheme axis, ``(S, n, a)`` and ``(S, a, b)``, with the
+    bias then ``(S, 1, b)``: each scheme's slice is computed as alone.
+
+    Checked finite as the graph checks it: ``z`` as one dense node (tanh and
+    sigmoid saturate, so only ``z`` shows an overflow), or with ``affine`` as
+    the ops of :func:`affine` and the activation op: ``x @ w`` as matmul,
+    ``z`` as add and ``y`` as the activation."""
     if act not in ACTIVATIONS:
         raise ValueError(f"dense: unknown activation {act!r}")
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
+    if (x.ndim not in (2, 3) or w.ndim not in (2, 3) or x.shape[-1] != w.shape[-2]
+            or (_stacked(x.shape) and _stacked(w.shape) and x.shape[0] != w.shape[0])):
         raise ShapeError(f"dense: incompatible shapes {x.shape} @ {w.shape}")
     z = x @ w
-    _check_binary("dense bias", b.shape, z.shape)
+    if affine:
+        check_finite(z, "matmul")
+    if not _stacked(b.shape):
+        _check_binary("dense bias", b.shape, z.shape)
+    elif b.shape != (z.shape[0], 1, z.shape[-1]):
+        raise ShapeError(f"dense bias: stacked shape {b.shape} does not fit {z.shape}")
     z = z + b
-    check_finite(z, "dense")  # tanh and sigmoid saturate: only z shows an overflow
-    return z, ACTIVATIONS[act][0](z)
+    check_finite(z, "add" if affine else "dense")
+    y = ACTIVATIONS[act][0](z)
+    if affine and act != "linear":
+        check_finite(y, act)
+    return z, y
 
 
 def dense_backward(g, x, w, b_shape, act, z, y, need_x=True, need_w=True, need_b=True):
     """The gradients ``(dx, dw, db)`` of the dense layer :func:`dense_forward`
-    evaluated, from its output gradient ``g``; each one not needed is None."""
+    evaluated, from its output gradient ``g``; each one not needed is None.
+    A stacked bias sums each scheme's rows alone."""
     g = ACTIVATIONS[act][1](g, z, y)
-    return (g @ w.T if need_x else None,
-            x.T @ g if need_w else None,
-            _unbroadcast(g, b_shape) if need_b else None)
+    if not need_b:
+        db = None
+    elif _stacked(b_shape):
+        db = g.sum(axis=-2, keepdims=True)
+    else:
+        db = _unbroadcast(g, b_shape)
+    return (g @ w.swapaxes(-1, -2) if need_x else None,
+            x.swapaxes(-1, -2) @ g if need_w else None,
+            db)
 
 
 def dense(x, w, b, act):

@@ -67,16 +67,19 @@ class NetModule:
     def freeze(self):
         """Snapshot the current weights as the immutable pretrained state: the
         arrays become read-only, so a write into a shared snapshot raises."""
-        self.params.set_requires_grad(False)
-        for _, t in self.params.items():
-            t.value.flags.writeable = False
+        self.params.freeze()
         self._frozen = True
 
-    def forward(self, x, params=None):
+    def layers(self, params=None):
+        """``(W, b, activation)`` of each dense layer, in forward order, from
+        ``params`` (this module's own by default)."""
         p = params if params is not None else self.params
+        return [(p[f"L{i}.W"], p[f"L{i}.b"], act) for i, act in enumerate(self.activations)]
+
+    def forward(self, x, params=None):
         h = x
-        for i, act in enumerate(self.activations):
-            h = ad.dense(h, p[f"L{i}.W"], p[f"L{i}.b"], act)
+        for w, b, act in self.layers(params):
+            h = ad.dense(h, w, b, act)
         return h
 
 
@@ -150,41 +153,51 @@ def pretrain_upstream(model: CascadedModel, source_data, epochs, lr, batch_size=
         opt = ad.Adam(params, lr=lr)
         for _ in range(epochs):
             for batch in data.batches(batch_size, rng):
-                out, tape = _forward(layers, batch.x)
-                g = loss_grad(out, batch)
-                for i in range(len(tape) - 1, -1, -1):
-                    x, w, b, act, z, y = tape[i]
-                    g, w.grad, b.grad = ad.dense_backward(g, x, w.value, b.shape, act, z, y,
-                                                          need_x=i > 0)
+                ad.check_finite(batch.x, "leaf")
+                out, tape = layers_forward(layers, batch.x)
+                layers_backward(tape, loss_grad(out, batch), need_x=False)
                 opt.step()
 
     if epochs > 0:
         run_stage(0, source_data, lambda out, batch: _mse_grad(out, batch.clean))
         # stage 0 is trained and outside the next stage's optimizer: its output
         # over every source row, computed once, is stage 1's constant input
-        h, _ = _forward(_dense_layers(model.stage_modules(0)), source_data.x)
+        ad.check_finite(source_data.x, "leaf")
+        h, _ = layers_forward(_dense_layers(model.stage_modules(0)), source_data.x)
         run_stage(1, replace(source_data, x=h), lambda out, batch: _nll_grad(out, batch.inter_labels))
     model.freeze()
 
 
 def _dense_layers(modules):
     """``(W, b, activation)`` of every dense layer of ``modules``, in forward order."""
-    return [(m.params[f"L{i}.W"], m.params[f"L{i}.b"], act)
-            for m in modules for i, act in enumerate(m.activations)]
+    return [layer for m in modules for layer in m.layers()]
 
 
-def _forward(layers, x):
-    """The output of ``layers`` on the array ``x`` and the tape of
-    ``(x, W, b, act, z, y)`` per layer, checking ``x``, each ``z`` and each
-    ``y`` as the graph's leaf and dense nodes would."""
-    ad.check_finite(x, "leaf")
+def layers_forward(layers, x, keep=True):
+    """The output of the dense ``layers`` on the array ``x`` and the tape of
+    ``(x, W, b, act, z, y)`` per layer (empty unless ``keep``), checking each
+    ``z`` and each ``y`` as the graph's dense nodes would."""
     tape = []
     for w, b, act in layers:
         z, y = ad.dense_forward(x, w.value, b.value, act)
         ad.check_finite(y, "dense")
-        tape.append((x, w, b, act, z, y))
+        if keep:
+            tape.append((x, w, b, act, z, y))
         x = y
     return x, tape
+
+
+def layers_backward(tape, g, need_x):
+    """Sweep a tape of :func:`layers_forward` backward from the output
+    gradient ``g``: each trainable ``W`` and ``b`` takes its ``grad``. Returns
+    the input gradient, or None unless ``need_x``."""
+    for i in range(len(tape) - 1, -1, -1):
+        x, w, b, act, z, y = tape[i]
+        g, dw, db = ad.dense_backward(g, x, w.value, b.shape, act, z, y, need_x or i > 0,
+                                      w.requires_grad, b.requires_grad)
+        if w.requires_grad:
+            w.grad, b.grad = dw, db
+    return g
 
 
 def _mse_grad(pred, target):
@@ -203,9 +216,10 @@ def _mse_grad(pred, target):
     return t + t  # mul(diff, diff) gets one contribution per input
 
 
-def _nll_grad(logits, labels):
-    """The gradient of ``ad.nll(ad.softmax_lastdim(logits), labels)`` with
-    respect to ``logits``, computed as that graph computes it."""
+def _nll(logits, labels):
+    """``(loss, probs, onehot)`` of ``ad.nll(ad.softmax_lastdim(logits),
+    labels)``, computed and checked as that graph does. ``logits`` is
+    ``(n, L)`` or stacked ``(S, n, L)``, one loss per scheme."""
     probs = ad.softmax(logits)
     ad.check_finite(probs, "softmax_lastdim")
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -217,11 +231,20 @@ def _nll_grad(logits, labels):
     ad.check_finite(picked, "mul")
     row = picked.sum(axis=-1)
     ad.check_finite(row, "sum")
-    mean = row.mean()
+    mean = row.mean(axis=-1)
     ad.check_finite(mean, "mean")
-    ad.check_finite(mean * -1.0, "scale")
-    g = np.full(row.shape, -1.0 / row.size)
-    g = np.full(picked.shape, np.expand_dims(g, -1)) * onehot
+    loss = mean * -1.0
+    ad.check_finite(loss, "scale")
+    return loss, probs, onehot
+
+
+def _nll_grad(logits, labels):
+    """The gradient of :func:`_nll`'s loss with respect to ``logits``,
+    computed as the graph computes it; stacked logits give each scheme the
+    gradient of its own loss."""
+    _, probs, onehot = _nll(logits, labels)
+    g = np.full(probs.shape[:-1], -1.0 / probs.shape[-2])
+    g = np.full(probs.shape, np.expand_dims(g, -1)) * onehot
     return ad.softmax_backward(g / probs, probs)
 
 
@@ -253,6 +276,27 @@ class BottleneckAdapter:
         h = ad.tanh(ad.affine(x, self.params["down.W"], self.params["down.b"]))
         return ad.add(x, ad.affine(h, self.params["up.W"], self.params["up.b"]))
 
+    def forward_array(self, x, params):
+        """:meth:`forward` on the array ``x`` without a graph, with ``params``
+        named as this adapter's and stacked over schemes (see
+        :func:`ad.dense_forward`). Returns the output and a function from its
+        gradient to ``x``'s (None unless asked) that stores each parameter's
+        gradient. Two dense rules and the skip; arrays are checked as the
+        graph's ops."""
+        dw, db, uw, ub = (params[k] for k in ("down.W", "down.b", "up.W", "up.b"))
+        zd, h = ad.dense_forward(x, dw.value, db.value, "tanh", affine=True)
+        zu, _ = ad.dense_forward(h, uw.value, ub.value, "linear", affine=True)
+        out = x + zu
+        ad.check_finite(out, "add")
+
+        def backward(g, need_x):
+            dh, uw.grad, ub.grad = ad.dense_backward(g, h, uw.value, ub.shape, "linear", zu, zu)
+            dx, dw.grad, db.grad = ad.dense_backward(dh, x, dw.value, db.shape, "tanh", zd, h,
+                                                     need_x=need_x)
+            return g + dx if need_x else None  # the skip's gradient, then the down projection's
+
+        return out, backward
+
 
 class GatedAdapter:
     """Elementwise gated mix of the input and an expanded linear transform:
@@ -283,6 +327,36 @@ class GatedAdapter:
         expanded = ad.affine(x, self.params["expand.W"], self.params["expand.b"])
         one_minus_g = ad.add(ad.constant(np.ones(self.in_dim)), ad.scale(g, -1.0))
         return ad.add(ad.mul(g, x), ad.mul(one_minus_g, expanded))
+
+    def forward_array(self, x, params):
+        """:meth:`forward` on arrays without a graph, as
+        :meth:`BottleneckAdapter.forward_array`. The backward adds each
+        gradient's terms in the order the graph's sweep adds them."""
+        gw, gb, ew, eb = (params[k] for k in ("gate.W", "gate.b", "expand.W", "expand.b"))
+        zg, gate = ad.dense_forward(x, gw.value, gb.value, "sigmoid", affine=True)
+        expanded, _ = ad.dense_forward(x, ew.value, eb.value, "linear", affine=True)
+        ones = np.ones(self.in_dim)
+        ad.check_finite(ones, "leaf")
+        neg = gate * -1.0
+        ad.check_finite(neg, "scale")
+        one_minus_g = ones + neg
+        ad.check_finite(one_minus_g, "add")
+        kept = gate * x
+        ad.check_finite(kept, "mul")
+        mixed = one_minus_g * expanded
+        ad.check_finite(mixed, "mul")
+        out = kept + mixed
+        ad.check_finite(out, "add")
+
+        def backward(g, need_x):
+            d_gate = g * x + (g * expanded) * -1.0  # through the mul, then the scale
+            dxe, ew.grad, eb.grad = ad.dense_backward(g * one_minus_g, x, ew.value, eb.shape,
+                                                      "linear", expanded, expanded, need_x=need_x)
+            dxg, gw.grad, gb.grad = ad.dense_backward(d_gate, x, gw.value, gb.shape, "sigmoid",
+                                                      zg, gate, need_x=need_x)
+            return (g * gate + dxe) + dxg if need_x else None  # mul, expand, gate
+
+        return out, backward
 
 
 ADAPTER_KINDS = {"BA": BottleneckAdapter, "GA": GatedAdapter}

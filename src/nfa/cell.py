@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParameterSet, Tensor
-from .cascade import make_adapter
+from .cascade import layers_backward, layers_forward, make_adapter
 
 FROZEN = "frozen"
 FINETUNE = "finetune"
@@ -26,6 +26,11 @@ FINETUNE = "finetune"
 
 def adapter_choice(kind):
     return f"adapter:{kind}"
+
+
+def cell_paths(mode, adapter_kinds):
+    """The path names of a cell in ``mode`` with these adapter kinds."""
+    return ([FROZEN, FINETUNE] if mode == "NFA" else [FROZEN]) + [adapter_choice(k) for k in adapter_kinds]
 
 
 @dataclass
@@ -115,8 +120,7 @@ class NfaCell:
         self.index = index
         self.finetune_params = module.params.clone() if mode == "NFA" else None
         self.adapters = [make_adapter(k, module.out_dim, rng) for k in adapter_kinds]
-        self.paths = ([FROZEN, FINETUNE] if mode == "NFA" else [FROZEN])
-        self.paths += [adapter_choice(a.kind) for a in self.adapters]
+        self.paths = cell_paths(mode, adapter_kinds)
         self._adapter_of = dict.fromkeys(self.paths)
         self._adapter_of.update((adapter_choice(a.kind), a) for a in self.adapters)
         # what each path trains, built once: the penalty and the steps read it
@@ -137,10 +141,6 @@ class NfaCell:
     def trainable_count(self, path):
         """Trainable parameters of one path (frozen contributes nothing)."""
         return self.params_for_choice(path).count
-
-    @property
-    def path_param_counts(self):
-        return [self.trainable_count(p) for p in self.paths]
 
     def _path_output(self, path, x, base):
         adapter = self._adapter(path)
@@ -191,11 +191,78 @@ class NfaCell:
 
     def _path_params(self, path):
         adapter = self._adapter(path)
+        prefix = "finetune." if adapter is None else f"adapter.{adapter.kind}."
+        return ParameterSet().merge(self._own_params(path), prefix=prefix)
+
+    def _own_params(self, path):
+        """What ``path`` trains, under the names its forward reads."""
+        adapter = self._adapter(path)
         if adapter is not None:
-            return ParameterSet().merge(adapter.params, prefix=f"adapter.{adapter.kind}.")
-        if path == FINETUNE:
-            return ParameterSet().merge(self.finetune_params, prefix="finetune.")
-        return ParameterSet()
+            return adapter.params
+        return self.finetune_params if path == FINETUNE else ParameterSet()
+
+    def stacked_params(self, path, copies):
+        """``copies`` trainable copies of what ``path`` trains, stacked on a
+        leading scheme axis: weights ``(S, a, b)``, biases ``(S, 1, b)``."""
+        return ParameterSet({
+            name: Tensor(np.repeat(t.value.reshape((1,) * (3 - t.value.ndim) + t.shape), copies, 0),
+                         requires_grad=True)
+            for name, t in self._own_params(path).items()})
+
+    def forward_stacked(self, x, groups, keep=True):
+        """The cell on the array ``x`` without a graph, for schemes stacked on a
+        leading axis. ``groups`` lists ``(path, positions, params)``: the
+        positions of the schemes that run ``path`` and its
+        :meth:`stacked_params` for them. ``x`` is ``(S, n, a)``, or ``(n, a)``
+        when every scheme has the same input; then the backbone runs once for
+        every path that uses it.
+
+        Returns the ``(S, n, b)`` output, each group's rows put in place by
+        index, and a function from its gradient to ``x``'s (None unless
+        asked) that stores each stacked parameter's gradient. Without
+        ``keep`` nothing is kept for that function."""
+        shared = x.ndim == 2
+        backbone = (layers_forward(self.module.layers(), x, keep)
+                    if shared and any(path != FINETUNE for path, _, _ in groups) else None)
+        out, backs = None, []
+        for path, positions, params in groups:
+            xin = x if shared else x[positions]
+            if path == FINETUNE:
+                y, tape = layers_forward(self.module.layers(params), xin, keep)
+                back = _tape_backward(tape)
+            else:
+                base, tape = backbone if shared else layers_forward(self.module.layers(), xin, keep)
+                adapter = self._adapter(path)
+                y, inner = (base, None) if adapter is None else adapter.forward_array(base, params)
+                back = _tape_backward(tape, frozen=True, inner=inner)
+            if keep:
+                backs.append((positions, back))
+            if out is None:
+                out = np.empty((sum(len(pos) for _, pos, _ in groups),) + y.shape[-2:])
+            out[positions] = y
+
+        def backward(g, need_x):
+            dx = np.empty(g.shape[:-1] + x.shape[-1:]) if need_x else None
+            for positions, back in backs:
+                d = back(g[positions], need_x)
+                if need_x:
+                    dx[positions] = d
+            return dx
+
+        return out, backward
+
+
+def _tape_backward(tape, frozen=False, inner=None):
+    """The input gradient function of a path: ``inner`` (an adapter's
+    backward) and then the module's layers on ``tape``; a frozen backbone is
+    swept only for the input gradient."""
+    def backward(g, need_x):
+        if inner is not None:
+            g = inner(g, need_x)
+        if frozen and not need_x:
+            return None
+        return layers_backward(tape, g, need_x)
+    return backward
 
 
 def build_cells(model, mode="NFA", adapter_kinds=("BA",), seed=0):
@@ -222,6 +289,35 @@ def cascade_forward(model, cells, x, weights_per_cell):
         if model.softmax_after[i]:
             h = ad.softmax_lastdim(h)
     return h
+
+
+def cascade_forward_stacked(model, cells, plan, x, keep=True):
+    """:func:`cascade_forward` on the array ``x`` without a graph, for schemes
+    stacked on a leading axis: ``plan`` holds each cell's groups (see
+    :meth:`NfaCell.forward_stacked`). Returns the ``(S, n, L)`` logits and a
+    function that sweeps their gradient back into every stacked parameter's
+    ``grad``; the sweep stops at the first cell where some scheme trains.
+    Without ``keep`` nothing is kept for that function."""
+    ad.check_finite(x, "leaf")
+    h, backs = x, []
+    for i, (cell, groups) in enumerate(zip(cells, plan)):
+        h, back = cell.forward_stacked(h, groups, keep)
+        s = None
+        if model.softmax_after[i]:
+            h = s = ad.softmax(h)
+            ad.check_finite(s, "softmax_lastdim")
+        if keep:
+            backs.append((back, s))
+    first = next((i for i, groups in enumerate(plan) if any(len(p) for _, _, p in groups)), len(plan))
+
+    def backward(g):
+        for i in range(len(backs) - 1, first - 1, -1):
+            back, s = backs[i]
+            if s is not None:
+                g = ad.softmax_backward(g, s)
+            g = back(g, i > first)
+
+    return h, backward
 
 
 def scheme_weights(cells, scheme):

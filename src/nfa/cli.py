@@ -16,15 +16,21 @@ from . import harness
 from .config import ConfigError, load_config
 
 
-def _seed(text):
-    """A ``--seed`` value: a nonnegative integer, as ``np.random.SeedSequence`` needs."""
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = None
-    if seed is None or seed < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return seed
+def _integer(least, words):
+    """An option parser that takes an integer of at least ``least``."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < least:
+            raise argparse.ArgumentTypeError(f"expected a {words} integer, got {text!r}")
+        return value
+    return parse
+
+
+_seed = _integer(0, "nonnegative")  # as np.random.SeedSequence needs
+_cap = _integer(1, "positive")
 
 
 def _add_config_arg(p):
@@ -93,7 +99,7 @@ def build_parser():
 
     oracle = sub.add_parser("oracle", help="enumerate and rank all discrete schemes")
     _add_config_arg(oracle)
-    oracle.add_argument("--cap", type=int, default=harness.DEFAULT_ORACLE_CAP,
+    oracle.add_argument("--cap", type=_cap, default=harness.DEFAULT_ORACLE_CAP,
                         help="refuse scheme spaces larger than this")
     oracle.set_defaults(func=cmd_oracle)
 

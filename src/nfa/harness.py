@@ -20,14 +20,16 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .cascade import build_cascade, pretrain_upstream
-from .cell import arch_group, build_cells, network_group, scheme_params
+from .autodiff import ParameterSet, Tensor
+from .cascade import STAGES, _nll, _nll_grad, build_cascade, pretrain_upstream
+from .cell import arch_group, build_cells, cascade_forward_stacked, cell_paths, network_group
 from .config import ExperimentConfig, config_hash
 from .data import SynthDataConfig, generate_synthetic
-from .search import AdaptiveSearch, cascade_loss, split_dataset, train_scheme_epoch
+from .search import AdaptiveSearch, split_dataset
 
 OUTPUT_ROOT_ENV = "NFA_OUTPUT_ROOT"
 DEFAULT_ORACLE_CAP = 243
+STACK_SCHEMES = 14  # the most schemes trained together: bounds the stacked arrays' memory
 
 
 @dataclass(frozen=True)
@@ -377,38 +379,103 @@ def scheme_space(cells):
     return list(itertools.product(*[tuple(c.paths) for c in cells]))
 
 
+def _stack(cells, schemes):
+    """Per cell, ``schemes`` grouped by path: ``(path, positions, params)``
+    with the path's parameters stacked over the group (see
+    ``NfaCell.forward_stacked``); and every stacked parameter in one set."""
+    for scheme in schemes:
+        if len(scheme) != len(cells):
+            raise ValueError(f"scheme {scheme!r} names {len(scheme)} paths for {len(cells)} cells")
+        for cell, choice in zip(cells, scheme):
+            cell.params_for_choice(choice)  # raises for a path the cell does not have
+    plan, params = [], ParameterSet()
+    for cell, column in zip(cells, zip(*schemes)):
+        groups = []
+        for path in cell.paths:
+            positions = np.flatnonzero([choice == path for choice in column])
+            if positions.size:
+                stacked = cell.stacked_params(path, positions.size)
+                params.merge(stacked, prefix=f"cell{cell.index}.{path}.")
+                groups.append((path, positions, stacked))
+        plan.append(groups)
+    return plan, params
+
+
+def _one_scheme(plan, k):
+    """The plan of the scheme at position ``k`` of ``plan`` alone."""
+    out = []
+    for groups in plan:
+        for path, positions, params in groups:
+            rows = np.flatnonzero(positions == k)
+            if rows.size:
+                sliced = ParameterSet({name: Tensor(t.value[rows]) for name, t in params.items()})
+                out.append([(path, np.zeros(1, dtype=int), sliced)])
+    return out
+
+
+def train_fixed_schemes(model, cells, schemes, train, val, lr, epochs, batch_size, seed):
+    """Train each of ``schemes`` (one path name per cell) as stage 2 trains a
+    scheme, and return each one's final validation task loss, in order. A
+    scheme trains only the parameters it selects, from the cells' values
+    (the cells are left unchanged), on the batches that
+    ``SeedSequence([seed, 0x04AC])`` shuffles; an all-frozen scheme trains
+    nothing.
+
+    Up to ``STACK_SCHEMES`` schemes train together without a graph: every
+    array has a leading scheme axis, and each scheme's slice gets the bytes
+    that training it alone on the graph gives. Validation runs one scheme at
+    a time and keeps no tape, which bounds its memory by one scheme's pass."""
+    schemes = [tuple(s) for s in schemes]
+    losses = []
+    for start in range(0, len(schemes), STACK_SCHEMES):
+        chunk = schemes[start:start + STACK_SCHEMES]
+        plan, params = _stack(cells, chunk)
+        if len(params):
+            opt = ad.Adam(params, lr=lr)
+            rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x04AC]))
+            for _ in range(epochs):
+                for batch in train.batches(batch_size, rng):
+                    _step(model, cells, plan, batch, opt)
+        for k in range(len(chunk)):
+            logits, _ = cascade_forward_stacked(model, cells, _one_scheme(plan, k), val.x, keep=False)
+            losses.append(float(_nll(logits, val.labels)[0][0]))
+    return losses
+
+
+def _step(model, cells, plan, batch, opt):
+    """One training step of the stacked schemes; the tape dies with it."""
+    logits, backward = cascade_forward_stacked(model, cells, plan, batch.x)
+    backward(_nll_grad(logits, batch.labels))
+    opt.step()
+
+
 def train_fixed_scheme(model, cells, scheme, train, val, lr, epochs, batch_size, seed):
-    """Train only the parameters the scheme selects; return the final val task loss."""
-    opt = ad.Adam(scheme_params(cells, scheme), lr=lr)
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x04AC]))
-    for _ in range(epochs if len(opt.params) else 0):  # an all-frozen scheme has nothing to train
-        for _ in train_scheme_epoch(model, cells, scheme, opt, train, batch_size, rng):
-            pass
-    return cascade_loss(model, cells, scheme, val).item()
+    """Train only the parameters the scheme selects; return the final val task
+    loss (:func:`train_fixed_schemes` of one scheme)."""
+    return train_fixed_schemes(model, cells, [scheme], train, val, lr, epochs, batch_size, seed)[0]
 
 
 def enumerate_oracle(cfg: ExperimentConfig, seed=None, cap=DEFAULT_ORACLE_CAP):
     """Budget-matched exhaustive baseline: train every discrete scheme with the
-    stage-2 epoch budget and rank by validation task loss (ascending)."""
+    stage-2 epoch budget and rank by validation task loss (ascending). A
+    scheme space larger than ``cap`` is refused before anything is built."""
+    if cap <= 0:
+        raise ValueError(f"oracle cap must be positive, got {cap}")
     seed = int(seed) if seed is not None else cfg.search.seed
-    model, cells, train, val = build_experiment(cfg, seed)
-    space = scheme_space(cells)
-    if len(space) > cap:
+    size = len(cell_paths(cfg.mode, cfg.adapters)) ** (len(STAGES) * cfg.cascade.modules_per_stage)
+    if size > cap:
         raise ValueError(
-            f"scheme space has {len(space)} entries (> cap {cap}); shrink the cascade "
+            f"scheme space has {size} entries (> cap {cap}); shrink the cascade "
             "or the adapter candidate list"
         )
-    entries = []
-    for scheme in space:
-        # identical initialization for every scheme: rebuild the cells
-        fresh = build_cells(model, mode=cfg.mode, adapter_kinds=cfg.adapters, seed=seed)
-        loss = train_fixed_scheme(
-            model, fresh, scheme, train, val,
-            lr=cfg.search.lr_network, epochs=cfg.search.stage2_epochs,
-            batch_size=cfg.search.batch_size, seed=seed,
-        )
-        entries.append(OracleEntry(scheme=scheme, val_loss=loss))
-    return sorted(entries, key=lambda e: (e.val_loss, e.scheme))
+    model, cells, train, val = build_experiment(cfg, seed)
+    space = scheme_space(cells)
+    losses = train_fixed_schemes(
+        model, cells, space, train, val, lr=cfg.search.lr_network,
+        epochs=cfg.search.stage2_epochs, batch_size=cfg.search.batch_size, seed=seed,
+    )
+    return sorted((OracleEntry(scheme=s, val_loss=v) for s, v in zip(space, losses)),
+                  key=lambda e: (e.val_loss, e.scheme))
 
 
 def oracle_rank(entries, scheme):

@@ -92,14 +92,6 @@ def cascade_loss(model, cells, weights_per_cell, data):
     return objective.task_loss(logits, data.labels)
 
 
-def train_scheme_epoch(model, cells, scheme, opt, data, batch_size, rng):
-    """One shuffled pass over ``data`` training a fixed ``scheme`` (one path
-    name per cell): per minibatch, one ``opt`` step on the task loss.
-    Yields each batch with its loss once the step is taken."""
-    for batch in data.batches(batch_size, rng):
-        yield batch, opt.minimize(cascade_loss(model, cells, scheme, batch))
-
-
 class AdaptiveSearch:
     """Owns the cells, the two optimizer groups, and the search schedule."""
 
@@ -225,10 +217,9 @@ class AdaptiveSearch:
         opt = self.opt_net.restricted(scheme_params(self.cells, scheme))
         for _ in range(self.cfg.stage2_epochs):
             train_losses = []
-            for tb, loss in train_scheme_epoch(self.model, self.cells, scheme, opt, self.train_data,
-                                               self.cfg.batch_size, self._train_order_rng):
+            for tb in self.train_data.batches(self.cfg.batch_size, self._train_order_rng):
+                train_losses.append(opt.minimize(cascade_loss(self.model, self.cells, scheme, tb)))
                 self.state.train_ids_seen.update(int(i) for i in tb.ids)
-                train_losses.append(loss)
                 if step_callback:
                     step_callback("net", self)
             val_task, pen = self.evaluate(self.val_data)

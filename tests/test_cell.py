@@ -84,12 +84,12 @@ class TestCellForward:
     def test_nfa_paths_and_counts(self):
         c = make_cell()
         assert c.paths == ["frozen", "finetune", "adapter:BA"]
-        assert c.path_param_counts == [0, 544, 148]
+        assert [c.trainable_count(p) for p in c.paths] == [0, 544, 148]
 
     def test_na_paths(self):
         c = make_cell(mode="NA")
         assert c.paths == ["frozen", "adapter:BA"]
-        assert c.path_param_counts == [0, 148]
+        assert [c.trainable_count(p) for p in c.paths] == [0, 148]
 
     def test_na_requires_single_adapter(self):
         with pytest.raises(ValueError, match="NA mode"):

@@ -3,8 +3,10 @@
 Each reference below is the earlier implementation, kept here as a test-local
 copy: ``affine`` plus an activation op for ``dense``, the depth-first
 topological sort for ``backward``, per-tensor moment arrays for ``Adam``,
-the Gumbel-softmax graph for ``gumbel_argmax`` and ``np.broadcast_to(...).copy()``
-for the gradients of ``tensor_sum`` and ``tensor_mean``.
+the Gumbel-softmax graph for ``gumbel_argmax``, ``np.broadcast_to(...).copy()``
+for the gradients of ``tensor_sum`` and ``tensor_mean``, the adapters' graph
+forward for their array rules, and one graph-trained scheme at a time for
+``harness.train_fixed_schemes``.
 """
 
 import numpy as np
@@ -12,10 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_config
 from nfa import autodiff as ad
-from nfa import cascade, cell, objective
+from nfa import cascade, cell, harness, objective
+from nfa.config import config_from_dict
 from nfa.data import SynthDataConfig, generate_synthetic
-from nfa.search import AdaptiveSearch, SearchConfig, split_dataset
+from nfa.search import AdaptiveSearch, SearchConfig, cascade_loss, split_dataset
 
 ACTIVATIONS = {"tanh": ad.tanh, "relu": ad.relu, "sigmoid": ad.sigmoid, "linear": None}
 
@@ -269,3 +273,133 @@ def test_gumbel_argmax_keeps_checks():
     for sample in (cell.gumbel_argmax, lambda a, t, r: cell.gumbel_softmax(a, t, rng=r, hard=True)):
         with pytest.raises(ad.NonFiniteError):
             sample(alpha, 1.0, rng)
+
+
+# -- stacked fixed-scheme training ----------------------------------------------
+
+
+def stacked_copies(params, copies, rng):
+    """Random values for ``params`` stacked as ``cell.NfaCell.stacked_params`` stacks them."""
+    return {name: rng.normal(size=(copies,) + (1,) * (2 - t.value.ndim) + t.shape)
+            for name, t in params.items()}
+
+
+@pytest.mark.parametrize("kind", sorted(cascade.ADAPTER_KINDS))
+@pytest.mark.parametrize("shared", [True, False])
+def test_adapter_array_rule_matches_graph(kind, shared, rng):
+    adapter = cascade.make_adapter(kind, 8, rng)
+    copies, n = 3, 5
+    values = stacked_copies(adapter.params, copies, rng)
+    x = rng.normal(size=(n, 8) if shared else (copies, n, 8))
+    g = rng.normal(size=(copies, n, 8))
+    stacked = ad.ParameterSet({name: ad.parameter(v.copy()) for name, v in values.items()})
+    out, backward = adapter.forward_array(x, stacked)
+    dx = backward(g, need_x=not shared)
+    assert (dx is None) == shared
+    for k in range(copies):
+        for name, t in adapter.params.items():
+            t.value, t.grad = values[name][k].reshape(t.shape).copy(), None
+        xk = ad.constant(x) if shared else ad.parameter(x[k].copy())
+        y = adapter.forward(xk)
+        ad.backward(ad.tensor_sum(ad.mul(y, ad.constant(g[k]))))
+        assert y.value.tobytes() == out[k].tobytes()
+        for name, t in adapter.params.items():
+            assert t.grad.tobytes() == stacked[name].grad[k].reshape(t.shape).tobytes(), name
+        if not shared:
+            assert xk.grad.tobytes() == dx[k].tobytes()
+
+
+def test_array_rules_check_under_graph_op_names(rng):
+    adapter = cascade.make_adapter("BA", 4, rng)
+    stacked = ad.ParameterSet({name: ad.parameter(v) for name, v
+                               in stacked_copies(adapter.params, 2, rng).items()})
+    stacked["down.W"].value[1, 0, 0] = np.inf
+    with pytest.raises(ad.NonFiniteError, match="op 'matmul'"):
+        adapter.forward_array(rng.normal(size=(3, 4)), stacked)
+    with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError, match="op 'dense'"):
+        cascade.layers_forward([(ad.constant(np.full((4, 4), 1e200)), ad.constant(np.zeros(4)),
+                                 "tanh")], np.full((2, 3, 4), 1e200))
+
+
+def test_stacked_dense_rejects_mismatched_shapes():
+    x, w = np.ones((2, 5, 3)), np.ones((3, 3, 4))
+    with pytest.raises(ad.ShapeError, match="dense"):
+        ad.dense_forward(x, w, np.ones((3, 1, 4)), "tanh")
+    with pytest.raises(ad.ShapeError, match="bias"):
+        ad.dense_forward(x, w[:2], np.ones((2, 5, 4)), "tanh")
+
+
+def graph_fixed_scheme(model, cells, scheme, train, val, lr, epochs, batch_size, seed):
+    """One scheme trained alone on the graph, in place: the loop that
+    ``harness.train_fixed_schemes`` replaces."""
+    opt = ad.Adam(cell.scheme_params(cells, scheme), lr=lr)
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x04AC]))
+    for _ in range(epochs if len(opt.params) else 0):
+        for batch in train.batches(batch_size, rng):
+            opt.minimize(cascade_loss(model, cells, scheme, batch))
+    return cascade_loss(model, cells, scheme, val).item()
+
+
+def fixed_scheme_config(batch_size=32, **kw):
+    kw = {"preset": "toy3", "pretrain_epochs": 5, "n_source": 256, "n_target": 256,
+          "stage2_epochs": 2} | kw
+    raw = make_config(**kw).raw
+    raw["search"]["batch_size"] = batch_size
+    return config_from_dict(raw)
+
+
+def training_args(cfg, seed):
+    return {"lr": cfg.search.lr_network, "epochs": cfg.search.stage2_epochs,
+            "batch_size": cfg.search.batch_size, "seed": seed}
+
+
+def checksums(cells):
+    return [c.trainable_params().checksum() for c in cells]
+
+
+FIXED_SCHEME_CASES = {
+    "toy3 BA, seed 0": ({}, 0),
+    "toy3 BA, seed 170": ({}, 170),
+    "GA": ({"adapters": ("GA",)}, 1),
+    "BA+GA: 64 schemes, a short last stack": ({"adapters": ("BA", "GA")}, 2),
+    "NA": ({"mode": "NA"}, 3),
+    "batches of 24 from 150 rows": ({"batch_size": 24, "n_target": 300}, 4),
+    "no stage-2 epochs": ({"stage2_epochs": 0}, 5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIXED_SCHEME_CASES))
+def test_stacked_schemes_match_one_at_a_time_on_the_graph(case):
+    kw, seed = FIXED_SCHEME_CASES[case]
+    cfg = fixed_scheme_config(**kw)
+    model, cells, train, val = harness.build_experiment(cfg, seed)
+    space = harness.scheme_space(cells)
+    before = checksums(cells)
+    got = harness.train_fixed_schemes(model, cells, space, train, val, **training_args(cfg, seed))
+    assert checksums(cells) == before  # every scheme starts from the same values
+    want = [graph_fixed_scheme(model, cell.build_cells(model, mode=cfg.mode,
+                                                       adapter_kinds=cfg.adapters, seed=seed),
+                               scheme, train, val, **training_args(cfg, seed))
+            for scheme in space]
+    assert [repr(v) for v in got] == [repr(v) for v in want]
+
+
+def test_one_toy6_scheme_matches_graph():
+    cfg = fixed_scheme_config(preset="toy6")
+    model, cells, train, val = harness.build_experiment(cfg, 6)
+    # fine-tune on the shared input, then every path with an input gradient
+    scheme = ("finetune", "adapter:BA", "frozen", "adapter:BA", "frozen", "finetune")
+    got = harness.train_fixed_scheme(model, cells, scheme, train, val, **training_args(cfg, 6))
+    want = graph_fixed_scheme(model, cells, scheme, train, val, **training_args(cfg, 6))
+    assert repr(got) == repr(want)
+
+
+def test_stacked_schemes_reject_what_the_graph_rejects():
+    cfg = fixed_scheme_config()
+    model, cells, train, val = harness.build_experiment(cfg, 0)
+    args = training_args(cfg, 0)
+    with pytest.raises(ValueError, match="cell has no path 'adapter:GA'"):
+        harness.train_fixed_schemes(model, cells, [("frozen",) * 3, ("frozen", "adapter:GA", "frozen")],
+                                    train, val, **args)
+    with pytest.raises(ValueError, match="names 2 paths for 3 cells"):
+        harness.train_fixed_scheme(model, cells, ("frozen", "finetune"), train, val, **args)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_config
+from nfa import autodiff as ad
 from nfa import cascade, cli, harness
 from nfa.config import ConfigError, config_from_dict, config_hash, load_config
 from nfa.data import SynthDataConfig, generate_synthetic, target_label_permutation
@@ -550,6 +551,24 @@ class TestOracle:
         with pytest.raises(ValueError, match="cap"):
             harness.enumerate_oracle(cfg, seed=0, cap=10)
 
+    def test_over_cap_refused_before_pretraining(self, monkeypatch):
+        calls = TestPretrainedMemo.counting_pretrain(monkeypatch)
+        with pytest.raises(ValueError, match=r"scheme space has 729 entries \(> cap 243\)"):
+            harness.enumerate_oracle(fast_config(preset="toy6"), seed=0)
+        assert calls == []
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_nonpositive_cap_is_error(self, monkeypatch, cap):
+        calls = TestPretrainedMemo.counting_pretrain(monkeypatch)
+        with pytest.raises(ValueError, match=f"oracle cap must be positive, got {cap}"):
+            harness.enumerate_oracle(fast_config(), seed=0, cap=cap)
+        assert calls == []
+
+    def test_non_finite_training_raises_instead_of_ranking(self):
+        cfg = fast_config(lr_network=1e300)
+        with pytest.raises(ad.NonFiniteError, match="non-finite values in tensor produced by op"):
+            harness.enumerate_oracle(cfg, seed=0)
+
     def test_rank(self):
         entries = [harness.OracleEntry(("a",), 0.1), harness.OracleEntry(("b",), 0.2)]
         assert harness.oracle_rank(entries, ("b",)) == 2
@@ -640,6 +659,14 @@ class TestCli:
         assert cli.main(["run", "--config", str(p)]) == 1
         assert "seed must be nonnegative, got -1" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("cap", ["0", "-5", "2.5"])
+    def test_nonpositive_cap_option_is_usage_error(self, tmp_path, capsys, cap):
+        cfg = self.write_cfg(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["oracle", "--config", str(cfg), "--cap", cap])
+        assert exit_info.value.code == 2
+        assert f"argument --cap: expected a positive integer, got '{cap}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "oracle", "pretrain"])
     def test_negative_seed_option_is_error_exit(self, tmp_path, capsys, command):
