@@ -447,11 +447,10 @@ class Adam:
         for (_, p), (a, b) in zip(self.params.items(), self._spans.values()):
             p.value -= update[a:b].reshape(p.shape)
 
-    def minimize(self, loss, idle=()):
-        """One training step: zero this optimizer's gradients, backpropagate
-        ``loss``, update, and return the loss value.
+    def clear_grads(self, idle=()):
+        """Zero this optimizer's gradients before a step's backward pass.
 
-        ``idle`` names parameters that ``loss`` does not reach by design; they
+        ``idle`` names parameters that the step does not reach by design; they
         take an exact zero gradient, so their moments decay and the momentum
         step moves them as if the zeros had been backpropagated. Any other
         parameter left without a gradient still fails the step."""
@@ -459,6 +458,11 @@ class Adam:
         for name in idle:
             p = self.params[name]
             p.grad = np.zeros(p.shape)
+
+    def minimize(self, loss, idle=()):
+        """One training step: :meth:`clear_grads`, backpropagate ``loss``,
+        update, and return the loss value."""
+        self.clear_grads(idle)
         backward(loss)
         self.step()
         return loss.item()

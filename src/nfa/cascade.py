@@ -187,15 +187,16 @@ def layers_forward(layers, x, keep=True):
     return x, tape
 
 
-def layers_backward(tape, g, need_x):
+def layers_backward(tape, g, need_x, params=True):
     """Sweep a tape of :func:`layers_forward` backward from the output
-    gradient ``g``: each trainable ``W`` and ``b`` takes its ``grad``. Returns
-    the input gradient, or None unless ``need_x``."""
+    gradient ``g``: unless ``params`` is false, each trainable ``W`` and ``b``
+    takes its ``grad``. Returns the input gradient, or None unless ``need_x``."""
     for i in range(len(tape) - 1, -1, -1):
         x, w, b, act, z, y = tape[i]
+        train = params and w.requires_grad
         g, dw, db = ad.dense_backward(g, x, w.value, b.shape, act, z, y, need_x or i > 0,
-                                      w.requires_grad, b.requires_grad)
-        if w.requires_grad:
+                                      train, train and b.requires_grad)
+        if train:
             w.grad, b.grad = dw, db
     return g
 
@@ -216,10 +217,23 @@ def _mse_grad(pred, target):
     return t + t  # mul(diff, diff) gets one contribution per input
 
 
+def checked_labels(labels, logits_shape):
+    """``labels`` as an array, checked to hold one class index in ``[0, L)``
+    for each of the ``n`` rows of logits of shape ``(..., n, L)``."""
+    labels = np.asarray(labels)
+    n, width = logits_shape[-2:]
+    if labels.shape != (n,):
+        raise ad.ShapeError(f"labels shape {labels.shape} does not match batch {n}")
+    if labels.min() < 0 or labels.max() >= width:
+        raise ValueError(f"labels must lie in [0, {width}), got range [{labels.min()}, {labels.max()}]")
+    return labels
+
+
 def _nll(logits, labels):
     """``(loss, probs, onehot)`` of ``ad.nll(ad.softmax_lastdim(logits),
     labels)``, computed and checked as that graph does. ``logits`` is
     ``(n, L)`` or stacked ``(S, n, L)``, one loss per scheme."""
+    labels = checked_labels(labels, logits.shape)
     probs = ad.softmax(logits)
     ad.check_finite(probs, "softmax_lastdim")
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -238,14 +252,19 @@ def _nll(logits, labels):
     return loss, probs, onehot
 
 
-def _nll_grad(logits, labels):
-    """The gradient of :func:`_nll`'s loss with respect to ``logits``,
-    computed as the graph computes it; stacked logits give each scheme the
-    gradient of its own loss."""
-    _, probs, onehot = _nll(logits, labels)
-    g = np.full(probs.shape[:-1], -1.0 / probs.shape[-2])
+def _nll_backward(probs, onehot, g=1.0):
+    """The gradient with respect to the logits of :func:`_nll`'s loss from
+    its ``probs`` and ``onehot`` and the loss's own gradient ``g``, computed
+    as the graph computes it; stacked logits give each scheme the gradient
+    of its own loss."""
+    g = np.full(probs.shape[:-1], (g * -1.0) / probs.shape[-2])
     g = np.full(probs.shape, np.expand_dims(g, -1)) * onehot
     return ad.softmax_backward(g / probs, probs)
+
+
+def _nll_grad(logits, labels):
+    """The gradient of :func:`_nll`'s loss with respect to ``logits``."""
+    return _nll_backward(*_nll(logits, labels)[1:])
 
 
 class BottleneckAdapter:
@@ -278,21 +297,24 @@ class BottleneckAdapter:
 
     def forward_array(self, x, params):
         """:meth:`forward` on the array ``x`` without a graph, with ``params``
-        named as this adapter's and stacked over schemes (see
+        named as this adapter's, either its own or stacked over schemes (see
         :func:`ad.dense_forward`). Returns the output and a function from its
-        gradient to ``x``'s (None unless asked) that stores each parameter's
-        gradient. Two dense rules and the skip; arrays are checked as the
-        graph's ops."""
+        gradient to ``x``'s (None unless ``need_x``) that stores each
+        parameter's gradient unless ``params`` is false. Two dense rules and
+        the skip; arrays are checked as the graph's ops."""
         dw, db, uw, ub = (params[k] for k in ("down.W", "down.b", "up.W", "up.b"))
         zd, h = ad.dense_forward(x, dw.value, db.value, "tanh", affine=True)
         zu, _ = ad.dense_forward(h, uw.value, ub.value, "linear", affine=True)
         out = x + zu
         ad.check_finite(out, "add")
 
-        def backward(g, need_x):
-            dh, uw.grad, ub.grad = ad.dense_backward(g, h, uw.value, ub.shape, "linear", zu, zu)
-            dx, dw.grad, db.grad = ad.dense_backward(dh, x, dw.value, db.shape, "tanh", zd, h,
-                                                     need_x=need_x)
+        def backward(g, need_x, params=True):
+            dh, g_uw, g_ub = ad.dense_backward(g, h, uw.value, ub.shape, "linear", zu, zu,
+                                               need_w=params, need_b=params)
+            dx, g_dw, g_db = ad.dense_backward(dh, x, dw.value, db.shape, "tanh", zd, h,
+                                               need_x=need_x, need_w=params, need_b=params)
+            if params:
+                uw.grad, ub.grad, dw.grad, db.grad = g_uw, g_ub, g_dw, g_db
             return g + dx if need_x else None  # the skip's gradient, then the down projection's
 
         return out, backward
@@ -348,12 +370,14 @@ class GatedAdapter:
         out = kept + mixed
         ad.check_finite(out, "add")
 
-        def backward(g, need_x):
+        def backward(g, need_x, params=True):
             d_gate = g * x + (g * expanded) * -1.0  # through the mul, then the scale
-            dxe, ew.grad, eb.grad = ad.dense_backward(g * one_minus_g, x, ew.value, eb.shape,
-                                                      "linear", expanded, expanded, need_x=need_x)
-            dxg, gw.grad, gb.grad = ad.dense_backward(d_gate, x, gw.value, gb.shape, "sigmoid",
-                                                      zg, gate, need_x=need_x)
+            dxe, g_ew, g_eb = ad.dense_backward(g * one_minus_g, x, ew.value, eb.shape, "linear",
+                                                expanded, expanded, need_x, params, params)
+            dxg, g_gw, g_gb = ad.dense_backward(d_gate, x, gw.value, gb.shape, "sigmoid", zg, gate,
+                                                need_x, params, params)
+            if params:
+                ew.grad, eb.grad, gw.grad, gb.grad = g_ew, g_eb, g_gw, g_gb
             return (g * gate + dxe) + dxg if need_x else None  # mul, expand, gate
 
         return out, backward

@@ -54,12 +54,6 @@ class PathWeights:
             raise ValueError(f"hard path weights must be one-hot, got {v}")
 
 
-def one_hot_weights(n_paths, index):
-    v = np.zeros(n_paths)
-    v[index] = 1.0
-    return PathWeights(ad.constant(v), hard=True)
-
-
 def _check_tau(tau):
     if tau <= 0:
         raise ValueError(f"gumbel_softmax temperature must be positive, got {tau}")
@@ -123,7 +117,11 @@ class NfaCell:
         self.paths = cell_paths(mode, adapter_kinds)
         self._adapter_of = dict.fromkeys(self.paths)
         self._adapter_of.update((adapter_choice(a.kind), a) for a in self.adapters)
-        # what each path trains, built once: the penalty and the steps read it
+        # what each path trains, built once: under the names its forward reads,
+        # and under the path's prefix for the penalty and the optimizers
+        own = {FROZEN: ParameterSet(), FINETUNE: self.finetune_params}
+        own.update((adapter_choice(a.kind), a.params) for a in self.adapters)
+        self._own_of = {path: own[path] for path in self.paths}
         self._params_of = {path: self._path_params(path) for path in self.paths}
         self.alpha = Tensor(np.zeros(len(self.paths)), requires_grad=True)
 
@@ -142,29 +140,14 @@ class NfaCell:
         """Trainable parameters of one path (frozen contributes nothing)."""
         return self.params_for_choice(path).count
 
-    def _path_output(self, path, x, base):
+    def forward(self, x, path):
+        """The graph of ``path`` alone on ``x``; the backbone forward runs
+        only if ``path`` is not fine-tune."""
         adapter = self._adapter(path)
-        if adapter is not None:
-            return adapter.forward(base)
-        return self.module.forward(x, self.finetune_params) if path == FINETUNE else base
-
-    def forward(self, x, weights):
-        """A path name runs that path alone (the backbone forward only if it is
-        not fine-tune); ``PathWeights`` give the weighted sum of every path's
-        output, the frozen and adapter paths sharing one backbone forward."""
-        if isinstance(weights, str):
-            base = None if weights == FINETUNE else self.module.forward(x)
-            return self._path_output(weights, x, base)
-        if weights.values.shape != (self.n_paths,):
-            raise ad.ShapeError(
-                f"cell {self.index}: got {weights.values.shape[0]} weights for {self.n_paths} paths"
-            )
+        if path == FINETUNE:
+            return self.module.forward(x, self.finetune_params)
         base = self.module.forward(x)
-        out = None
-        for k, path in enumerate(self.paths):
-            term = ad.mul(ad.index_lastdim(weights.weights, k), self._path_output(path, x, base))
-            out = term if out is None else ad.add(out, term)
-        return out
+        return base if adapter is None else adapter.forward(base)
 
     def discretize(self):
         """Argmax over alpha; ties break toward the fewest trainable params,
@@ -189,17 +172,16 @@ class NfaCell:
         self._adapter(choice)  # raises for a path this cell does not have
         return self._params_of[choice]
 
+    def own_params(self, path):
+        """What ``path`` trains, under the names its forward reads (the cell's
+        own set, shared by every caller)."""
+        self._adapter(path)  # raises for a path this cell does not have
+        return self._own_of[path]
+
     def _path_params(self, path):
         adapter = self._adapter(path)
         prefix = "finetune." if adapter is None else f"adapter.{adapter.kind}."
-        return ParameterSet().merge(self._own_params(path), prefix=prefix)
-
-    def _own_params(self, path):
-        """What ``path`` trains, under the names its forward reads."""
-        adapter = self._adapter(path)
-        if adapter is not None:
-            return adapter.params
-        return self.finetune_params if path == FINETUNE else ParameterSet()
+        return ParameterSet().merge(self._own_of[path], prefix=prefix)
 
     def stacked_params(self, path, copies):
         """``copies`` trainable copies of what ``path`` trains, stacked on a
@@ -207,7 +189,22 @@ class NfaCell:
         return ParameterSet({
             name: Tensor(np.repeat(t.value.reshape((1,) * (3 - t.value.ndim) + t.shape), copies, 0),
                          requires_grad=True)
-            for name, t in self._own_params(path).items()})
+            for name, t in self.own_params(path).items()})
+
+    def forward_path(self, path, x, params, backbone=None, keep=True):
+        """``path`` on the array ``x`` without a graph, training ``params``
+        (this cell's own, or :meth:`stacked_params` of them). ``backbone`` is
+        the frozen module's ``(output, tape)`` on ``x`` when already run.
+        Returns the output and its backward ``(g, need_x, params=True)``,
+        which stores each parameter's gradient unless ``params`` is false and
+        returns ``x``'s gradient (None unless ``need_x``)."""
+        if path == FINETUNE:
+            y, tape = layers_forward(self.module.layers(params), x, keep)
+            return y, _tape_backward(tape)
+        base, tape = backbone if backbone is not None else layers_forward(self.module.layers(), x, keep)
+        adapter = self._adapter(path)
+        y, inner = (base, None) if adapter is None else adapter.forward_array(base, params)
+        return y, _tape_backward(tape, frozen=True, inner=inner)
 
     def forward_stacked(self, x, groups, keep=True):
         """The cell on the array ``x`` without a graph, for schemes stacked on a
@@ -215,26 +212,22 @@ class NfaCell:
         positions of the schemes that run ``path`` and its
         :meth:`stacked_params` for them. ``x`` is ``(S, n, a)``, or ``(n, a)``
         when every scheme has the same input; then the backbone runs once for
-        every path that uses it.
+        every path that uses it. One scheme may also run alone, as the single
+        group ``(path, None, params)`` on this cell's own parameters: then
+        ``x``, the output and their gradients have no scheme axis.
 
-        Returns the ``(S, n, b)`` output, each group's rows put in place by
-        index, and a function from its gradient to ``x``'s (None unless
-        asked) that stores each stacked parameter's gradient. Without
-        ``keep`` nothing is kept for that function."""
+        Returns the output, each group's rows put in place by index, and a
+        function from its gradient to ``x``'s (None unless asked) that stores
+        each parameter's gradient. Without ``keep`` nothing is kept for that
+        function."""
         shared = x.ndim == 2
         backbone = (layers_forward(self.module.layers(), x, keep)
                     if shared and any(path != FINETUNE for path, _, _ in groups) else None)
         out, backs = None, []
         for path, positions, params in groups:
-            xin = x if shared else x[positions]
-            if path == FINETUNE:
-                y, tape = layers_forward(self.module.layers(params), xin, keep)
-                back = _tape_backward(tape)
-            else:
-                base, tape = backbone if shared else layers_forward(self.module.layers(), xin, keep)
-                adapter = self._adapter(path)
-                y, inner = (base, None) if adapter is None else adapter.forward_array(base, params)
-                back = _tape_backward(tape, frozen=True, inner=inner)
+            y, back = self.forward_path(path, x if shared else x[positions], params, backbone, keep)
+            if positions is None:  # one scheme alone
+                return y, back
             if keep:
                 backs.append((positions, back))
             if out is None:
@@ -251,17 +244,56 @@ class NfaCell:
 
         return out, backward
 
+    def forward_mixed(self, x, weights):
+        """The sum of every path's output on the array ``x`` weighted by the
+        ``PathWeights`` ``weights``, without a graph. The frozen backbone runs
+        once, shared by the frozen and adapter paths, and each weighted term
+        and partial sum is checked as the graph's ``mul`` and ``add``.
+
+        Returns the output and a function from its gradient ``g`` to
+        ``(the weights' gradient, x's gradient or None unless asked)``. It
+        sweeps back only the path of weight 1.0, so it needs hard weights:
+        every other path's weight is exactly 0.0. No network parameter takes a
+        gradient."""
+        w = weights.values
+        if w.shape != (self.n_paths,):
+            raise ad.ShapeError(f"cell {self.index}: got {w.shape[0]} weights for {self.n_paths} paths")
+        backbone = layers_forward(self.module.layers(), x)
+        out, outs, backs = None, [], []
+        for k, path in enumerate(self.paths):
+            y, back = self.forward_path(path, x, self._own_of[path], backbone)
+            term = w[k] * y
+            ad.check_finite(term, "mul")
+            if out is None:
+                out = term
+            else:
+                out = out + term
+                ad.check_finite(out, "add")
+            outs.append(y)
+            backs.append(back)
+
+        def backward(g, need_x):
+            if not weights.hard:
+                raise ValueError("the mixed backward sweeps one path: it needs hard weights")
+            # as each path's mul and index_lastdim: the weight's gradient is
+            # (g * y) summed to a scalar, and the paths' one-hot contributions
+            # are added, which turns a -0.0 into +0.0
+            grad = np.zeros(self.n_paths) + [(g * y).sum(axis=0).sum(axis=0) for y in outs]
+            return grad, backs[int(np.argmax(w))](g, need_x, params=False) if need_x else None
+
+        return out, backward
+
 
 def _tape_backward(tape, frozen=False, inner=None):
-    """The input gradient function of a path: ``inner`` (an adapter's
-    backward) and then the module's layers on ``tape``; a frozen backbone is
-    swept only for the input gradient."""
-    def backward(g, need_x):
+    """The backward of a path: ``inner`` (an adapter's backward) and then the
+    module's layers on ``tape``; a frozen backbone is swept only for the
+    input gradient."""
+    def backward(g, need_x, params=True):
         if inner is not None:
-            g = inner(g, need_x)
-        if frozen and not need_x:
+            g = inner(g, need_x, params)
+        if not need_x and (frozen or not params):
             return None
-        return layers_backward(tape, g, need_x)
+        return layers_backward(tape, g, need_x, params)
     return backward
 
 
@@ -275,39 +307,55 @@ def build_cells(model, mode="NFA", adapter_kinds=("BA",), seed=0):
     return cells
 
 
-def cascade_forward(model, cells, x, weights_per_cell):
-    """Run the whole cascade through its cells, honoring stage boundaries.
-    ``weights_per_cell`` is a scheme (one path name per cell) or one
-    ``PathWeights`` per cell."""
+def _check_cascade(model, cells, per_cell):
     if len(cells) != len(model.modules):
         raise ValueError(f"{len(cells)} cells for {len(model.modules)} modules")
-    if len(weights_per_cell) != len(cells):
-        raise ValueError(f"{len(weights_per_cell)} weight vectors for {len(cells)} cells")
+    if len(per_cell) != len(cells):
+        raise ValueError(f"{len(per_cell)} weight vectors for {len(cells)} cells")
+
+
+def cascade_forward(model, cells, x, scheme):
+    """The graph of the whole cascade when each cell runs its path of
+    ``scheme`` (one path name per cell), honoring stage boundaries."""
+    _check_cascade(model, cells, scheme)
     h = x
     for i, cell in enumerate(cells):
-        h = cell.forward(h, weights_per_cell[i])
+        h = cell.forward(h, scheme[i])
         if model.softmax_after[i]:
             h = ad.softmax_lastdim(h)
     return h
 
 
-def cascade_forward_stacked(model, cells, plan, x, keep=True):
-    """:func:`cascade_forward` on the array ``x`` without a graph, for schemes
-    stacked on a leading axis: ``plan`` holds each cell's groups (see
-    :meth:`NfaCell.forward_stacked`). Returns the ``(S, n, L)`` logits and a
-    function that sweeps their gradient back into every stacked parameter's
-    ``grad``; the sweep stops at the first cell where some scheme trains.
-    Without ``keep`` nothing is kept for that function."""
+def _forward_arrays(model, cells, x, cell_forward, keep=True):
+    """The cascade on the array ``x`` without a graph, cell ``i`` run by
+    ``cell_forward(i, cell, h) -> (h, backward)``. Returns the output and,
+    per cell unless not ``keep``, its backward and the softmax output after
+    it (None where no softmax follows)."""
     ad.check_finite(x, "leaf")
     h, backs = x, []
-    for i, (cell, groups) in enumerate(zip(cells, plan)):
-        h, back = cell.forward_stacked(h, groups, keep)
+    for i, cell in enumerate(cells):
+        h, back = cell_forward(i, cell, h)
         s = None
         if model.softmax_after[i]:
             h = s = ad.softmax(h)
             ad.check_finite(s, "softmax_lastdim")
         if keep:
             backs.append((back, s))
+    return h, backs
+
+
+def cascade_forward_stacked(model, cells, plan, x, keep=True):
+    """:func:`cascade_forward` on the array ``x`` without a graph, for schemes
+    stacked on a leading axis: ``plan`` holds each cell's groups (see
+    :meth:`NfaCell.forward_stacked`; :func:`scheme_plan` runs one scheme on
+    the cells' own parameters). Returns the ``(S, n, L)`` logits, ``(n, L)``
+    for one scheme alone, and a function that sweeps their gradient back
+    into every trained parameter's ``grad``; the sweep stops at the first
+    cell where some scheme trains. Without ``keep`` nothing is kept for that
+    function."""
+    _check_cascade(model, cells, plan)
+    h, backs = _forward_arrays(model, cells, x,
+                               lambda i, cell, h: cell.forward_stacked(h, plan[i], keep), keep)
     first = next((i for i, groups in enumerate(plan) if any(len(p) for _, _, p in groups)), len(plan))
 
     def backward(g):
@@ -320,9 +368,31 @@ def cascade_forward_stacked(model, cells, plan, x, keep=True):
     return h, backward
 
 
-def scheme_weights(cells, scheme):
-    """Constant one-hot path weights that deploy ``scheme`` (one path per cell)."""
-    return [one_hot_weights(c.n_paths, c.paths.index(choice)) for c, choice in zip(cells, scheme)]
+def cascade_forward_mixed(model, cells, weights_per_cell, x):
+    """The cascade on the array ``x`` without a graph when each cell mixes
+    its paths by its hard ``PathWeights`` (see :meth:`NfaCell.forward_mixed`).
+    Returns the logits and a function from their gradient to each cell's
+    weight gradient; no network parameter takes a gradient."""
+    _check_cascade(model, cells, weights_per_cell)
+    h, backs = _forward_arrays(model, cells, x,
+                               lambda i, cell, h: cell.forward_mixed(h, weights_per_cell[i]))
+
+    def backward(g):
+        grads = [None] * len(backs)
+        for i in range(len(backs) - 1, -1, -1):
+            back, s = backs[i]
+            if s is not None:
+                g = ad.softmax_backward(g, s)
+            grads[i], g = back(g, i > 0)
+        return grads
+
+    return h, backward
+
+
+def scheme_plan(cells, scheme):
+    """The plan of :func:`cascade_forward_stacked` that runs ``scheme`` (one
+    path name per cell) alone on the cells' own parameters."""
+    return [[(choice, None, c.own_params(choice))] for c, choice in zip(cells, scheme)]
 
 
 def scheme_params(cells, scheme):

@@ -21,11 +21,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParameterSet, Tensor
-from .cascade import STAGES, _nll, _nll_grad, build_cascade, pretrain_upstream
+from .cascade import STAGES, _nll, build_cascade, pretrain_upstream
 from .cell import arch_group, build_cells, cascade_forward_stacked, cell_paths, network_group
 from .config import ExperimentConfig, config_hash
 from .data import SynthDataConfig, generate_synthetic
-from .search import AdaptiveSearch, split_dataset
+from .search import AdaptiveSearch, scheme_step, split_dataset
 
 OUTPUT_ROOT_ENV = "NFA_OUTPUT_ROOT"
 DEFAULT_ORACLE_CAP = 243
@@ -435,18 +435,11 @@ def train_fixed_schemes(model, cells, schemes, train, val, lr, epochs, batch_siz
             rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x04AC]))
             for _ in range(epochs):
                 for batch in train.batches(batch_size, rng):
-                    _step(model, cells, plan, batch, opt)
+                    scheme_step(model, cells, plan, batch, opt)
         for k in range(len(chunk)):
             logits, _ = cascade_forward_stacked(model, cells, _one_scheme(plan, k), val.x, keep=False)
             losses.append(float(_nll(logits, val.labels)[0][0]))
     return losses
-
-
-def _step(model, cells, plan, batch, opt):
-    """One training step of the stacked schemes; the tape dies with it."""
-    logits, backward = cascade_forward_stacked(model, cells, plan, batch.x)
-    backward(_nll_grad(logits, batch.labels))
-    opt.step()
 
 
 def train_fixed_scheme(model, cells, scheme, train, val, lr, epochs, batch_size, seed):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .cascade import checked_labels
 from .cell import FROZEN
 
 PFR_POLICIES = ("zero", "constant", "half_finetune")
@@ -56,6 +57,16 @@ def penalty_counts(cell, cfg: PenaltyConfig):
     return np.asarray(counts, dtype=np.float64)
 
 
+def _normalized_counts(cells, cfg):
+    """Per cell, its penalty counts and 1 / their sum."""
+    for cell in cells:
+        counts = penalty_counts(cell, cfg)
+        denom = counts.sum()
+        if denom == 0:
+            raise ValueError(f"cell {cell.index}: all penalty counts are zero")
+        yield counts, 1.0 / denom
+
+
 def penalty(cells, weights_per_cell, cfg: PenaltyConfig):
     """Sum over cells of (weights . counts) / sum(counts), differentiable in
     the architecture weights. Each adapter path contributes its own term and
@@ -63,27 +74,32 @@ def penalty(cells, weights_per_cell, cfg: PenaltyConfig):
     if len(weights_per_cell) != len(cells):
         raise ValueError(f"{len(weights_per_cell)} weight vectors for {len(cells)} cells")
     total = None
-    for cell, w in zip(cells, weights_per_cell):
-        counts = penalty_counts(cell, cfg)
-        denom = counts.sum()
-        if denom == 0:
-            raise ValueError(f"cell {cell.index}: all penalty counts are zero")
-        term = ad.scale(ad.tensor_sum(ad.mul(w.weights, ad.constant(counts))), 1.0 / denom)
+    for w, (counts, inv) in zip(weights_per_cell, _normalized_counts(cells, cfg)):
+        term = ad.scale(ad.tensor_sum(ad.mul(w.weights, ad.constant(counts))), inv)
         total = term if total is None else ad.add(total, term)
     return total
 
 
+def scheme_penalty(cells, scheme, cfg: PenaltyConfig):
+    """The penalty of deploying ``scheme`` (one path name per cell), as a
+    float: per cell, the count of its path times 1 / the sum of its counts,
+    added in cell order. This is :func:`penalty` of the scheme's one-hot
+    weights bit for bit, since a one-hot vector times the counts sums to
+    that count exactly."""
+    if len(scheme) != len(cells):
+        raise ValueError(f"{len(scheme)} weight vectors for {len(cells)} cells")
+    total = None
+    for cell, choice, (counts, inv) in zip(cells, scheme, _normalized_counts(cells, cfg)):
+        term = counts[cell.paths.index(choice)] * inv
+        total = term if total is None else total + term
+    return float(total)
+
+
 def task_loss(logits, labels):
     """Mean cross-entropy of the final-stage logits over the batch."""
-    labels = np.asarray(labels)
     if logits.value.ndim != 2:
         raise ad.ShapeError(f"task_loss expects (batch, L) logits, got {logits.shape}")
-    n, width = logits.shape
-    if labels.shape != (n,):
-        raise ad.ShapeError(f"labels shape {labels.shape} does not match batch {n}")
-    if labels.min() < 0 or labels.max() >= width:
-        raise ValueError(f"labels must lie in [0, {width}), got range [{labels.min()}, {labels.max()}]")
-    return ad.nll(ad.softmax_lastdim(logits), labels)
+    return ad.nll(ad.softmax_lastdim(logits), checked_labels(labels, logits.shape))
 
 
 def total_loss(task, pen, cfg: PenaltyConfig):

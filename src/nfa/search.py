@@ -15,8 +15,9 @@ import numpy as np
 
 from . import autodiff as ad
 from . import objective
-from .cell import (arch_group, cascade_forward, gumbel_argmax, gumbel_softmax, network_group,
-                   scheme_params, scheme_weights)
+from .cascade import _nll, _nll_backward
+from .cell import (arch_group, cascade_forward, cascade_forward_mixed, cascade_forward_stacked,
+                   gumbel_argmax, gumbel_softmax, network_group, scheme_params, scheme_plan)
 
 
 @dataclass(frozen=True)
@@ -85,11 +86,39 @@ def split_dataset(data, ratio, seed):
     return data.subset(order[:n_train]), data.subset(order[n_train:])
 
 
-def cascade_loss(model, cells, weights_per_cell, data):
-    """The task loss of the cascade on the rows of ``data`` when each cell runs
-    its entry of ``weights_per_cell`` (a path name or ``PathWeights``)."""
-    logits = cascade_forward(model, cells, ad.constant(data.x), weights_per_cell)
+def cascade_loss(model, cells, scheme, data):
+    """The graph of the task loss of the cascade on the rows of ``data`` when
+    each cell runs its path of ``scheme``."""
+    logits = cascade_forward(model, cells, ad.constant(data.x), scheme)
     return objective.task_loss(logits, data.labels)
+
+
+def mixed_task_loss(model, cells, weights_per_cell, data):
+    """The task loss of the cascade on the rows of ``data`` when each cell
+    mixes its paths by its hard ``PathWeights``, as one graph node over the
+    weights: the cascade and the loss run without a graph
+    (``cell.cascade_forward_mixed``), and the node's backward returns each
+    cell's weight gradient."""
+    logits, backward = cascade_forward_mixed(model, cells, weights_per_cell, data.x)
+    loss, probs, onehot = _nll(logits, data.labels)
+    inputs = tuple(w.weights for w in weights_per_cell)
+    return ad.Tensor(loss, requires_grad=any(t.requires_grad for t in inputs), op="task_loss",
+                     inputs=inputs, backward_fn=lambda g: backward(_nll_backward(probs, onehot, g)))
+
+
+def scheme_step(model, cells, plan, batch, opt, idle=()):
+    """One training step of the schemes of ``plan`` (see
+    ``cell.cascade_forward_stacked``) without a graph, as ``opt.minimize``
+    on their loss graph: the forward, ``opt.clear_grads(idle)``, the
+    closed-form cross-entropy gradient swept into every trained parameter's
+    ``grad``, and one Adam step. Returns the loss, one per scheme when
+    stacked."""
+    logits, backward = cascade_forward_stacked(model, cells, plan, batch.x)
+    loss, probs, onehot = _nll(logits, batch.labels)
+    opt.clear_grads(idle)
+    backward(_nll_backward(probs, onehot))
+    opt.step()
+    return loss
 
 
 class AdaptiveSearch:
@@ -136,12 +165,13 @@ class AdaptiveSearch:
     # -- steps -----------------------------------------------------------
 
     def arch_step(self, val_batch):
-        """One architecture update on a validation batch. Network gradients
-        are computed by the same backward pass and then discarded."""
+        """One architecture update on a validation batch. Only alpha's graph
+        is built: the sampled weights, the penalty and the task loss as one
+        node (:func:`mixed_task_loss`); no network gradient is computed."""
         if len(val_batch) == 0:
             raise ValueError("arch_step needs a nonempty batch")
         weights = self.sample_weights()
-        task = cascade_loss(self.model, self.cells, weights, val_batch)
+        task = mixed_task_loss(self.model, self.cells, weights, val_batch)
         pen = objective.penalty(self.cells, weights, self.penalty_cfg)
         total = self.opt_arch.minimize(objective.total_loss(task, pen, self.penalty_cfg))
         self.state.val_ids_seen.update(int(i) for i in val_batch.ids)
@@ -152,19 +182,24 @@ class AdaptiveSearch:
         the penalty (a function of alpha alone) is excluded.
 
         Each cell's path is sampled as in ``arch_step`` (same Gumbel draws,
-        no graph), and only the sampled path is forwarded and backpropagated:
-        the straight-through gradient into alpha would be discarded. The unsampled
-        paths' parameters take an exact zero gradient, which is what the
-        all-path backward gave them."""
+        no graph), and only the sampled path is forwarded and backpropagated,
+        without a graph: the straight-through gradient into alpha would be
+        discarded. The unsampled paths' parameters take an exact zero
+        gradient, which is what the all-path backward gave them."""
         if len(train_batch) == 0:
             raise ValueError("net_step needs a nonempty batch")
         scheme = [c.paths[gumbel_argmax(c.alpha, self.tau, self._gumbel_rng)] for c in self.cells]
         live = scheme_params(self.cells, scheme)
         idle = [name for name in self.net_params if name not in live]
-        task = self.opt_net.minimize(cascade_loss(self.model, self.cells, scheme, train_batch),
-                                     idle=idle)
+        task = self._scheme_step(self.opt_net, scheme, train_batch, idle)
         self.state.train_ids_seen.update(int(i) for i in train_batch.ids)
         return task
+
+    def _scheme_step(self, opt, scheme, batch, idle=()):
+        """One :func:`scheme_step` of ``scheme`` on the cells' own parameters;
+        returns the loss as a float."""
+        return float(scheme_step(self.model, self.cells, scheme_plan(self.cells, scheme), batch,
+                                 opt, idle))
 
     def _record_epoch(self, stage, train_loss, val_loss, pen):
         self.state.history.append(EpochRecord(
@@ -218,7 +253,7 @@ class AdaptiveSearch:
         for _ in range(self.cfg.stage2_epochs):
             train_losses = []
             for tb in self.train_data.batches(self.cfg.batch_size, self._train_order_rng):
-                train_losses.append(opt.minimize(cascade_loss(self.model, self.cells, scheme, tb)))
+                train_losses.append(self._scheme_step(opt, scheme, tb))
                 self.state.train_ids_seen.update(int(i) for i in tb.ids)
                 if step_callback:
                     step_callback("net", self)
@@ -230,5 +265,4 @@ class AdaptiveSearch:
         """Task loss (and penalty) of the current discretized architecture."""
         scheme = self.discretization()
         task = cascade_loss(self.model, self.cells, scheme, data)
-        pen = objective.penalty(self.cells, scheme_weights(self.cells, scheme), self.penalty_cfg)
-        return task.item(), pen.item()
+        return task.item(), objective.scheme_penalty(self.cells, scheme, self.penalty_cfg)

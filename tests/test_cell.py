@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import check_grad
+from graph_reference import cell_forward, one_hot_weights
 from nfa import autodiff as ad
 from nfa import cascade, cell
 
@@ -98,22 +99,22 @@ class TestCellForward:
     def test_one_hot_frozen_equals_pretrained_forward(self, rng):
         c = make_cell()
         x = rng.normal(size=(4, 16))
-        out = c.forward(ad.constant(x), cell.one_hot_weights(3, 0))
-        assert np.array_equal(out.value, c.module.forward(ad.constant(x)).value)
+        out, _ = c.forward_mixed(x, one_hot_weights(3, 0))
+        assert np.array_equal(out, c.module.forward(ad.constant(x)).value)
 
     def test_finetune_equals_frozen_at_init(self, rng):
         c = make_cell()
-        x = ad.constant(rng.normal(size=(4, 16)))
-        frozen = c.forward(x, cell.one_hot_weights(3, 0))
-        finetune = c.forward(x, cell.one_hot_weights(3, 1))
-        assert np.array_equal(frozen.value, finetune.value)
+        x = rng.normal(size=(4, 16))
+        frozen, _ = c.forward_mixed(x, one_hot_weights(3, 0))
+        finetune, _ = c.forward_mixed(x, one_hot_weights(3, 1))
+        assert np.array_equal(frozen, finetune)
 
     def test_na_equal_weights_with_zero_init_adapter(self, rng):
         c = make_cell(mode="NA")
-        x = ad.constant(rng.normal(size=(4, 16)))
+        x = rng.normal(size=(4, 16))
         w = cell.PathWeights(ad.constant([0.5, 0.5]), hard=False)
-        out = c.forward(x, w)
-        np.testing.assert_allclose(out.value, c.module.forward(x).value, atol=1e-15)
+        out, _ = c.forward_mixed(x, w)
+        np.testing.assert_allclose(out, c.module.forward(ad.constant(x)).value, atol=1e-15)
 
     def test_finetune_path_skips_backbone_forward(self, rng, monkeypatch):
         c = make_cell()
@@ -144,46 +145,46 @@ class TestCellForward:
 
         def run(path, weights):
             c.trainable_params().zero_grads()
-            out = c.forward(ad.constant(x), weights)
+            out = cell_forward(c, ad.constant(x), weights)
             ad.backward(ad.tensor_sum(ad.mul(out, probe)))
             grads = [t.grad.tobytes() for _, t in c.params_for_choice(path).items()]
             return out.value.tobytes(), grads
 
         for k, path in enumerate(c.paths):
-            assert run(path, path) == run(path, cell.one_hot_weights(c.n_paths, k))
+            assert run(path, path) == run(path, one_hot_weights(c.n_paths, k))
         with pytest.raises(ValueError, match="cell has no path"):
             c.forward(ad.constant(x), "bogus")
 
     def test_weighted_sum_linearity(self, rng):
         c = make_cell()
         c.adapters[0].params["up.W"].value[:] = rng.normal(size=(4, 16)) * 0.3
-        x = ad.constant(rng.normal(size=(3, 16)))
+        x = rng.normal(size=(3, 16))
         w = np.array([0.2, 0.5, 0.3])
-        mixed = c.forward(x, cell.PathWeights(ad.constant(w), hard=False)).value
-        parts = [c.forward(x, cell.one_hot_weights(3, k)).value for k in range(3)]
+        mixed, _ = c.forward_mixed(x, cell.PathWeights(ad.constant(w), hard=False))
+        parts = [c.forward_mixed(x, one_hot_weights(3, k))[0] for k in range(3)]
         np.testing.assert_allclose(mixed, sum(wk * p for wk, p in zip(w, parts)), atol=1e-12)
 
     def test_weight_length_mismatch(self, rng):
         c = make_cell()
         with pytest.raises(ad.ShapeError, match="weights"):
-            c.forward(ad.constant(rng.normal(size=(2, 16))), cell.one_hot_weights(4, 0))
+            c.forward_mixed(rng.normal(size=(2, 16)), one_hot_weights(4, 0))
 
     def test_hard_st_forward_matches_argmax_path(self, rng):
         c = make_cell()
         c.adapters[0].params["up.W"].value[:] = rng.normal(size=(4, 16)) * 0.3
-        x = ad.constant(rng.normal(size=(3, 16)))
+        x = rng.normal(size=(3, 16))
         alpha = ad.parameter([0.1, 0.0, 2.0])
         w = cell.gumbel_softmax(alpha, tau=1.0, noise=False, hard=True)
-        out = c.forward(x, w)
-        pure = c.forward(x, cell.one_hot_weights(3, 2))
-        assert np.array_equal(out.value, pure.value)
+        out, _ = c.forward_mixed(x, w)
+        pure, _ = c.forward_mixed(x, one_hot_weights(3, 2))
+        assert np.array_equal(out, pure)
 
 
 class TestGradientFlow:
     def test_constant_one_hot_gives_no_alpha_gradient(self, rng):
         c = make_cell()
         x = ad.constant(rng.normal(size=(2, 16)))
-        out = c.forward(x, cell.one_hot_weights(3, 0))
+        out = cell_forward(c, x, one_hot_weights(3, 0))
         ad.backward(ad.tensor_sum(ad.mul(out, out)))
         assert c.alpha.grad is None
 
@@ -193,7 +194,7 @@ class TestGradientFlow:
         c.adapters[0].params["up.W"].value[:] = rng.normal(size=(4, 16)) * 0.3
         x = ad.constant(rng.normal(size=(2, 16)))
         w = cell.gumbel_softmax(c.alpha, tau=1.0, noise=False, hard=True)
-        out = c.forward(x, w)
+        out = cell_forward(c, x, w)
         ad.backward(ad.tensor_sum(ad.mul(out, out)))
         assert c.alpha.grad is not None
         assert np.any(c.alpha.grad != 0.0)
@@ -208,7 +209,7 @@ class TestGradientFlow:
             group.zero_grads()
             c.alpha.zero_grad()
             w = cell.gumbel_softmax(c.alpha, tau=1.0, rng=rng, hard=True, noise=True)
-            out = c.forward(x, w)
+            out = cell_forward(c, x, w)
             ad.backward(ad.tensor_sum(ad.mul(out, out)))
             opt.step()
         assert c.module.params.checksum() == before
@@ -221,7 +222,7 @@ class TestGradientFlow:
 
         def loss_for(a):
             w = cell.PathWeights(ad.softmax_lastdim(a), hard=False)
-            out = c.forward(ad.constant(x), w)
+            out = cell_forward(c, ad.constant(x), w)
             return ad.tensor_sum(ad.mul(out, ad.constant(r)))
 
         check_grad(loss_for, np.array([0.3, -0.1, 0.6]))
@@ -272,7 +273,7 @@ class TestTrainableParams:
         with pytest.raises(ValueError, match="cell has no path"):
             c.params_for_choice(path)
         with pytest.raises(ValueError, match="cell has no path"):
-            c._path_output(path, ad.constant(np.ones((1, 16))), ad.constant(np.ones((1, 16))))
+            c.forward(ad.constant(np.ones((1, 16))), path)
 
     def test_duplicate_adapter_kinds_rejected(self):
         with pytest.raises(ValueError, match="duplicate adapter kinds"):
@@ -288,8 +289,8 @@ def test_cascade_forward_with_cells(rng):
     model = cascade.build_cascade(cascade.CascadeSpec(), 5)
     model.freeze()
     cells = cell.build_cells(model, seed=5)
-    weights = [cell.one_hot_weights(c.n_paths, 0) for c in cells]
-    out = cell.cascade_forward(model, cells, ad.constant(rng.normal(size=(3, 16))), weights)
+    weights = [one_hot_weights(c.n_paths, 0) for c in cells]
+    out, _ = cell.cascade_forward_mixed(model, cells, weights, rng.normal(size=(3, 16)))
     assert out.shape == (3, 8)
 
 

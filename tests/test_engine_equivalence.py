@@ -5,15 +5,19 @@ copy: ``affine`` plus an activation op for ``dense``, the depth-first
 topological sort for ``backward``, per-tensor moment arrays for ``Adam``,
 the Gumbel-softmax graph for ``gumbel_argmax``, ``np.broadcast_to(...).copy()``
 for the gradients of ``tensor_sum`` and ``tensor_mean``, the adapters' graph
-forward for their array rules, and one graph-trained scheme at a time for
-``harness.train_fixed_schemes``.
+forward for their array rules, one graph-trained scheme at a time for
+``harness.train_fixed_schemes``, and ``graph_reference.GraphSearch`` (every
+search step on the graph) for the search's graph-free steps.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graph_reference
 from conftest import make_config
 from nfa import autodiff as ad
 from nfa import cascade, cell, harness, objective
@@ -142,8 +146,7 @@ def test_backward_matches_depth_first_sweep_on_arch_step_graph(seed):
     # soft weights: every path of every cell carries a nonzero gradient, so the
     # order in which a node's contributions are summed shows in its bytes
     weights = [cell.gumbel_softmax(c.alpha, s.tau, rng=s._gumbel_rng, hard=False) for c in s.cells]
-    logits = cell.cascade_forward(s.model, s.cells, ad.constant(batch.x), weights)
-    task = objective.task_loss(logits, batch.labels)
+    task = graph_reference.cascade_loss(s.model, s.cells, weights, batch)
     loss = objective.total_loss(task, objective.penalty(s.cells, weights, s.penalty_cfg),
                                 s.penalty_cfg)
     consumers = {}
@@ -294,6 +297,11 @@ def test_adapter_array_rule_matches_graph(kind, shared, rng):
     g = rng.normal(size=(copies, n, 8))
     stacked = ad.ParameterSet({name: ad.parameter(v.copy()) for name, v in values.items()})
     out, backward = adapter.forward_array(x, stacked)
+    if not shared:  # the input-only backward: the same bytes, and no parameter gradient
+        assert backward(g, need_x=True, params=False).tobytes() == backward(g, True).tobytes()
+        stacked.zero_grads()
+        backward(g, need_x=True, params=False)
+        assert all(t.grad is None for _, t in stacked.items())
     dx = backward(g, need_x=not shared)
     assert (dx is None) == shared
     for k in range(copies):
@@ -403,3 +411,131 @@ def test_stacked_schemes_reject_what_the_graph_rejects():
                                     train, val, **args)
     with pytest.raises(ValueError, match="names 2 paths for 3 cells"):
         harness.train_fixed_scheme(model, cells, ("frozen", "finetune"), train, val, **args)
+
+
+# -- search steps without a network graph ----------------------------------------
+
+
+def search_state(s):
+    """Every byte a search step may change: the parameters, both optimizers'
+    moments and step counts, and the sampler's state."""
+    out = [s._gumbel_rng.bit_generator.state]
+    for opt in (s.opt_net, s.opt_arch):
+        out += [opt.t, opt._flat_m.tobytes(), opt._flat_v.tobytes()]
+    for group in (s.net_params, s.arch_params):
+        out += [(name, t.value.tobytes()) for name, t in group.items()]
+    return out
+
+
+def search_pair(batch_size=32, seed=0, **kw):
+    """The same search twice: graph-free, and with every step on the graph."""
+    cfg = fixed_scheme_config(batch_size, stage1_epochs=2, **kw)
+    searches = []
+    for cls in (AdaptiveSearch, graph_reference.GraphSearch):
+        model, cells, train, val = harness.build_experiment(cfg, seed)
+        searches.append(cls(model, cells, train, val, cfg.penalty, cfg.search))
+    return searches
+
+
+SEARCH_CASES = {
+    "toy3, seed 0": ({}, 0),
+    "toy3, seed 170": ({}, 170),
+    "toy6, seed 0": ({"preset": "toy6"}, 0),
+    "toy6, seed 170": ({"preset": "toy6"}, 170),
+    "GA": ({"adapters": ("GA",)}, 1),
+    "BA+GA": ({"adapters": ("BA", "GA")}, 2),
+    "NA": ({"mode": "NA"}, 3),
+    "penalty disabled": ({"penalty": {"enabled": False}}, 4),
+    "penalty coefficient 0": ({"penalty": {"coefficient": 0.0}}, 5),
+    "batches of 24 from 150 rows": ({"batch_size": 24, "n_target": 300}, 6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEARCH_CASES))
+def test_search_steps_match_graph_steps(case):
+    kw, seed = SEARCH_CASES[case]
+    new, ref = search_pair(seed=seed, **kw)
+    rng = np.random.default_rng(seed)
+    train, val = (s.batches(new.cfg.batch_size, rng) for s in (new.train_data, new.val_data))
+    for it in range(len(train)):  # the steps' return values
+        assert ([repr(v) for v in new.arch_step(val[it % len(val)])]
+                == [repr(v) for v in ref.arch_step(val[it % len(val)])])
+        assert repr(new.net_step(train[it])) == repr(ref.net_step(train[it]))
+        assert search_state(new) == search_state(ref)
+    states = {id(new): [], id(ref): []}
+
+    def record(kind, s):
+        states[id(s)].append((kind, search_state(s)))
+
+    for s in (new, ref):
+        s.run_stage1(step_callback=record)
+        s.run_stage2(step_callback=record)
+    assert states[id(new)] == states[id(ref)]
+    assert [repr(r) for r in new.state.history] == [repr(r) for r in ref.state.history]
+    assert repr(new.evaluate(new.val_data)) == repr(ref.evaluate(ref.val_data))
+
+
+def failure(step, *args, **kwargs):
+    """The error ``step(*args, **kwargs)`` raises, as its type and message."""
+    with pytest.raises(Exception) as info:
+        step(*args, **kwargs)
+    return type(info.value), str(info.value)
+
+
+def outcome(step):
+    """The error ``step()`` raises as its type and message, or None."""
+    try:
+        step()
+    except Exception as e:
+        return type(e), str(e)
+    return None
+
+
+@pytest.mark.parametrize("lr, value, raises", [("lr_arch", 1e300, None),
+                                                ("lr_arch", 1e308, "gumbel_argmax"),
+                                                ("lr_network", 1e300, "log")])
+def test_search_overflow_matches_graph(lr, value, raises):
+    # a huge learning rate makes some step's arrays non-finite, or not: both
+    # searches must stop at the same step with the same error, or finish, in
+    # the same state
+    new, ref = search_pair(**{lr: value})
+    with np.errstate(over="ignore"):  # Adam's update overflows alpha at 1e308
+        got = outcome(new.run_stage1)
+        assert got == outcome(ref.run_stage1)
+    assert search_state(new) == search_state(ref)
+    if raises is None:
+        assert got is None
+    else:
+        assert got == (ad.NonFiniteError, f"non-finite values in tensor produced by op '{raises}'")
+
+
+def test_search_non_finite_input_matches_graph():
+    new, ref = search_pair()
+    batch = new.train_data.subset(np.arange(8))
+    batch.x[3, 2] = np.nan
+    for step in ("arch_step", "net_step"):
+        got = failure(getattr(new, step), batch)
+        assert got == failure(getattr(ref, step), batch)
+        assert "op 'leaf'" in got[1]
+        assert search_state(new) == search_state(ref)
+
+
+@pytest.mark.parametrize("bad", ["-1", "L", "shape"])
+def test_search_steps_check_labels(bad):
+    new, ref = search_pair()
+    batch = new.train_data.subset(np.arange(8))
+    labels = {"-1": np.r_[batch.labels[:-1], -1], "L": np.r_[batch.labels[:-1], 8],
+              "shape": batch.labels[:-1]}[bad]
+    batch = replace(batch, labels=labels)
+    want = failure(objective.task_loss, ad.constant(np.zeros((8, 8))), labels)
+    assert want[0] is (ad.ShapeError if bad == "shape" else ValueError)
+    assert failure(cascade._nll, np.zeros((8, 8)), labels) == want
+    for step in ("arch_step", "net_step"):
+        assert failure(getattr(new, step), batch) == failure(getattr(ref, step), batch) == want
+    cfg = fixed_scheme_config()
+    model, cells, train, val = harness.build_experiment(cfg, 0)
+    bad_rows = replace(val.subset(np.arange(8)), labels=labels)
+    # bad labels in the validation rows, and where the rows can be batched, in the training rows
+    for rows in [(train, bad_rows)] + [(bad_rows, val)] * (bad != "shape"):
+        assert failure(harness.train_fixed_schemes, model, cells, [("finetune",) * 3], *rows,
+                       **training_args(cfg, 0)) == want

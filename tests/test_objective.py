@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import check_grad
+from graph_reference import one_hot_weights
 from nfa import autodiff as ad
 from nfa import cell, objective
 from test_cell import make_cell
@@ -65,8 +66,9 @@ class TestPenaltyValue:
         cfg = objective.PenaltyConfig(pfr_policy="half_finetune")
         expect = {0: 272 / 964, 1: 544 / 964, 2: 148 / 964}
         for k, want in expect.items():
-            got = objective.penalty([c], [cell.one_hot_weights(3, k)], cfg).item()
+            got = objective.penalty([c], [one_hot_weights(3, k)], cfg).item()
             assert abs(got - want) < 1e-12
+            assert objective.scheme_penalty([c], [c.paths[k]], cfg) == got
 
     def test_mixed_weights_fixture(self):
         c = make_cell()
@@ -78,19 +80,23 @@ class TestPenaltyValue:
     def test_zero_policy_all_frozen_is_zero(self):
         c = make_cell()
         cfg = objective.PenaltyConfig(pfr_policy="zero")
-        got = objective.penalty([c], [cell.one_hot_weights(3, 0)], cfg).item()
+        got = objective.penalty([c], [one_hot_weights(3, 0)], cfg).item()
         assert got == 0.0
+        assert objective.scheme_penalty([c], ["frozen"], cfg) == 0.0
 
     def test_sums_over_cells(self):
         cells = [make_cell(seed=s) for s in range(3)]
         cfg = objective.PenaltyConfig(pfr_policy="half_finetune")
-        ws = [cell.one_hot_weights(3, 1)] * 3
+        ws = [one_hot_weights(3, 1)] * 3
         got = objective.penalty(cells, ws, cfg).item()
         assert abs(got - 3 * 544 / 964) < 1e-12
+        assert objective.scheme_penalty(cells, ["finetune"] * 3, cfg) == got
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="weight vectors"):
             objective.penalty([make_cell()], [], objective.PenaltyConfig())
+        with pytest.raises(ValueError, match="weight vectors"):
+            objective.scheme_penalty([make_cell()], [], objective.PenaltyConfig())
 
     def test_zero_denominator_rejected(self):
         c = make_cell(mode="NA")
@@ -98,7 +104,9 @@ class TestPenaltyValue:
         # force a zero adapter count through a stub so the denominator vanishes
         c.trainable_count = lambda path=None: 0
         with pytest.raises(ValueError, match="zero"):
-            objective.penalty([c], [cell.one_hot_weights(2, 0)], cfg)
+            objective.penalty([c], [one_hot_weights(2, 0)], cfg)
+        with pytest.raises(ValueError, match="zero"):
+            objective.scheme_penalty([c], ["frozen"], cfg)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(0.01, 10.0), min_size=3, max_size=3))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import graph_reference
 from nfa import autodiff as ad
 from nfa import cascade, cell, objective
 from nfa.data import SynthDataConfig, generate_synthetic
@@ -13,7 +14,8 @@ def target_data(n=200, seed=4):
     return generate_synthetic(SynthDataConfig(n_samples=n, domain="target"), seed)
 
 
-def make_search(seed=0, n=128, mode="NFA", penalty_cfg=None, modules_per_stage=1, **cfg_kw):
+def make_search(seed=0, n=128, mode="NFA", penalty_cfg=None, modules_per_stage=1,
+                search_cls=AdaptiveSearch, **cfg_kw):
     cfg_kw.setdefault("lr_network", 0.01)
     cfg_kw.setdefault("lr_arch", 0.05)
     cfg_kw.setdefault("stage1_epochs", 2)
@@ -25,7 +27,7 @@ def make_search(seed=0, n=128, mode="NFA", penalty_cfg=None, modules_per_stage=1
     cfg = SearchConfig(seed=seed, **cfg_kw)
     train, val = split_dataset(target_data(n, seed), cfg.split_ratio, seed)
     pcfg = penalty_cfg or objective.PenaltyConfig()
-    return AdaptiveSearch(model, cells, train, val, pcfg, cfg)
+    return search_cls(model, cells, train, val, pcfg, cfg)
 
 
 def all_path_net_step(s, batch):
@@ -33,8 +35,7 @@ def all_path_net_step(s, batch):
     forwarded under straight-through weights and the whole graph, alpha
     included, backpropagated."""
     weights = s.sample_weights()
-    logits = cell.cascade_forward(s.model, s.cells, ad.constant(batch.x), weights)
-    loss = objective.task_loss(logits, batch.labels)
+    loss = graph_reference.cascade_loss(s.model, s.cells, weights, batch)
     s.net_params.zero_grads()
     ad.backward(loss)
     s.opt_net.step()
@@ -137,13 +138,13 @@ class TestStepContracts:
 
     def test_single_path_step_matches_all_path_reference(self, monkeypatch):
         evaluated = []
-        path_output = cell.NfaCell._path_output
+        forward_path = cell.NfaCell.forward_path
 
-        def counting(c, path, x, base):
+        def counting(c, path, *args, **kwargs):
             evaluated.append((c.index, path))
-            return path_output(c, path, x, base)
+            return forward_path(c, path, *args, **kwargs)
 
-        monkeypatch.setattr(cell.NfaCell, "_path_output", counting)
+        monkeypatch.setattr(cell.NfaCell, "forward_path", counting)
         ref, new = make_search(), make_search()
         batches = new.train_data.batches(16, np.random.default_rng(1))
         all_paths = {(c.index, p) for c in new.cells for p in c.paths}
@@ -160,17 +161,18 @@ class TestStepContracts:
         assert sampled_seen == idle_seen == all_paths
 
         # skipping the idle parameters instead of zero-filling them would show
-        def minimize_skipping_idle(opt, loss, idle=()):
-            kept = opt.restricted(ad.ParameterSet(
-                {n: t for n, t in opt.params.items() if n not in idle}))
-            kept.params.zero_grads()
-            ad.backward(loss)
-            kept.step()
-            opt.t = kept.t
-            return loss.item()
+        class SkippingIdle(graph_reference.GraphSearch):
+            def _scheme_step(self, opt, scheme, batch, idle=()):
+                kept = opt.restricted(ad.ParameterSet(
+                    {n: t for n, t in opt.params.items() if n not in idle}))
+                loss = graph_reference.cascade_loss(self.model, self.cells, scheme, batch)
+                kept.params.zero_grads()
+                ad.backward(loss)
+                kept.step()
+                opt.t = kept.t
+                return loss.item()
 
-        skipping = make_search()
-        monkeypatch.setattr(ad.Adam, "minimize", minimize_skipping_idle)
+        skipping = make_search(search_cls=SkippingIdle)
         for i in range(24):
             skipping.net_step(batches[i % len(batches)])
         assert step_state(skipping) != step_state(new)
@@ -294,7 +296,7 @@ class TestHygieneAndDeterminism:
         task, pen = s.evaluate(s.val_data)
         logits = cell.cascade_forward(s.model, s.cells, ad.constant(s.val_data.x), scheme)
         assert task == objective.task_loss(logits, s.val_data.labels).item()
-        weights = cell.scheme_weights(s.cells, scheme)
+        weights = graph_reference.scheme_weights(s.cells, scheme)
         assert pen == objective.penalty(s.cells, weights, s.penalty_cfg).item()
 
 
