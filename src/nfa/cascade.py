@@ -92,21 +92,6 @@ class CascadedModel:
         # per module: does the softmax after the recognize stage follow it?
         self.softmax_after = [m is stages[RECOGNIZE][-1] for m in self.modules]
 
-    def stage_modules(self, stage_index):
-        return self.stages[stage_index]
-
-    def forward(self, x):
-        h = x
-        for stage_index in range(len(self.stages)):
-            h = self.forward_stage(stage_index, h)
-        return h
-
-    def forward_stage(self, stage_index, x):
-        h = x
-        for module in self.stages[stage_index]:
-            h = module.forward(h)
-        return ad.softmax_lastdim(h) if stage_index == RECOGNIZE else h
-
     def freeze(self):
         for m in self.modules:
             m.freeze()
@@ -145,7 +130,7 @@ def pretrain_upstream(model: CascadedModel, source_data, epochs, lr, batch_size=
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9E7A]))
 
     def run_stage(stage_index, data, loss_grad):
-        modules = model.stage_modules(stage_index)
+        modules = model.stages[stage_index]
         params = ParameterSet()
         for m in modules:
             params.merge(m.params, prefix=m.name + ".")
@@ -163,8 +148,9 @@ def pretrain_upstream(model: CascadedModel, source_data, epochs, lr, batch_size=
         # stage 0 is trained and outside the next stage's optimizer: its output
         # over every source row, computed once, is stage 1's constant input
         ad.check_finite(source_data.x, "leaf")
-        h, _ = layers_forward(_dense_layers(model.stage_modules(0)), source_data.x)
-        run_stage(1, replace(source_data, x=h), lambda out, batch: _nll_grad(out, batch.inter_labels))
+        h, _ = layers_forward(_dense_layers(model.stages[0]), source_data.x)
+        run_stage(1, replace(source_data, x=h),
+                  lambda out, batch: _nll_backward(*_nll(out, batch.inter_labels)[1:]))
     model.freeze()
 
 
@@ -173,16 +159,15 @@ def _dense_layers(modules):
     return [layer for m in modules for layer in m.layers()]
 
 
-def layers_forward(layers, x, keep=True):
+def layers_forward(layers, x):
     """The output of the dense ``layers`` on the array ``x`` and the tape of
-    ``(x, W, b, act, z, y)`` per layer (empty unless ``keep``), checking each
-    ``z`` and each ``y`` as the graph's dense nodes would."""
+    ``(x, W, b, act, z, y)`` per layer, checking each ``z`` and each ``y`` as
+    the graph's dense nodes would."""
     tape = []
     for w, b, act in layers:
         z, y = ad.dense_forward(x, w.value, b.value, act)
         ad.check_finite(y, "dense")
-        if keep:
-            tape.append((x, w, b, act, z, y))
+        tape.append((x, w, b, act, z, y))
         x = y
     return x, tape
 
@@ -260,11 +245,6 @@ def _nll_backward(probs, onehot, g=1.0):
     g = np.full(probs.shape[:-1], (g * -1.0) / probs.shape[-2])
     g = np.full(probs.shape, np.expand_dims(g, -1)) * onehot
     return ad.softmax_backward(g / probs, probs)
-
-
-def _nll_grad(logits, labels):
-    """The gradient of :func:`_nll`'s loss with respect to ``logits``."""
-    return _nll_backward(*_nll(logits, labels)[1:])
 
 
 class BottleneckAdapter:

@@ -117,12 +117,9 @@ class NfaCell:
         self.paths = cell_paths(mode, adapter_kinds)
         self._adapter_of = dict.fromkeys(self.paths)
         self._adapter_of.update((adapter_choice(a.kind), a) for a in self.adapters)
-        # what each path trains, built once: under the names its forward reads,
-        # and under the path's prefix for the penalty and the optimizers
+        # what each path trains, under the names its forward reads
         own = {FROZEN: ParameterSet(), FINETUNE: self.finetune_params}
-        own.update((adapter_choice(a.kind), a.params) for a in self.adapters)
-        self._own_of = {path: own[path] for path in self.paths}
-        self._params_of = {path: self._path_params(path) for path in self.paths}
+        self._params_of = {p: own[p] if a is None else a.params for p, a in self._adapter_of.items()}
         self.alpha = Tensor(np.zeros(len(self.paths)), requires_grad=True)
 
     @property
@@ -161,27 +158,22 @@ class NfaCell:
     def trainable_params(self):
         """The cell's network-parameter group (fine-tune copy plus adapters);
         alpha is the separate architecture group."""
-        out = ParameterSet()
-        for path in self.paths:
-            out.merge(self.params_for_choice(path))
-        return out
+        return self.merge_params(ParameterSet(), self.paths)
 
     def params_for_choice(self, choice):
-        """Parameters that would train if ``choice`` were deployed (the cell's
-        own set for that path, shared by every caller)."""
+        """Parameters that would train if ``choice`` were deployed, under the
+        names its forward reads (the cell's own set, shared by every caller)."""
         self._adapter(choice)  # raises for a path this cell does not have
         return self._params_of[choice]
 
-    def own_params(self, path):
-        """What ``path`` trains, under the names its forward reads (the cell's
-        own set, shared by every caller)."""
-        self._adapter(path)  # raises for a path this cell does not have
-        return self._own_of[path]
-
-    def _path_params(self, path):
-        adapter = self._adapter(path)
-        prefix = "finetune." if adapter is None else f"adapter.{adapter.kind}."
-        return ParameterSet().merge(self._own_of[path], prefix=prefix)
+    def merge_params(self, out, paths, prefix=""):
+        """Merge what each of ``paths`` trains into ``out``, named ``prefix``,
+        then ``finetune.`` or ``adapter.<kind>.``, then its forward's name."""
+        for path in paths:
+            adapter = self._adapter(path)
+            out.merge(self._params_of[path],
+                      prefix + ("finetune." if adapter is None else f"adapter.{adapter.kind}."))
+        return out
 
     def stacked_params(self, path, copies):
         """``copies`` trainable copies of what ``path`` trains, stacked on a
@@ -189,9 +181,9 @@ class NfaCell:
         return ParameterSet({
             name: Tensor(np.repeat(t.value.reshape((1,) * (3 - t.value.ndim) + t.shape), copies, 0),
                          requires_grad=True)
-            for name, t in self.own_params(path).items()})
+            for name, t in self.params_for_choice(path).items()})
 
-    def forward_path(self, path, x, params, backbone=None, keep=True):
+    def forward_path(self, path, x, params, backbone=None):
         """``path`` on the array ``x`` without a graph, training ``params``
         (this cell's own, or :meth:`stacked_params` of them). ``backbone`` is
         the frozen module's ``(output, tape)`` on ``x`` when already run.
@@ -199,14 +191,14 @@ class NfaCell:
         which stores each parameter's gradient unless ``params`` is false and
         returns ``x``'s gradient (None unless ``need_x``)."""
         if path == FINETUNE:
-            y, tape = layers_forward(self.module.layers(params), x, keep)
+            y, tape = layers_forward(self.module.layers(params), x)
             return y, _tape_backward(tape)
-        base, tape = backbone if backbone is not None else layers_forward(self.module.layers(), x, keep)
+        base, tape = backbone if backbone is not None else layers_forward(self.module.layers(), x)
         adapter = self._adapter(path)
         y, inner = (base, None) if adapter is None else adapter.forward_array(base, params)
         return y, _tape_backward(tape, frozen=True, inner=inner)
 
-    def forward_stacked(self, x, groups, keep=True):
+    def forward_stacked(self, x, groups):
         """The cell on the array ``x`` without a graph, for schemes stacked on a
         leading axis. ``groups`` lists ``(path, positions, params)``: the
         positions of the schemes that run ``path`` and its
@@ -218,18 +210,16 @@ class NfaCell:
 
         Returns the output, each group's rows put in place by index, and a
         function from its gradient to ``x``'s (None unless asked) that stores
-        each parameter's gradient. Without ``keep`` nothing is kept for that
-        function."""
+        each parameter's gradient."""
         shared = x.ndim == 2
-        backbone = (layers_forward(self.module.layers(), x, keep)
+        backbone = (layers_forward(self.module.layers(), x)
                     if shared and any(path != FINETUNE for path, _, _ in groups) else None)
         out, backs = None, []
         for path, positions, params in groups:
-            y, back = self.forward_path(path, x if shared else x[positions], params, backbone, keep)
+            y, back = self.forward_path(path, x if shared else x[positions], params, backbone)
             if positions is None:  # one scheme alone
                 return y, back
-            if keep:
-                backs.append((positions, back))
+            backs.append((positions, back))
             if out is None:
                 out = np.empty((sum(len(pos) for _, pos, _ in groups),) + y.shape[-2:])
             out[positions] = y
@@ -261,7 +251,7 @@ class NfaCell:
         backbone = layers_forward(self.module.layers(), x)
         out, outs, backs = None, [], []
         for k, path in enumerate(self.paths):
-            y, back = self.forward_path(path, x, self._own_of[path], backbone)
+            y, back = self.forward_path(path, x, self._params_of[path], backbone)
             term = w[k] * y
             ad.check_finite(term, "mul")
             if out is None:
@@ -326,11 +316,11 @@ def cascade_forward(model, cells, x, scheme):
     return h
 
 
-def _forward_arrays(model, cells, x, cell_forward, keep=True):
+def _forward_arrays(model, cells, x, cell_forward):
     """The cascade on the array ``x`` without a graph, cell ``i`` run by
     ``cell_forward(i, cell, h) -> (h, backward)``. Returns the output and,
-    per cell unless not ``keep``, its backward and the softmax output after
-    it (None where no softmax follows)."""
+    per cell, its backward and the softmax output after it (None where no
+    softmax follows)."""
     ad.check_finite(x, "leaf")
     h, backs = x, []
     for i, cell in enumerate(cells):
@@ -339,23 +329,20 @@ def _forward_arrays(model, cells, x, cell_forward, keep=True):
         if model.softmax_after[i]:
             h = s = ad.softmax(h)
             ad.check_finite(s, "softmax_lastdim")
-        if keep:
-            backs.append((back, s))
+        backs.append((back, s))
     return h, backs
 
 
-def cascade_forward_stacked(model, cells, plan, x, keep=True):
+def cascade_forward_stacked(model, cells, plan, x):
     """:func:`cascade_forward` on the array ``x`` without a graph, for schemes
     stacked on a leading axis: ``plan`` holds each cell's groups (see
     :meth:`NfaCell.forward_stacked`; :func:`scheme_plan` runs one scheme on
     the cells' own parameters). Returns the ``(S, n, L)`` logits, ``(n, L)``
     for one scheme alone, and a function that sweeps their gradient back
     into every trained parameter's ``grad``; the sweep stops at the first
-    cell where some scheme trains. Without ``keep`` nothing is kept for that
-    function."""
+    cell where some scheme trains."""
     _check_cascade(model, cells, plan)
-    h, backs = _forward_arrays(model, cells, x,
-                               lambda i, cell, h: cell.forward_stacked(h, plan[i], keep), keep)
+    h, backs = _forward_arrays(model, cells, x, lambda i, cell, h: cell.forward_stacked(h, plan[i]))
     first = next((i for i, groups in enumerate(plan) if any(len(p) for _, _, p in groups)), len(plan))
 
     def backward(g):
@@ -392,14 +379,14 @@ def cascade_forward_mixed(model, cells, weights_per_cell, x):
 def scheme_plan(cells, scheme):
     """The plan of :func:`cascade_forward_stacked` that runs ``scheme`` (one
     path name per cell) alone on the cells' own parameters."""
-    return [[(choice, None, c.own_params(choice))] for c, choice in zip(cells, scheme)]
+    return [[(choice, None, c.params_for_choice(choice))] for c, choice in zip(cells, scheme)]
 
 
 def scheme_params(cells, scheme):
     """The parameters that train when ``scheme`` is deployed."""
     out = ParameterSet()
     for c, choice in zip(cells, scheme):
-        out.merge(c.params_for_choice(choice), prefix=f"cell{c.index}.")
+        c.merge_params(out, [choice], f"cell{c.index}.")
     return out
 
 
@@ -407,7 +394,7 @@ def network_group(cells):
     """Union of all cells' network parameters (trainable during net steps)."""
     out = ParameterSet()
     for cell in cells:
-        out.merge(cell.trainable_params(), prefix=f"cell{cell.index}.")
+        cell.merge_params(out, cell.paths, f"cell{cell.index}.")
     return out
 
 

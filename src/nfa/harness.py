@@ -355,7 +355,8 @@ def run_experiment(cfg: ExperimentConfig, seed=None, out_dir=None, step_callback
         decision = make_decision(model, cells, search.discretization(), config_hash(cfg), seed)
         arch_path = export_architecture(decision, out / "architecture.json")
         metrics_path = write_metrics(search.state.history, out / "metrics.csv")
-        final_val_loss, _ = search.evaluate(val)
+        final_val_loss = (search.state.history[-1].val_loss  # stage 2 evaluated the final scheme
+                          if search_cfg.stage2_epochs > 0 else search.evaluate(val)[0])
     except Exception as e:
         flag = out / "FAILED"
         flag.write_text(f"stage={stage}\nerror={type(e).__name__}: {e}\n")
@@ -424,7 +425,7 @@ def train_fixed_schemes(model, cells, schemes, train, val, lr, epochs, batch_siz
     Up to ``STACK_SCHEMES`` schemes train together without a graph: every
     array has a leading scheme axis, and each scheme's slice gets the bytes
     that training it alone on the graph gives. Validation runs one scheme at
-    a time and keeps no tape, which bounds its memory by one scheme's pass."""
+    a time, which bounds its memory by one scheme's pass."""
     schemes = [tuple(s) for s in schemes]
     losses = []
     for start in range(0, len(schemes), STACK_SCHEMES):
@@ -437,7 +438,7 @@ def train_fixed_schemes(model, cells, schemes, train, val, lr, epochs, batch_siz
                 for batch in train.batches(batch_size, rng):
                     scheme_step(model, cells, plan, batch, opt)
         for k in range(len(chunk)):
-            logits, _ = cascade_forward_stacked(model, cells, _one_scheme(plan, k), val.x, keep=False)
+            logits, _ = cascade_forward_stacked(model, cells, _one_scheme(plan, k), val.x)
             losses.append(float(_nll(logits, val.labels)[0][0]))
     return losses
 

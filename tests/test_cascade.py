@@ -15,17 +15,32 @@ def source_data(n=256, seed=0):
     return generate_synthetic(SynthDataConfig(n_samples=n, domain="source"), seed)
 
 
+def forward_stage(model, stage_index, x):
+    """The graph of stage ``stage_index`` of ``model`` on ``x``, with the
+    softmax after the recognize stage."""
+    for module in model.stages[stage_index]:
+        x = module.forward(x)
+    return ad.softmax_lastdim(x) if stage_index == cascade.RECOGNIZE else x
+
+
+def model_forward(model, x):
+    """The graph of the whole cascade on ``x``, stage by stage."""
+    for stage_index in range(len(model.stages)):
+        x = forward_stage(model, stage_index, x)
+    return x
+
+
 def per_batch_recognize_pretrain(model, source_data, epochs, lr, batch_size=32, seed=0):
     """Pretraining through the graph, as before it ran graph-free and before
     stage-0 reuse: ``Adam.minimize`` on each batch's loss graph, and the
     recognize loss runs the finished denoise stage's forward again on every
     batch of every epoch."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9E7A]))
-    n_inter = model.stage_modules(1)[-1].out_dim
+    n_inter = model.stages[1][-1].out_dim
 
     def run_stage(loss_fn, stage_index):
         params = ad.ParameterSet()
-        for m in model.stage_modules(stage_index):
+        for m in model.stages[stage_index]:
             params.merge(m.params, prefix=m.name + ".")
         opt = ad.Adam(params, lr=lr)
         for _ in range(epochs):
@@ -33,13 +48,13 @@ def per_batch_recognize_pretrain(model, source_data, epochs, lr, batch_size=32, 
                 opt.minimize(loss_fn(batch))
 
     def denoise_loss(batch):
-        pred = model.forward_stage(0, ad.constant(batch.x))
+        pred = forward_stage(model, 0, ad.constant(batch.x))
         diff = ad.add(pred, ad.scale(ad.constant(batch.clean), -1.0))
         return ad.tensor_mean(ad.mul(diff, diff))
 
     def recognize_loss(batch):
-        h = ad.constant(model.forward_stage(0, ad.constant(batch.x)).value)
-        probs = model.forward_stage(1, h)
+        h = ad.constant(forward_stage(model, 0, ad.constant(batch.x)).value)
+        probs = forward_stage(model, 1, h)
         onehot = np.eye(n_inter)[batch.inter_labels]
         picked = ad.tensor_sum(ad.mul(ad.constant(onehot), ad.log(probs)), axis=-1)
         return ad.scale(ad.tensor_mean(picked), -1.0)
@@ -57,7 +72,7 @@ class TestSpecs:
         for (per_stage, dim, n_labels), counts in param_counts.items():
             model = cascade.build_cascade(cascade.CascadeSpec(dim, n_labels, per_stage), 0)
             n = 3 * per_stage
-            assert [[m.name for m in model.stage_modules(s)] for s in range(3)] == [
+            assert [[m.name for m in model.stages[s]] for s in range(3)] == [
                 [f"{stage}.{i}" for i in range(per_stage)]
                 for stage in ("denoise", "recognize", "label")]
             assert model.softmax_after == [i == 2 * per_stage - 1 for i in range(n)]
@@ -68,7 +83,7 @@ class TestSpecs:
             assert [m.activations for m in model.modules] == (
                 [["tanh", "tanh"]] * (n - 1) + [["tanh", "linear"]])
             assert [m.param_count for m in model.modules] == counts
-            assert model.forward(ad.constant(np.zeros((2, dim)))).shape == (2, n_labels)
+            assert model_forward(model, ad.constant(np.zeros((2, dim)))).shape == (2, n_labels)
 
 
 class TestBuild:
@@ -90,7 +105,7 @@ class TestBuild:
 
     def test_forward_shapes(self):
         model = cascade.build_cascade(cascade.CascadeSpec(), 0)
-        out = model.forward(ad.constant(np.zeros((5, 16))))
+        out = model_forward(model, ad.constant(np.zeros((5, 16))))
         assert out.shape == (5, 8)
 
 
@@ -184,7 +199,7 @@ class TestPretraining:
         held_out = source_data(n=256, seed=2)
 
         def held_out_mse():
-            pred = model.forward_stage(0, ad.constant(held_out.x)).value
+            pred = forward_stage(model, 0, ad.constant(held_out.x)).value
             return np.mean((pred - held_out.clean) ** 2)
 
         before = held_out_mse()
@@ -193,9 +208,9 @@ class TestPretraining:
 
     def test_stage3_untouched(self):
         model = cascade.build_cascade(cascade.CascadeSpec(), 3)
-        stage3_before = [m.params.checksum() for m in model.stage_modules(2)]
+        stage3_before = [m.params.checksum() for m in model.stages[2]]
         cascade.pretrain_upstream(model, source_data(), epochs=3, lr=0.01, seed=3)
-        assert [m.params.checksum() for m in model.stage_modules(2)] == stage3_before
+        assert [m.params.checksum() for m in model.stages[2]] == stage3_before
 
     def test_zero_epochs_leaves_all_params(self):
         model = cascade.build_cascade(cascade.CascadeSpec(), 3)
@@ -213,7 +228,7 @@ class TestPretraining:
     def test_freeze_blocks_gradients(self):
         model = cascade.build_cascade(cascade.CascadeSpec(), 3)
         cascade.pretrain_upstream(model, source_data(), epochs=1, lr=0.01, seed=3)
-        out = model.forward(ad.constant(np.ones((2, 16))))
+        out = model_forward(model, ad.constant(np.ones((2, 16))))
         ad.backward(ad.tensor_sum(out))
         for m in model.modules:
             for _, t in m.params.items():
@@ -221,7 +236,7 @@ class TestPretraining:
 
     def test_recognize_stage_backprop_stops_at_denoise_stage(self, monkeypatch):
         model = cascade.build_cascade(cascade.CascadeSpec(), 3)
-        stage_params = [[t for m in model.stage_modules(s) for _, t in m.params.items()]
+        stage_params = [[t for m in model.stages[s] for _, t in m.params.items()]
                         for s in (0, 1)]
         stage1_ids = {id(t) for t in stage_params[1]}
         steps = []  # per Adam step: its parameters, then stage 0's grads and values
@@ -293,7 +308,7 @@ class TestPretraining:
             elif case == "inf_in_denoise_weight":
                 model.modules[0].params["L0.W"].value[0, 0] = np.inf
             elif case == "nan_in_recognize_bias":
-                model.stage_modules(1)[-1].params["L1.b"].value[2] = np.nan
+                model.stages[1][-1].params["L1.b"].value[2] = np.nan
             elif case == "x_times_1e200":
                 x *= 1e200
             return model, replace(data, x=x, clean=clean)

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 from conftest import make_config
 from nfa import autodiff as ad
-from nfa import cascade, cli, harness
+from nfa import cascade, cell, cli, harness
 from nfa.config import ConfigError, config_from_dict, config_hash, load_config
 from nfa.data import SynthDataConfig, generate_synthetic, target_label_permutation
-from nfa.search import EpochRecord
+from nfa.search import AdaptiveSearch, EpochRecord
 
 
 # (section, field) for every scalar field, with "" for the top level
@@ -125,6 +125,51 @@ class TestAccounting:
         for scheme in harness.scheme_space(cells)[:5]:
             t = harness.account_params(model, cells, list(scheme))
             assert t["selected_params"] <= t["train_params"]
+
+
+# the names of the optimizers' parameters and of the checkpoint manifests:
+# toy3 with adapters BA and GA in NFA mode, and with GA alone in NA mode
+NFA_NETWORK = [
+    "cell0.finetune.L0.W", "cell0.finetune.L0.b", "cell0.finetune.L1.W", "cell0.finetune.L1.b",
+    "cell0.adapter.BA.down.W", "cell0.adapter.BA.down.b", "cell0.adapter.BA.up.W",
+    "cell0.adapter.BA.up.b", "cell0.adapter.GA.gate.W", "cell0.adapter.GA.gate.b",
+    "cell0.adapter.GA.expand.W", "cell0.adapter.GA.expand.b", "cell1.finetune.L0.W",
+    "cell1.finetune.L0.b", "cell1.finetune.L1.W", "cell1.finetune.L1.b", "cell1.adapter.BA.down.W",
+    "cell1.adapter.BA.down.b", "cell1.adapter.BA.up.W", "cell1.adapter.BA.up.b",
+    "cell1.adapter.GA.gate.W", "cell1.adapter.GA.gate.b", "cell1.adapter.GA.expand.W",
+    "cell1.adapter.GA.expand.b", "cell2.finetune.L0.W", "cell2.finetune.L0.b",
+    "cell2.finetune.L1.W", "cell2.finetune.L1.b", "cell2.adapter.BA.down.W",
+    "cell2.adapter.BA.down.b", "cell2.adapter.BA.up.W", "cell2.adapter.BA.up.b",
+    "cell2.adapter.GA.gate.W", "cell2.adapter.GA.gate.b", "cell2.adapter.GA.expand.W",
+    "cell2.adapter.GA.expand.b"]
+NA_NETWORK = [
+    "cell0.adapter.GA.gate.W", "cell0.adapter.GA.gate.b", "cell0.adapter.GA.expand.W",
+    "cell0.adapter.GA.expand.b", "cell1.adapter.GA.gate.W", "cell1.adapter.GA.gate.b",
+    "cell1.adapter.GA.expand.W", "cell1.adapter.GA.expand.b", "cell2.adapter.GA.gate.W",
+    "cell2.adapter.GA.gate.b", "cell2.adapter.GA.expand.W", "cell2.adapter.GA.expand.b"]
+ALPHAS = ["cell0.alpha", "cell1.alpha", "cell2.alpha"]
+
+
+class TestParameterNames:
+    """A change of a name or of the order changes every checkpoint a run writes."""
+
+    def test_nfa_ba_ga(self):
+        _, cells, _, _ = harness.build_experiment(fast_config(adapters=("BA", "GA")), 0)
+        assert list(cell.network_group(cells)) == NFA_NETWORK
+        assert list(cell.scheme_params(cells, ("finetune", "adapter:GA", "frozen"))) == [
+            "cell0.finetune.L0.W", "cell0.finetune.L0.b", "cell0.finetune.L1.W",
+            "cell0.finetune.L1.b", "cell1.adapter.GA.gate.W", "cell1.adapter.GA.gate.b",
+            "cell1.adapter.GA.expand.W", "cell1.adapter.GA.expand.b"]
+        assert list(harness.snapshot_tensors(cells)) == NFA_NETWORK + ALPHAS
+
+    def test_na_ga(self):
+        _, cells, _, _ = harness.build_experiment(fast_config(mode="NA", adapters=("GA",)), 0)
+        assert list(cell.network_group(cells)) == NA_NETWORK
+        assert list(cell.scheme_params(cells, ("adapter:GA", "frozen", "adapter:GA"))) == [
+            "cell0.adapter.GA.gate.W", "cell0.adapter.GA.gate.b", "cell0.adapter.GA.expand.W",
+            "cell0.adapter.GA.expand.b", "cell2.adapter.GA.gate.W", "cell2.adapter.GA.gate.b",
+            "cell2.adapter.GA.expand.W", "cell2.adapter.GA.expand.b"]
+        assert list(harness.snapshot_tensors(cells)) == NA_NETWORK + ALPHAS
 
 
 class TestReports:
@@ -507,6 +552,24 @@ class TestRunExperiment:
         monkeypatch.undo()
         harness.run_experiment(cfg, seed=0)
         assert not flag.exists()
+
+    @pytest.mark.parametrize("stage2_epochs", [0, 2])
+    def test_final_val_loss_evaluated_once(self, tmp_path, monkeypatch, stage2_epochs):
+        # stage 2's last epoch evaluates the final scheme; the run reuses that loss
+        calls = []
+        evaluate = AdaptiveSearch.evaluate
+
+        def counting(search, data):
+            calls.append(data)
+            return evaluate(search, data)
+
+        monkeypatch.setattr(AdaptiveSearch, "evaluate", counting)
+        result = harness.run_experiment(fast_config(stage2_epochs=stage2_epochs), seed=0,
+                                        out_dir=tmp_path)
+        assert len(calls) == max(stage2_epochs, 1)
+        assert all(data is result.search.val_data for data in calls)
+        fresh, _ = evaluate(result.search, result.search.val_data)
+        assert repr(result.final_val_loss) == repr(fresh)
 
     def test_repeat_run_byte_identical(self, tmp_path):
         cfg = fast_config()
