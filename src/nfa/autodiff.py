@@ -44,6 +44,8 @@ __all__ = [
     "index_lastdim",
     "affine",
     "dense",
+    "dense_check",
+    "dense_core",
     "dense_forward",
     "dense_backward",
     "softmax_backward",
@@ -396,12 +398,31 @@ class ParameterSet:
 class Adam:
     """Standard adaptive-moment optimizer over a :class:`ParameterSet`.
 
-    The moments of all parameters live in two flat arrays, one update over
-    them per step; ``_m`` and ``_v`` map each name to its view into them."""
+    The values and both moments of all parameters each live in one flat
+    array: construction copies every value into ``_flat_x``, bytes unchanged,
+    and makes the tensor's ``value`` a view into it, so a step ends in one
+    subtraction. A read-only (frozen) tensor is refused, since it would be
+    handed a writable copy. ``_m`` and ``_v`` map each name to its view into
+    the moments."""
 
     def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8):
         if lr <= 0:
             raise ValueError("lr must be positive")
+        for name, p in params.items():
+            if not p.value.flags.writeable:
+                raise ValueError(f"adam: parameter {name!r} is read-only (frozen)")
+        size = self._layout(params, lr, betas, eps)
+        self._flat_x = np.empty(size)
+        self._flat_m, self._flat_v = np.zeros(size), np.zeros(size)
+        self._index = None  # positions of the parameters in the flat arrays; None: all, in order
+        for name, p in params.items():
+            a, b = self._spans[name]
+            self._flat_x[a:b] = p.value.reshape(-1)
+            p.value = self._flat_x[a:b].reshape(p.shape)
+        self._m = self._views(self._flat_m)
+        self._v = self._views(self._flat_v)
+
+    def _layout(self, params, lr, betas, eps):
         self.params = params
         self.lr = float(lr)
         self.beta1, self.beta2 = float(betas[0]), float(betas[1])
@@ -412,10 +433,7 @@ class Adam:
         for name, p in params.items():
             self._spans[name] = (offset, offset + p.value.size)
             offset += p.value.size
-        self._flat_m, self._flat_v = np.zeros(offset), np.zeros(offset)
-        self._index = None  # positions of the moments in the flat arrays; None: all, in order
-        self._m = self._views(self._flat_m)
-        self._v = self._views(self._flat_v)
+        return offset
 
     def _views(self, flat):
         return {name: flat[a:b].reshape(self.params[name].shape)
@@ -440,12 +458,13 @@ class Adam:
         m += (1.0 - self.beta1) * g
         v *= self.beta2
         v += (1.0 - self.beta2) * g * g
-        if idx is not None:
+        update = self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        if idx is None:
+            self._flat_x -= update
+        else:
             self._flat_m[idx] = m
             self._flat_v[idx] = v
-        update = self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-        for (_, p), (a, b) in zip(self.params.items(), self._spans.values()):
-            p.value -= update[a:b].reshape(p.shape)
+            self._flat_x[idx] -= update
 
     def clear_grads(self, idle=()):
         """Zero this optimizer's gradients before a step's backward pass.
@@ -469,11 +488,13 @@ class Adam:
 
     def restricted(self, params):
         """An optimizer over a subset of this one's parameters that continues
-        from its step count and shares its moments: it gathers them from this
-        optimizer's flat arrays and scatters them back on every step."""
-        opt = Adam(params, self.lr, (self.beta1, self.beta2), self.eps)
+        from its step count and shares its values and moments: it gathers
+        them from this optimizer's flat arrays and scatters them back on
+        every step."""
+        opt = Adam.__new__(Adam)
+        opt._layout(params, self.lr, (self.beta1, self.beta2), self.eps)
         opt.t = self.t
-        opt._flat_m, opt._flat_v = self._flat_m, self._flat_v
+        opt._flat_x, opt._flat_m, opt._flat_v = self._flat_x, self._flat_m, self._flat_v
         where = np.arange(self._flat_m.size) if self._index is None else self._index
         opt._index = np.concatenate([where[:0]] + [where[slice(*self._spans[name])] for name in params])
         opt._m = {name: self._m[name] for name in params}
@@ -490,34 +511,50 @@ def _stacked(shape):
     return len(shape) == 3  # a leading scheme axis: (S, n, a) rows, (S, a, b) weights, (S, 1, b) biases
 
 
-def dense_forward(x, w, b, act, affine=False):
-    """``(z, y)`` of a dense layer on numpy arrays: ``z = x @ w + b`` and
-    ``y = act(z)``; ``act`` is a key of :data:`ACTIVATIONS`. ``x`` and ``w``
-    may carry a leading scheme axis, ``(S, n, a)`` and ``(S, a, b)``, with the
-    bias then ``(S, 1, b)``: each scheme's slice is computed as alone.
-
-    Checked finite as the graph checks it: ``z`` as one dense node (tanh and
-    sigmoid saturate, so only ``z`` shows an overflow), or with ``affine`` as
-    the ops of :func:`affine` and the activation op: ``x @ w`` as matmul,
-    ``z`` as add and ``y`` as the activation."""
+def dense_check(x_shape, w_shape, b_shape, act):
+    """Raise :func:`dense_forward`'s ``ValueError`` for an unknown ``act`` or
+    its :class:`ShapeError` for shapes that do not fit; return the shape of
+    the layer's output."""
     if act not in ACTIVATIONS:
         raise ValueError(f"dense: unknown activation {act!r}")
-    if (x.ndim not in (2, 3) or w.ndim not in (2, 3) or x.shape[-1] != w.shape[-2]
-            or (_stacked(x.shape) and _stacked(w.shape) and x.shape[0] != w.shape[0])):
-        raise ShapeError(f"dense: incompatible shapes {x.shape} @ {w.shape}")
+    if (len(x_shape) not in (2, 3) or len(w_shape) not in (2, 3) or x_shape[-1] != w_shape[-2]
+            or (_stacked(x_shape) and _stacked(w_shape) and x_shape[0] != w_shape[0])):
+        raise ShapeError(f"dense: incompatible shapes {x_shape} @ {w_shape}")
+    z_shape = (x_shape[:-2] or w_shape[:-2]) + (x_shape[-2], w_shape[-1])
+    if not _stacked(b_shape):
+        _check_binary("dense bias", b_shape, z_shape)
+    elif b_shape != (z_shape[0], 1, z_shape[-1]):
+        raise ShapeError(f"dense bias: stacked shape {b_shape} does not fit {z_shape}")
+    return z_shape
+
+
+def dense_core(x, w, b, act, affine=False):
+    """The arithmetic of :func:`dense_forward` on arrays that
+    :func:`dense_check` has accepted, with its finite checks."""
     z = x @ w
     if affine:
         check_finite(z, "matmul")
-    if not _stacked(b.shape):
-        _check_binary("dense bias", b.shape, z.shape)
-    elif b.shape != (z.shape[0], 1, z.shape[-1]):
-        raise ShapeError(f"dense bias: stacked shape {b.shape} does not fit {z.shape}")
     z = z + b
     check_finite(z, "add" if affine else "dense")
     y = ACTIVATIONS[act][0](z)
     if affine and act != "linear":
         check_finite(y, act)
     return z, y
+
+
+def dense_forward(x, w, b, act, affine=False):
+    """``(z, y)`` of a dense layer on numpy arrays: ``z = x @ w + b`` and
+    ``y = act(z)``; ``act`` is a key of :data:`ACTIVATIONS`. ``x`` and ``w``
+    may carry a leading scheme axis, ``(S, n, a)`` and ``(S, a, b)``, with the
+    bias then ``(S, 1, b)``: each scheme's slice is computed as alone.
+
+    Checked as :func:`dense_check`, then finite as the graph checks it: ``z``
+    as one dense node (a finite ``z`` gives a finite ``y`` for every
+    activation), or with ``affine`` as the ops of :func:`affine` and the
+    activation op: ``x @ w`` as matmul, ``z`` as add and ``y`` as the
+    activation."""
+    dense_check(x.shape, w.shape, b.shape, act)
+    return dense_core(x, w, b, act, affine)
 
 
 def dense_backward(g, x, w, b_shape, act, z, y, need_x=True, need_w=True, need_b=True):

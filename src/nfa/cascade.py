@@ -10,12 +10,13 @@ initialization and only ever adapts on target data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParameterSet, Tensor
+from .data import batch_order
 
 
 STAGES = ("denoise", "recognize", "label")
@@ -120,37 +121,47 @@ def pretrain_upstream(model: CascadedModel, source_data, epochs, lr, batch_size=
     classification) on source-domain data; the final stage stays at its random
     init. Freezes all modules afterward, fixing the pretrained snapshots.
 
-    Each step runs without a graph: the stage's dense layers forward in numpy
-    with a tape, the loss gradient in closed form, and the tape swept backward
-    into each parameter's ``grad`` for :meth:`Adam.step`. Every array is
-    checked finite under the name of the graph op that would have made it,
-    and the weights equal graph training's bit for bit."""
+    Each stage is checked once, before its first batch: its dense layers'
+    shapes and activations (:func:`check_layers`), and its whole input and
+    target finite. A batch then gathers only those two arrays' rows, runs the
+    layers' arithmetic in numpy with a tape (:func:`run_layers`), gets the
+    loss gradient in closed form and sweeps the tape backward into each
+    parameter's ``grad`` for :meth:`Adam.step`. Only when the whole input or
+    target is not finite is each batch's checked as a ``leaf``, as a graph
+    would, so the error comes at the same batch. Every check that can fire is
+    made under the name of the graph op that would have made the array, and
+    the weights equal graph training's bit for bit."""
     if len(source_data) == 0:
         raise ValueError("pretraining requires a nonempty source dataset")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9E7A]))
 
-    def run_stage(stage_index, data, loss_grad):
+    def run_stage(stage_index, x, target, loss_grad):
         modules = model.stages[stage_index]
         params = ParameterSet()
         for m in modules:
             params.merge(m.params, prefix=m.name + ".")
         layers = _dense_layers(modules)
+        check_layers(layers, x[:batch_size].shape)
         opt = ad.Adam(params, lr=lr)
+        per_batch = not (np.isfinite(x).all() and np.isfinite(target).all())
         for _ in range(epochs):
-            for batch in data.batches(batch_size, rng):
-                ad.check_finite(batch.x, "leaf")
-                out, tape = layers_forward(layers, batch.x)
-                layers_backward(tape, loss_grad(out, batch), need_x=False)
+            for rows in batch_order(len(x), batch_size, rng):
+                bx, bt = x[rows], target[rows]
+                if per_batch:
+                    ad.check_finite(bx, "leaf")
+                out, tape = run_layers(layers, bx)
+                if per_batch:
+                    ad.check_finite(bt, "leaf")
+                layers_backward(tape, loss_grad(out, bt), need_x=False)
                 opt.step()
 
     if epochs > 0:
-        run_stage(0, source_data, lambda out, batch: _mse_grad(out, batch.clean))
+        run_stage(0, source_data.x, source_data.clean, _mse_grad)
         # stage 0 is trained and outside the next stage's optimizer: its output
         # over every source row, computed once, is stage 1's constant input
-        ad.check_finite(source_data.x, "leaf")
         h, _ = layers_forward(_dense_layers(model.stages[0]), source_data.x)
-        run_stage(1, replace(source_data, x=h),
-                  lambda out, batch: _nll_backward(*_nll(out, batch.inter_labels)[1:]))
+        run_stage(1, h, source_data.inter_labels,
+                  lambda out, labels: _nll_backward(*_nll_probs(out, labels)[:2]))
     model.freeze()
 
 
@@ -159,17 +170,31 @@ def _dense_layers(modules):
     return [layer for m in modules for layer in m.layers()]
 
 
-def layers_forward(layers, x):
-    """The output of the dense ``layers`` on the array ``x`` and the tape of
-    ``(x, W, b, act, z, y)`` per layer, checking each ``z`` and each ``y`` as
-    the graph's dense nodes would."""
+def check_layers(layers, x_shape):
+    """Raise :func:`ad.dense_forward`'s ``ShapeError`` or ``ValueError`` for
+    the first of the dense ``layers`` that does not fit an input of shape
+    ``x_shape`` and the layers before it."""
+    for w, b, act in layers:
+        x_shape = ad.dense_check(x_shape, w.shape, b.shape, act)
+
+
+def run_layers(layers, x):
+    """The output of the dense ``layers``, accepted by :func:`check_layers`,
+    on the array ``x`` and the tape of ``(x, W, b, act, z, y)`` per layer,
+    checking each ``z`` as the graph's dense nodes would (a finite ``z``
+    gives a finite ``y``)."""
     tape = []
     for w, b, act in layers:
-        z, y = ad.dense_forward(x, w.value, b.value, act)
-        ad.check_finite(y, "dense")
+        z, y = ad.dense_core(x, w.value, b.value, act)
         tape.append((x, w, b, act, z, y))
         x = y
     return x, tape
+
+
+def layers_forward(layers, x):
+    """:func:`run_layers` after :func:`check_layers` on ``x``'s shape."""
+    check_layers(layers, x.shape)
+    return run_layers(layers, x)
 
 
 def layers_backward(tape, g, need_x, params=True):
@@ -189,11 +214,9 @@ def layers_backward(tape, g, need_x, params=True):
 def _mse_grad(pred, target):
     """The gradient of ``ad.mean((pred - target)**2)`` with respect to
     ``pred``, computed as the graph of ``add(pred, scale(target, -1))``,
-    ``mul(diff, diff)`` and ``tensor_mean`` computes it."""
-    ad.check_finite(target, "leaf")
-    neg = target * -1.0
-    ad.check_finite(neg, "scale")
-    diff = pred + neg
+    ``mul(diff, diff)`` and ``tensor_mean`` computes it, for a ``target``
+    already checked finite as a leaf (then its ``scale`` is finite too)."""
+    diff = pred + target * -1.0
     ad.check_finite(diff, "add")
     sq = diff * diff
     ad.check_finite(sq, "mul")
@@ -214,26 +237,25 @@ def checked_labels(labels, logits_shape):
     return labels
 
 
-def _nll(logits, labels):
-    """``(loss, probs, onehot)`` of ``ad.nll(ad.softmax_lastdim(logits),
+def _nll_probs(logits, labels):
+    """``(probs, onehot, logp)`` of ``ad.nll(ad.softmax_lastdim(logits),
     labels)``, computed and checked as that graph does. ``logits`` is
-    ``(n, L)`` or stacked ``(S, n, L)``, one loss per scheme."""
+    ``(n, L)`` or stacked ``(S, n, L)``. A finite ``logp`` leaves nothing
+    after it to check: the one-hot picks one entry per row, which lies between
+    ``log`` of the least positive double and 0."""
     labels = checked_labels(labels, logits.shape)
     probs = ad.softmax(logits)
     ad.check_finite(probs, "softmax_lastdim")
     with np.errstate(divide="ignore", invalid="ignore"):
         logp = np.log(probs)
     ad.check_finite(logp, "log")
-    onehot = np.eye(probs.shape[-1])[labels]
-    ad.check_finite(onehot, "leaf")
-    picked = onehot * logp
-    ad.check_finite(picked, "mul")
-    row = picked.sum(axis=-1)
-    ad.check_finite(row, "sum")
-    mean = row.mean(axis=-1)
-    ad.check_finite(mean, "mean")
-    loss = mean * -1.0
-    ad.check_finite(loss, "scale")
+    return probs, np.eye(probs.shape[-1])[labels], logp
+
+
+def _nll(logits, labels):
+    """``(loss, probs, onehot)`` of :func:`_nll_probs`, one loss per scheme."""
+    probs, onehot, logp = _nll_probs(logits, labels)
+    loss = (onehot * logp).sum(axis=-1).mean(axis=-1) * -1.0
     return loss, probs, onehot
 
 
@@ -242,8 +264,7 @@ def _nll_backward(probs, onehot, g=1.0):
     its ``probs`` and ``onehot`` and the loss's own gradient ``g``, computed
     as the graph computes it; stacked logits give each scheme the gradient
     of its own loss."""
-    g = np.full(probs.shape[:-1], (g * -1.0) / probs.shape[-2])
-    g = np.full(probs.shape, np.expand_dims(g, -1)) * onehot
+    g = np.full(probs.shape, (g * -1.0) / probs.shape[-2]) * onehot
     return ad.softmax_backward(g / probs, probs)
 
 

@@ -72,8 +72,15 @@ class Dataset:
     def batches(self, batch_size, rng):
         """One shuffled pass: minibatches of ``batch_size`` rows (the last may
         be short) in the order of a single ``rng.permutation``."""
-        order = rng.permutation(len(self))
-        return [self.subset(order[i:i + batch_size]) for i in range(0, len(order), batch_size)]
+        return [self.subset(rows) for rows in batch_order(len(self), batch_size, rng)]
+
+
+def batch_order(n, batch_size, rng):
+    """The row indices of each minibatch of one shuffled pass over ``n`` rows:
+    ``batch_size`` each (the last may be short), in the order of a single
+    ``rng.permutation``."""
+    order = rng.permutation(n)
+    return [order[i:i + batch_size] for i in range(0, n, batch_size)]
 
 
 def prototypes(dim, n_intermediate):

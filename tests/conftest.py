@@ -7,6 +7,11 @@ from nfa import autodiff as ad
 from nfa.config import config_from_dict
 
 
+# the largest and least finite magnitudes and both zeros: the edges a finite
+# check's proof test must cover
+FINITE_EXTREMES = [1.7976931348623157e308, -1.7976931348623157e308, 5e-324, -5e-324, 0.0, -0.0]
+
+
 def numeric_grad(f, x, h=1e-5):
     """Central finite differences of a scalar-valued f at array x."""
     x = np.asarray(x, dtype=np.float64)

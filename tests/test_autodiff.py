@@ -3,10 +3,11 @@ differences, backward bookkeeping, and the optimizer."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from conftest import check_grad, numeric_grad, rel_err
+from conftest import FINITE_EXTREMES, check_grad, numeric_grad, rel_err
 from nfa import autodiff as ad
 
 
@@ -65,6 +66,22 @@ class TestNonFinite:
         v.flat[-1] = bad
         with pytest.raises(ad.NonFiniteError, match="op 'probe'"):
             ad.Tensor(v, op="probe")
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(FINITE_EXTREMES)
+
+
+@settings(max_examples=200, deadline=None)
+@given(act=st.sampled_from(sorted(ad.ACTIVATIONS)),
+       z=hnp.arrays(np.float64, hnp.array_shapes(max_dims=3, max_side=6), elements=FINITE))
+@example(act="tanh", z=np.array(FINITE_EXTREMES))
+@example(act="relu", z=np.array(FINITE_EXTREMES))
+@example(act="sigmoid", z=np.array(FINITE_EXTREMES))
+@example(act="linear", z=np.array(FINITE_EXTREMES))
+def test_finite_preactivation_gives_finite_activation(act, z):
+    """Why a dense layer checks only its ``z`` (``cascade.run_layers``): every
+    activation maps a finite ``z`` to a finite ``y``."""
+    assert np.isfinite(ad.ACTIVATIONS[act][0](z)).all()
 
 
 class TestBackward:
@@ -343,6 +360,24 @@ class TestAdam:
             assert np.array_equal(full._m[k], ref_opt._m[k])
             assert np.array_equal(full._v[k], ref_opt._v[k])
         assert sub.t == 4 and full.t == 3
+
+    def test_values_become_views_of_one_buffer(self):
+        rng = np.random.default_rng(4)
+        ps = ad.ParameterSet({"W": ad.parameter(rng.normal(size=(2, 3))),
+                              "s": ad.parameter(np.array(0.5)), "b": ad.parameter(rng.normal(size=3))})
+        before = {name: t.value.tobytes() for name, t in ps.items()}
+        opt = ad.Adam(ps, lr=0.1)
+        for name, t in ps.items():
+            assert t.value.base is opt._flat_x and t.value.flags.writeable
+            assert t.value.tobytes() == before[name]
+        assert opt._flat_x.tobytes() == b"".join(before.values())
+
+    def test_refuses_read_only_tensor(self):
+        ps = ad.ParameterSet({"w": ad.parameter(np.ones(2)), "frozen": ad.parameter(np.ones(3))})
+        ps["frozen"].value.flags.writeable = False
+        with pytest.raises(ValueError, match="parameter 'frozen' is read-only"):
+            ad.Adam(ps, lr=0.1)
+        assert not ps["frozen"].value.flags.writeable
 
     def test_determinism(self):
         def run():

@@ -1,11 +1,15 @@
 """Cascade construction, adapters, parameter counts, and upstream pretraining."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from conftest import check_grad
+from conftest import FINITE_EXTREMES, check_grad
 from nfa import autodiff as ad
 from nfa import cascade, cell
 from nfa.data import SynthDataConfig, generate_synthetic
@@ -62,6 +66,16 @@ def per_batch_recognize_pretrain(model, source_data, epochs, lr, batch_size=32, 
     run_stage(denoise_loss, 0)
     run_stage(recognize_loss, 1)
     model.freeze()
+
+
+def pass_order(n, seed, index=0):
+    """The row order of shuffled pass number ``index`` (from 0) of
+    pretraining over ``n`` rows at ``seed``: its batches are consecutive
+    slices of it."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9E7A]))
+    for _ in range(index):
+        rng.permutation(n)
+    return rng.permutation(n)
 
 
 class TestSpecs:
@@ -289,6 +303,10 @@ class TestPretraining:
     @pytest.mark.parametrize("case, op", [
         ("nan_in_x", "leaf"),  # a source input
         ("nan_in_clean", "leaf"),  # a denoising target
+        # the same in the last batch of a pass, after every batch before it
+        # has stepped: the whole-array check fails, the batches are checked
+        ("nan_in_x_last_batch", "leaf"),
+        ("inf_in_clean_last_batch", "leaf"),
         ("clean_times_1e200", "mul"),  # the squared error overflows
         ("inf_in_denoise_weight", "dense"),
         ("nan_in_recognize_bias", "dense"),  # raised in the recognize stage
@@ -303,6 +321,10 @@ class TestPretraining:
                 x[40, 3] = np.nan
             elif case == "nan_in_clean":
                 clean[100, 0] = np.nan
+            elif case == "nan_in_x_last_batch":
+                x[pass_order(len(x), 3)[-1], 5] = np.nan
+            elif case == "inf_in_clean_last_batch":
+                clean[pass_order(len(x), 3)[-1], 1] = -np.inf
             elif case == "clean_times_1e200":
                 clean *= 1e200
             elif case == "inf_in_denoise_weight":
@@ -331,6 +353,36 @@ class TestPretraining:
         # both routes stop at the same step: every weight stepped so far agrees
         for a, b in zip(ref.modules, new.modules):
             assert a.params.checksum() == b.params.checksum(), a.name
+        if case.endswith("last_batch"):  # the batches before it did step
+            init = cascade.build_cascade(cascade.CascadeSpec(), 3)
+            assert new.modules[0].params.checksum() != init.modules[0].params.checksum()
+
+    def test_out_of_range_label_raises_at_the_same_step(self):
+        data = source_data()
+        # the last batch of the recognize stage's first pass, after the two denoise passes
+        batch_rows = pass_order(len(data), 3, index=2)[-32:]
+        labels = data.inter_labels.copy()
+        labels[batch_rows[-1]] = 16
+        data = replace(data, inter_labels=labels)
+        ref, new = (cascade.build_cascade(cascade.CascadeSpec(), 3) for _ in range(2))
+        with pytest.raises(IndexError):  # the graph's one-hot, np.eye(16)[labels]
+            per_batch_recognize_pretrain(ref, data, epochs=2, lr=0.01, seed=3)
+        batch = labels[batch_rows]
+        message = f"labels must lie in [0, 16), got range [{batch.min()}, {batch.max()}]"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cascade.pretrain_upstream(new, data, epochs=2, lr=0.01, seed=3)
+        for a, b in zip(ref.modules, new.modules):
+            assert a.params.checksum() == b.params.checksum(), a.name
+        init = cascade.build_cascade(cascade.CascadeSpec(), 3)
+        assert new.stages[1][0].params.checksum() != init.stages[1][0].params.checksum()
+
+    def test_adam_refuses_the_frozen_snapshots(self):
+        model = cascade.build_cascade(cascade.CascadeSpec(modules_per_stage=1), 3)
+        cascade.pretrain_upstream(model, source_data(), epochs=1, lr=0.01, seed=3)
+        before = model.modules[0].params.checksum()
+        with pytest.raises(ValueError, match="parameter 'L0.W' is read-only"):
+            ad.Adam(model.modules[0].pretrained_params, lr=0.01)
+        assert model.modules[0].params.checksum() == before
 
     def test_frozen_snapshots_are_read_only(self):
         model = cascade.build_cascade(cascade.CascadeSpec(modules_per_stage=1), 3)
@@ -355,3 +407,50 @@ class TestPretraining:
             _ = model.modules[0].pretrained_params
         model.freeze()
         assert model.modules[0].pretrained_params.count == 544
+
+
+# -- the checks the array rules leave out, and why none of them can fire ------
+
+
+@settings(max_examples=200, deadline=None)
+@given(logits=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=3, max_side=5),
+                         elements=st.floats(-1e308, 1e308) | st.sampled_from(FINITE_EXTREMES)),
+       seed=st.integers(0, 2**32 - 1))
+@example(logits=np.array([[1e308, -1e308, 0.0]]), seed=0)  # log(0): log fires
+@example(logits=np.array([[5e-324, -0.0], [1e308, 1e308]]), seed=1)
+def test_nll_checks_nothing_after_a_finite_log(logits, seed):
+    """``_nll`` checks ``log`` and nothing after it: a finite ``logp`` gives a
+    finite one-hot, pick, row sum, mean and loss. Where ``log`` is not
+    finite, ``_nll`` raises under its name, as the graph does."""
+    labels = np.random.default_rng(seed).integers(0, logits.shape[-1], logits.shape[-2])
+    with np.errstate(over="ignore", divide="ignore"):
+        logp = np.log(ad.softmax(logits))
+        if not np.isfinite(logp).all():
+            with pytest.raises(ad.NonFiniteError, match="op 'log'"):
+                cascade._nll(logits, labels)
+            if logits.ndim == 2:
+                with pytest.raises(ad.NonFiniteError, match="op 'log'"):
+                    ad.nll(ad.softmax_lastdim(ad.constant(logits)), labels)
+            return
+        loss = cascade._nll(logits, labels)[0]
+        graph = ad.nll(ad.softmax_lastdim(ad.constant(logits)), labels) if logits.ndim == 2 else None
+    onehot = np.eye(logits.shape[-1])[labels]
+    picked = onehot * logp
+    row = picked.sum(axis=-1)
+    mean = row.mean(axis=-1)
+    for value in (onehot, picked, row, mean, mean * -1.0):
+        assert np.isfinite(value).all()
+    assert np.asarray(loss).tobytes() == np.asarray(mean * -1.0).tobytes()
+    if graph is not None:
+        assert graph.value.tobytes() == np.asarray(loss).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(target=hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=8),
+                         elements=st.floats(allow_nan=False, allow_infinity=False)
+                         | st.sampled_from(FINITE_EXTREMES)))
+@example(target=np.array(FINITE_EXTREMES))
+def test_mse_scale_of_a_finite_target_is_finite(target):
+    """Why ``_mse_grad`` does not check ``target * -1.0`` as ``scale``:
+    negation is exact, so a target checked finite as a leaf stays finite."""
+    assert np.isfinite(target * -1.0).all()

@@ -230,12 +230,29 @@ def adam_run(opt_cls):
     sub = opt.restricted(ad.ParameterSet({k: ps[k] for k in ("c", "W")}))
     for step in range(5):
         sub.minimize(loss(step, ["W"]), idle=["c"])
-    return [(opt.t, sub.t)] + [(k, ps[k].value.tobytes(), opt._m[k].tobytes(),
-                                opt._v[k].tobytes()) for k in SHAPES]
+    # a restricted optimizer and one restricted from it, stepping between the root's steps
+    other = opt.restricted(ad.ParameterSet({k: ps[k] for k in ("u", "s", "b")}))
+    inner = sub.restricted(ad.ParameterSet({"W": ps["W"]}))
+    for step in range(6):
+        opt.minimize(loss(step, list(SHAPES)))
+        if step % 2:
+            inner.minimize(loss(step, ["W"]))
+        else:
+            other.minimize(loss(step, ["u", "b"]), idle=["s"])
+    record = [(opt.t, sub.t, other.t, inner.t)] + [
+        (k, ps[k].value.tobytes(), opt._m[k].tobytes(), opt._v[k].tobytes()) for k in SHAPES]
+    return record, ps, opt
 
 
 def test_flat_adam_matches_per_tensor_adam():
-    assert adam_run(ad.Adam) == adam_run(PerTensorAdam)
+    record, ps, opt = adam_run(ad.Adam)
+    assert record == adam_run(PerTensorAdam)[0]
+    # every value is still a view into the root's one buffer: no stale copy
+    for k, t in ps.items():
+        a, b = opt._spans[k]
+        assert t.value.base is opt._flat_x, k
+        assert np.shares_memory(t.value, opt._flat_x[a:b]), k
+        assert t.value.tobytes() == opt._flat_x[a:b].tobytes(), k
 
 
 def test_restricted_of_restricted_shares_moments():
