@@ -536,10 +536,7 @@ def dense_core(x, w, b, act, affine=False):
         check_finite(z, "matmul")
     z = z + b
     check_finite(z, "add" if affine else "dense")
-    y = ACTIVATIONS[act][0](z)
-    if affine and act != "linear":
-        check_finite(y, act)
-    return z, y
+    return z, ACTIVATIONS[act][0](z)
 
 
 def dense_forward(x, w, b, act, affine=False):
@@ -549,10 +546,9 @@ def dense_forward(x, w, b, act, affine=False):
     bias then ``(S, 1, b)``: each scheme's slice is computed as alone.
 
     Checked as :func:`dense_check`, then finite as the graph checks it: ``z``
-    as one dense node (a finite ``z`` gives a finite ``y`` for every
-    activation), or with ``affine`` as the ops of :func:`affine` and the
-    activation op: ``x @ w`` as matmul, ``z`` as add and ``y`` as the
-    activation."""
+    as one dense node, or with ``affine`` as the ops of :func:`affine`:
+    ``x @ w`` as matmul and ``z`` as add. A finite ``z`` gives a finite ``y``
+    for every activation, so the activation op's check cannot fail."""
     dense_check(x.shape, w.shape, b.shape, act)
     return dense_core(x, w, b, act, affine)
 

@@ -122,28 +122,35 @@ def pretrain_upstream(model: CascadedModel, source_data, epochs, lr, batch_size=
     init. Freezes all modules afterward, fixing the pretrained snapshots.
 
     Each stage is checked once, before its first batch: its dense layers'
-    shapes and activations (:func:`check_layers`), and its whole input and
-    target finite. A batch then gathers only those two arrays' rows, runs the
-    layers' arithmetic in numpy with a tape (:func:`run_layers`), gets the
-    loss gradient in closed form and sweeps the tape backward into each
-    parameter's ``grad`` for :meth:`Adam.step`. Only when the whole input or
-    target is not finite is each batch's checked as a ``leaf``, as a graph
-    would, so the error comes at the same batch. Every check that can fire is
-    made under the name of the graph op that would have made the array, and
-    the weights equal graph training's bit for bit."""
+    shapes and activations (:func:`check_layers`), its whole input finite,
+    and its whole target finite (denoise) or in the label range
+    (:func:`checked_labels`, recognize). A batch then gathers only those two
+    arrays' rows, runs the layers' arithmetic in numpy with a tape
+    (:func:`run_layers`), gets the loss gradient in closed form and sweeps
+    the tape backward into each parameter's ``grad`` for :meth:`Adam.step`.
+    Only when the whole input or target fails is each batch's checked, the
+    input as a ``leaf`` and the target as before its loss, so the error comes
+    at the same batch. Every check that can fire is made under the name of
+    the graph op that would have made the array, and the weights equal graph
+    training's bit for bit."""
     if len(source_data) == 0:
         raise ValueError("pretraining requires a nonempty source dataset")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9E7A]))
 
-    def run_stage(stage_index, x, target, loss_grad):
+    def run_stage(stage_index, x, target, check_target, loss_grad):
         modules = model.stages[stage_index]
         params = ParameterSet()
         for m in modules:
             params.merge(m.params, prefix=m.name + ".")
         layers = _dense_layers(modules)
-        check_layers(layers, x[:batch_size].shape)
+        width = check_layers(layers, x[:batch_size].shape)[-1]
         opt = ad.Adam(params, lr=lr)
-        per_batch = not (np.isfinite(x).all() and np.isfinite(target).all())
+        try:  # the whole input and target, once
+            ad.check_finite(x, "leaf")
+            check_target(target, (len(target), width))
+            per_batch = False
+        except (ad.NonFiniteError, ValueError):  # then each batch, to raise at the same batch
+            per_batch = True
         for _ in range(epochs):
             for rows in batch_order(len(x), batch_size, rng):
                 bx, bt = x[rows], target[rows]
@@ -151,16 +158,17 @@ def pretrain_upstream(model: CascadedModel, source_data, epochs, lr, batch_size=
                     ad.check_finite(bx, "leaf")
                 out, tape = run_layers(layers, bx)
                 if per_batch:
-                    ad.check_finite(bt, "leaf")
+                    check_target(bt, out.shape)
                 layers_backward(tape, loss_grad(out, bt), need_x=False)
                 opt.step()
 
     if epochs > 0:
-        run_stage(0, source_data.x, source_data.clean, _mse_grad)
+        run_stage(0, source_data.x, source_data.clean,
+                  lambda target, shape: ad.check_finite(target, "leaf"), _mse_grad)
         # stage 0 is trained and outside the next stage's optimizer: its output
         # over every source row, computed once, is stage 1's constant input
         h, _ = layers_forward(_dense_layers(model.stages[0]), source_data.x)
-        run_stage(1, h, source_data.inter_labels,
+        run_stage(1, h, source_data.inter_labels, checked_labels,
                   lambda out, labels: _nll_backward(*_nll_probs(out, labels)[:2]))
     model.freeze()
 
@@ -173,9 +181,10 @@ def _dense_layers(modules):
 def check_layers(layers, x_shape):
     """Raise :func:`ad.dense_forward`'s ``ShapeError`` or ``ValueError`` for
     the first of the dense ``layers`` that does not fit an input of shape
-    ``x_shape`` and the layers before it."""
+    ``x_shape`` and the layers before it; return the output's shape."""
     for w, b, act in layers:
         x_shape = ad.dense_check(x_shape, w.shape, b.shape, act)
+    return x_shape
 
 
 def run_layers(layers, x):
@@ -239,13 +248,13 @@ def checked_labels(labels, logits_shape):
 
 def _nll_probs(logits, labels):
     """``(probs, onehot, logp)`` of ``ad.nll(ad.softmax_lastdim(logits),
-    labels)``, computed and checked as that graph does. ``logits`` is
-    ``(n, L)`` or stacked ``(S, n, L)``. A finite ``logp`` leaves nothing
-    after it to check: the one-hot picks one entry per row, which lies between
-    ``log`` of the least positive double and 0."""
-    labels = checked_labels(labels, logits.shape)
+    labels)`` for labels that :func:`checked_labels` accepted, computed and
+    checked as that graph does. ``logits`` is ``(n, L)`` or stacked
+    ``(S, n, L)``, and finite (every caller's logits were checked as the op
+    that made them), so their softmax is finite too. A finite ``logp`` leaves
+    nothing after it to check: the one-hot picks one entry per row, which
+    lies between ``log`` of the least positive double and 0."""
     probs = ad.softmax(logits)
-    ad.check_finite(probs, "softmax_lastdim")
     with np.errstate(divide="ignore", invalid="ignore"):
         logp = np.log(probs)
     ad.check_finite(logp, "log")
@@ -253,8 +262,9 @@ def _nll_probs(logits, labels):
 
 
 def _nll(logits, labels):
-    """``(loss, probs, onehot)`` of :func:`_nll_probs`, one loss per scheme."""
-    probs, onehot, logp = _nll_probs(logits, labels)
+    """``(loss, probs, onehot)`` of :func:`_nll_probs` after
+    :func:`checked_labels`, one loss per scheme."""
+    probs, onehot, logp = _nll_probs(logits, checked_labels(labels, logits.shape))
     loss = (onehot * logp).sum(axis=-1).mean(axis=-1) * -1.0
     return loss, probs, onehot
 

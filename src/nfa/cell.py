@@ -95,6 +95,37 @@ def gumbel_argmax(alpha, tau, rng):
     return int(np.argmax(ad.softmax(logits)))
 
 
+def gumbel_probs(cells, tau, rng, replay):
+    """Row ``i`` is cell ``i``'s soft weights ``softmax((alpha + G) / tau)``,
+    every cell's Gumbel noise ``G`` drawn at once: the same stream as one draw
+    per cell in cell order, and row by row the bytes of
+    :func:`gumbel_softmax` and :func:`gumbel_argmax`. The cells have equally
+    many paths.
+
+    Where a row is not finite, ``rng`` is rewound and ``replay(alpha, tau,
+    rng)``, one of those two samplers, runs cell by cell: it raises that
+    cell's error and leaves ``rng`` where the per-cell draws leave it. A
+    finite row has finite Gumbel noise, sum and scale, and a finite softmax,
+    so no per-cell check can fail where the batch passes."""
+    _check_tau(tau)
+    alphas = np.array([c.alpha.value for c in cells])
+    state = rng.bit_generator.state
+    logits = (alphas + rng.gumbel(size=alphas.shape)) * float(1.0 / tau)
+    if not np.isfinite(logits).all():
+        rng.bit_generator.state = state
+        for c in cells:  # raises at the first cell whose row is not finite
+            replay(c.alpha, tau, rng)
+    return ad.softmax(logits)
+
+
+def gumbel_softmax_grad(g, probs, tau):
+    """The gradient of the logits ``alpha`` from the gradient ``g`` of the
+    straight-through weights that :func:`gumbel_softmax` sampled with soft
+    weights ``probs``, as its graph computes it: the ``softmax_lastdim``
+    backward, then the ``scale`` by ``1 / tau``. Rows are cells."""
+    return ad.softmax_backward(g, probs) * float(1.0 / tau)
+
+
 class NfaCell:
     """One search unit: a module plus its candidate tuning paths and logits."""
 
@@ -234,18 +265,17 @@ class NfaCell:
 
         return out, backward
 
-    def forward_mixed(self, x, weights):
+    def forward_mixed(self, x, w):
         """The sum of every path's output on the array ``x`` weighted by the
-        ``PathWeights`` ``weights``, without a graph. The frozen backbone runs
-        once, shared by the frozen and adapter paths, and each weighted term
-        and partial sum is checked as the graph's ``mul`` and ``add``.
+        path weights ``w``, an array of one per path, without a graph. The frozen backbone
+        runs once, shared by the frozen and adapter paths, and each weighted
+        term and partial sum is checked as the graph's ``mul`` and ``add``.
 
         Returns the output and a function from its gradient ``g`` to
         ``(the weights' gradient, x's gradient or None unless asked)``. It
-        sweeps back only the path of weight 1.0, so it needs hard weights:
+        sweeps back only the path of weight 1.0, so it needs one-hot weights:
         every other path's weight is exactly 0.0. No network parameter takes a
         gradient."""
-        w = weights.values
         if w.shape != (self.n_paths,):
             raise ad.ShapeError(f"cell {self.index}: got {w.shape[0]} weights for {self.n_paths} paths")
         backbone = layers_forward(self.module.layers(), x)
@@ -263,13 +293,14 @@ class NfaCell:
             backs.append(back)
 
         def backward(g, need_x):
-            if not weights.hard:
-                raise ValueError("the mixed backward sweeps one path: it needs hard weights")
+            k = int(np.argmax(w))
+            if w[k] != 1.0 or np.count_nonzero(w) != 1:
+                raise ValueError(f"the mixed backward sweeps one path: it needs one-hot weights, got {w}")
             # as each path's mul and index_lastdim: the weight's gradient is
             # (g * y) summed to a scalar, and the paths' one-hot contributions
             # are added, which turns a -0.0 into +0.0
             grad = np.zeros(self.n_paths) + [(g * y).sum(axis=0).sum(axis=0) for y in outs]
-            return grad, backs[int(np.argmax(w))](g, need_x, params=False) if need_x else None
+            return grad, backs[k](g, need_x, params=False) if need_x else None
 
         return out, backward
 
@@ -355,17 +386,18 @@ def cascade_forward_stacked(model, cells, plan, x):
     return h, backward
 
 
-def cascade_forward_mixed(model, cells, weights_per_cell, x):
-    """The cascade on the array ``x`` without a graph when each cell mixes
-    its paths by its hard ``PathWeights`` (see :meth:`NfaCell.forward_mixed`).
-    Returns the logits and a function from their gradient to each cell's
-    weight gradient; no network parameter takes a gradient."""
-    _check_cascade(model, cells, weights_per_cell)
+def cascade_forward_mixed(model, cells, weights, x):
+    """The cascade on the array ``x`` without a graph when cell ``i`` mixes
+    its paths by the one-hot row ``weights[i]`` (see
+    :meth:`NfaCell.forward_mixed`). Returns the logits and a function from
+    their gradient to the weights' gradient, one row per cell; no network
+    parameter takes a gradient."""
+    _check_cascade(model, cells, weights)
     h, backs = _forward_arrays(model, cells, x,
-                               lambda i, cell, h: cell.forward_mixed(h, weights_per_cell[i]))
+                               lambda i, cell, h: cell.forward_mixed(h, weights[i]))
 
     def backward(g):
-        grads = [None] * len(backs)
+        grads = np.empty(np.shape(weights))
         for i in range(len(backs) - 1, -1, -1):
             back, s = backs[i]
             if s is not None:

@@ -57,14 +57,15 @@ def penalty_counts(cell, cfg: PenaltyConfig):
     return np.asarray(counts, dtype=np.float64)
 
 
-def _normalized_counts(cells, cfg):
-    """Per cell, its penalty counts and 1 / their sum."""
-    for cell in cells:
-        counts = penalty_counts(cell, cfg)
-        denom = counts.sum()
-        if denom == 0:
+def penalty_table(cells, cfg: PenaltyConfig):
+    """``(counts, inv)``: every cell's :func:`penalty_counts` as the rows of
+    one array, and 1 / each row's sum. The cells have equally many paths."""
+    counts = np.array([penalty_counts(cell, cfg) for cell in cells])
+    sums = counts.sum(axis=-1)
+    for cell, total in zip(cells, sums):
+        if total == 0:
             raise ValueError(f"cell {cell.index}: all penalty counts are zero")
-        yield counts, 1.0 / denom
+    return counts, 1.0 / sums
 
 
 def penalty(cells, weights_per_cell, cfg: PenaltyConfig):
@@ -74,25 +75,43 @@ def penalty(cells, weights_per_cell, cfg: PenaltyConfig):
     if len(weights_per_cell) != len(cells):
         raise ValueError(f"{len(weights_per_cell)} weight vectors for {len(cells)} cells")
     total = None
-    for w, (counts, inv) in zip(weights_per_cell, _normalized_counts(cells, cfg)):
+    for w, counts, inv in zip(weights_per_cell, *penalty_table(cells, cfg)):
         term = ad.scale(ad.tensor_sum(ad.mul(w.weights, ad.constant(counts))), inv)
         total = term if total is None else ad.add(total, term)
     return total
 
 
-def scheme_penalty(cells, scheme, cfg: PenaltyConfig):
-    """The penalty of deploying ``scheme`` (one path name per cell), as a
-    float: per cell, the count of its path times 1 / the sum of its counts,
-    added in cell order. This is :func:`penalty` of the scheme's one-hot
-    weights bit for bit, since a one-hot vector times the counts sums to
-    that count exactly."""
-    if len(scheme) != len(cells):
-        raise ValueError(f"{len(scheme)} weight vectors for {len(cells)} cells")
+def hard_penalty(table, picks):
+    """:func:`penalty` of one-hot weights that pick path ``picks[i]`` of cell
+    ``i``, as a float, from the :func:`penalty_table`: per cell, the picked
+    count times its ``inv``, added in cell order. This is the graph penalty
+    bit for bit, since a one-hot vector times the counts sums to that count
+    exactly; every term lies in [0, 1], so none of the graph's checks can
+    fail."""
+    counts, inv = table
     total = None
-    for cell, choice, (counts, inv) in zip(cells, scheme, _normalized_counts(cells, cfg)):
-        term = counts[cell.paths.index(choice)] * inv
+    for i, k in enumerate(picks):
+        term = counts[i, k] * inv[i]
         total = term if total is None else total + term
     return float(total)
+
+
+def hard_penalty_grad(table, g):
+    """The gradient of :func:`penalty` with respect to every cell's weights,
+    one row per cell, from the penalty's own gradient ``g``: ``g * inv``
+    times the counts, as the graph's ``scale``, ``sum`` and ``mul`` compute
+    it. The penalty is linear in the weights, so this holds at any weights."""
+    counts, inv = table
+    return (g * inv)[:, None] * counts
+
+
+def scheme_penalty(cells, scheme, cfg: PenaltyConfig):
+    """The penalty of deploying ``scheme`` (one path name per cell), as a
+    float: :func:`hard_penalty` of its paths."""
+    if len(scheme) != len(cells):
+        raise ValueError(f"{len(scheme)} weight vectors for {len(cells)} cells")
+    return hard_penalty(penalty_table(cells, cfg),
+                        [cell.paths.index(choice) for cell, choice in zip(cells, scheme)])
 
 
 def task_loss(logits, labels):
@@ -102,7 +121,24 @@ def task_loss(logits, labels):
     return ad.nll(ad.softmax_lastdim(logits), checked_labels(labels, logits.shape))
 
 
+def penalty_in_loss(cfg: PenaltyConfig):
+    """Whether the penalty enters the total loss."""
+    return cfg.enabled and cfg.coefficient != 0.0
+
+
 def total_loss(task, pen, cfg: PenaltyConfig):
-    if not cfg.enabled or cfg.coefficient == 0.0:
+    if not penalty_in_loss(cfg):
         return task
     return ad.add(task, ad.scale(pen, cfg.coefficient))
+
+
+def total_value(task, pen, cfg: PenaltyConfig):
+    """:func:`total_loss` of the floats ``task`` and ``pen``, checked as its
+    ``scale`` and ``add`` (a large coefficient can overflow either)."""
+    if not penalty_in_loss(cfg):
+        return task
+    scaled = pen * float(cfg.coefficient)
+    ad.check_finite(scaled, "scale")
+    total = task + scaled
+    ad.check_finite(total, "add")
+    return total

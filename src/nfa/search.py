@@ -17,7 +17,8 @@ from . import autodiff as ad
 from . import objective
 from .cascade import _nll, _nll_backward
 from .cell import (arch_group, cascade_forward, cascade_forward_mixed, cascade_forward_stacked,
-                   gumbel_argmax, gumbel_softmax, network_group, scheme_params, scheme_plan)
+                   gumbel_argmax, gumbel_probs, gumbel_softmax, gumbel_softmax_grad, network_group,
+                   scheme_params, scheme_plan)
 
 
 @dataclass(frozen=True)
@@ -93,19 +94,6 @@ def cascade_loss(model, cells, scheme, data):
     return objective.task_loss(logits, data.labels)
 
 
-def mixed_task_loss(model, cells, weights_per_cell, data):
-    """The task loss of the cascade on the rows of ``data`` when each cell
-    mixes its paths by its hard ``PathWeights``, as one graph node over the
-    weights: the cascade and the loss run without a graph
-    (``cell.cascade_forward_mixed``), and the node's backward returns each
-    cell's weight gradient."""
-    logits, backward = cascade_forward_mixed(model, cells, weights_per_cell, data.x)
-    loss, probs, onehot = _nll(logits, data.labels)
-    inputs = tuple(w.weights for w in weights_per_cell)
-    return ad.Tensor(loss, requires_grad=any(t.requires_grad for t in inputs), op="task_loss",
-                     inputs=inputs, backward_fn=lambda g: backward(_nll_backward(probs, onehot, g)))
-
-
 def scheme_step(model, cells, plan, batch, opt, idle=()):
     """One training step of the schemes of ``plan`` (see
     ``cell.cascade_forward_stacked``) without a graph, as ``opt.minimize``
@@ -143,13 +131,9 @@ class AdaptiveSearch:
         self._val_order_rng = np.random.default_rng(ss[2])
         self.state = SearchState()
         self.tau = cfg.tau_start
+        self._penalty_table = objective.penalty_table(cells, penalty_cfg)
 
     # -- weights ---------------------------------------------------------
-
-    def sample_weights(self):
-        """Straight-through Gumbel-softmax path weights, one per cell."""
-        return [gumbel_softmax(c.alpha, self.tau, rng=self._gumbel_rng, hard=True)
-                for c in self.cells]
 
     def discretization(self):
         return [c.discretize() for c in self.cells]
@@ -165,30 +149,56 @@ class AdaptiveSearch:
     # -- steps -----------------------------------------------------------
 
     def arch_step(self, val_batch):
-        """One architecture update on a validation batch. Only alpha's graph
-        is built: the sampled weights, the penalty and the task loss as one
-        node (:func:`mixed_task_loss`); no network gradient is computed."""
+        """One architecture update on a validation batch, as one graph node
+        over the cells' alphas that ``opt_arch.minimize`` runs.
+
+        Every cell's path is sampled from one Gumbel draw
+        (:func:`cell.gumbel_probs`), the cascade mixes each cell's paths by
+        its one-hot row in numpy (:func:`cell.cascade_forward_mixed`), and the
+        penalty and the total loss are floats. The node's value is the total
+        loss. Its backward gives each alpha the straight-through graph's
+        gradient in closed form, in that graph's order: the cross-entropy
+        gradient swept back to the weights, the penalty's added to it, then
+        :func:`cell.gumbel_softmax_grad`. No network gradient is computed."""
         if len(val_batch) == 0:
             raise ValueError("arch_step needs a nonempty batch")
-        weights = self.sample_weights()
-        task = mixed_task_loss(self.model, self.cells, weights, val_batch)
-        pen = objective.penalty(self.cells, weights, self.penalty_cfg)
-        total = self.opt_arch.minimize(objective.total_loss(task, pen, self.penalty_cfg))
+        tau = self.tau
+        probs = gumbel_probs(self.cells, tau, self._gumbel_rng,
+                             lambda alpha, t, rng: gumbel_softmax(alpha, t, rng=rng, hard=True))
+        picks = probs.argmax(axis=-1)
+        logits, backward = cascade_forward_mixed(self.model, self.cells, np.eye(probs.shape[-1])[picks],
+                                                 val_batch.x)
+        task, p, onehot = _nll(logits, val_batch.labels)
+        pen = objective.hard_penalty(self._penalty_table, picks)
+        total = objective.total_value(task, pen, self.penalty_cfg)
+
+        def grads(g):
+            g_w = backward(_nll_backward(p, onehot, g))
+            if objective.penalty_in_loss(self.penalty_cfg):
+                g_w = objective.hard_penalty_grad(self._penalty_table,
+                                                  g * float(self.penalty_cfg.coefficient)) + g_w
+            return tuple(gumbel_softmax_grad(g_w, probs, tau))
+
+        loss = ad.Tensor(total, requires_grad=True, op="arch_step",
+                         inputs=tuple(c.alpha for c in self.cells), backward_fn=grads)
+        total = self.opt_arch.minimize(loss)
         self.state.val_ids_seen.update(int(i) for i in val_batch.ids)
-        return total, task.item(), pen.item()
+        return total, float(task), pen
 
     def net_step(self, train_batch):
         """One network update on a training batch; alpha stays untouched and
         the penalty (a function of alpha alone) is excluded.
 
         Each cell's path is sampled as in ``arch_step`` (same Gumbel draws,
-        no graph), and only the sampled path is forwarded and backpropagated,
-        without a graph: the straight-through gradient into alpha would be
-        discarded. The unsampled paths' parameters take an exact zero
-        gradient, which is what the all-path backward gave them."""
+        no graph; a non-finite sample raises as :func:`cell.gumbel_argmax`),
+        and only the sampled path is forwarded and backpropagated, without a
+        graph: the straight-through gradient into alpha would be discarded.
+        The unsampled paths' parameters take an exact zero gradient, which is
+        what the all-path backward gave them."""
         if len(train_batch) == 0:
             raise ValueError("net_step needs a nonempty batch")
-        scheme = [c.paths[gumbel_argmax(c.alpha, self.tau, self._gumbel_rng)] for c in self.cells]
+        probs = gumbel_probs(self.cells, self.tau, self._gumbel_rng, gumbel_argmax)
+        scheme = [c.paths[k] for c, k in zip(self.cells, probs.argmax(axis=-1))]
         live = scheme_params(self.cells, scheme)
         idle = [name for name in self.net_params if name not in live]
         task = self._scheme_step(self.opt_net, scheme, train_batch, idle)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from nfa import autodiff as ad
 from nfa.config import config_from_dict
@@ -10,6 +11,12 @@ from nfa.config import config_from_dict
 # the largest and least finite magnitudes and both zeros: the edges a finite
 # check's proof test must cover
 FINITE_EXTREMES = [1.7976931348623157e308, -1.7976931348623157e308, 5e-324, -5e-324, 0.0, -0.0]
+
+
+# the long run of the search fuzz (tests/test_engine_equivalence.py), outside
+# tier-1: pytest tests/test_engine_equivalence.py -k fuzz --hypothesis-profile=search-fuzz
+SEARCH_FUZZ_PROFILE = "search-fuzz"
+settings.register_profile(SEARCH_FUZZ_PROFILE, max_examples=2000, deadline=None)
 
 
 def numeric_grad(f, x, h=1e-5):

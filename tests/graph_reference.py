@@ -1,7 +1,7 @@
 """The graph code that the search's graph-free steps replaced, kept as
 test-local references: the mixed-path cell forward on the graph, constant
-one-hot path weights, and an ``AdaptiveSearch`` whose architecture step,
-network step, stage-2 step and evaluation build the graph as they did
+one-hot path weights, and an ``AdaptiveSearch`` whose sampler, architecture
+step, network step, stage-2 step and evaluation build the graph as they did
 before. Tests require the search's steps to equal these byte for byte.
 """
 
@@ -9,7 +9,7 @@ import numpy as np
 
 from nfa import autodiff as ad
 from nfa import objective
-from nfa.cell import PathWeights
+from nfa.cell import PathWeights, gumbel_softmax, scheme_params
 from nfa.search import AdaptiveSearch
 
 
@@ -63,11 +63,17 @@ def cascade_loss(model, cells, weights_per_cell, data):
 
 
 class GraphSearch(AdaptiveSearch):
-    """The search with every step on the graph: the architecture step
-    forwards every path of every cell under straight-through weights and
-    backpropagates the whole graph; the network and stage-2 steps run
-    ``Adam.minimize`` on the scheme's loss graph; the evaluation's penalty
-    is the graph penalty of one-hot weights."""
+    """The search with every step on the graph: each cell's path is sampled
+    by its own Gumbel-softmax graph; the architecture step forwards every
+    path of every cell under straight-through weights and backpropagates the
+    whole graph; the network and stage-2 steps run ``Adam.minimize`` on the
+    scheme's loss graph; the evaluation's penalty is the graph penalty of
+    one-hot weights."""
+
+    def sample_weights(self):
+        """Straight-through Gumbel-softmax path weights, one per cell."""
+        return [gumbel_softmax(c.alpha, self.tau, rng=self._gumbel_rng, hard=True)
+                for c in self.cells]
 
     def arch_step(self, val_batch):
         weights = self.sample_weights()
@@ -76,6 +82,24 @@ class GraphSearch(AdaptiveSearch):
         total = self.opt_arch.minimize(objective.total_loss(task, pen, self.penalty_cfg))
         self.state.val_ids_seen.update(int(i) for i in val_batch.ids)
         return total, task.item(), pen.item()
+
+    def net_step(self, train_batch):
+        """The network step on the sampled weights' one-hot paths. The step
+        reports a non-finite sample under the name ``gumbel_argmax``, the
+        graph-free sampler that the network step has always used; it fails
+        at the same cell as the graph, with the same draws taken."""
+        if len(train_batch) == 0:
+            raise ValueError("net_step needs a nonempty batch")
+        try:
+            weights = self.sample_weights()
+        except ad.NonFiniteError:
+            raise ad.NonFiniteError("non-finite values in tensor produced by op 'gumbel_argmax'")
+        scheme = [c.paths[int(np.argmax(w.values))] for c, w in zip(self.cells, weights)]
+        live = scheme_params(self.cells, scheme)
+        idle = [name for name in self.net_params if name not in live]
+        task = self._scheme_step(self.opt_net, scheme, train_batch, idle)
+        self.state.train_ids_seen.update(int(i) for i in train_batch.ids)
+        return task
 
     def _scheme_step(self, opt, scheme, batch, idle=()):
         return opt.minimize(cascade_loss(self.model, self.cells, scheme, batch), idle=idle)

@@ -376,6 +376,29 @@ class TestPretraining:
         init = cascade.build_cascade(cascade.CascadeSpec(), 3)
         assert new.stages[1][0].params.checksum() != init.stages[1][0].params.checksum()
 
+    def test_labels_are_checked_once_per_stage(self, monkeypatch):
+        # in range: the recognize stage checks its whole label array once;
+        # out of range: once, then every batch up to the bad one
+        calls = []
+        checked_labels = cascade.checked_labels
+
+        def counting(labels, shape):
+            calls.append(shape)
+            return checked_labels(labels, shape)
+
+        monkeypatch.setattr(cascade, "checked_labels", counting)
+        data = source_data()
+        cascade.pretrain_upstream(cascade.build_cascade(cascade.CascadeSpec(), 3), data,
+                                  epochs=2, lr=0.01, seed=3)
+        assert calls == [(len(data), 16)]
+        calls.clear()
+        labels = data.inter_labels.copy()
+        labels[pass_order(len(data), 3, index=2)[31]] = 16  # the first recognize batch's last row
+        with pytest.raises(ValueError, match="labels must lie in"):
+            cascade.pretrain_upstream(cascade.build_cascade(cascade.CascadeSpec(), 3),
+                                      replace(data, inter_labels=labels), epochs=2, lr=0.01, seed=3)
+        assert calls == [(len(data), 16), (32, 16)]
+
     def test_adam_refuses_the_frozen_snapshots(self):
         model = cascade.build_cascade(cascade.CascadeSpec(modules_per_stage=1), 3)
         cascade.pretrain_upstream(model, source_data(), epochs=1, lr=0.01, seed=3)
@@ -443,6 +466,22 @@ def test_nll_checks_nothing_after_a_finite_log(logits, seed):
     assert np.asarray(loss).tobytes() == np.asarray(mean * -1.0).tobytes()
     if graph is not None:
         assert graph.value.tobytes() == np.asarray(loss).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(logits=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=6),
+                         elements=st.floats(allow_nan=False, allow_infinity=False)
+                         | st.sampled_from(FINITE_EXTREMES)))
+@example(logits=np.array([FINITE_EXTREMES]))
+@example(logits=np.array([FINITE_EXTREMES[::-1], FINITE_EXTREMES[1::2] * 2]))
+def test_softmax_of_finite_logits_is_finite(logits):
+    """Why ``_nll_probs`` does not check its softmax as ``softmax_lastdim``:
+    its logits were checked finite by the op that made them, and a finite
+    row's softmax is finite (its largest entry maps to exp(0) = 1, so the
+    row sum lies in [1, n])."""
+    with np.errstate(over="ignore"):  # z - max may overflow to -inf; exp gives 0
+        probs = ad.softmax(logits)
+    assert np.isfinite(probs).all()
 
 
 @settings(max_examples=100, deadline=None)

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graph_reference
-from conftest import make_config
+from conftest import SEARCH_FUZZ_PROFILE, make_config
 from nfa import autodiff as ad
 from nfa import cascade, cell, harness, objective
 from nfa.config import config_from_dict
@@ -526,6 +526,20 @@ def test_search_overflow_matches_graph(lr, value, raises):
         assert got == (ad.NonFiniteError, f"non-finite values in tensor produced by op '{raises}'")
 
 
+@pytest.mark.parametrize("coefficient, raises", [(1e308, None), (1.7e308, "scale")])
+def test_penalty_overflow_matches_graph(coefficient, raises):
+    # coefficient times a penalty above 1 overflows: the architecture step's
+    # total loss raises as the graph's scale, before alpha moves
+    new, ref = search_pair(penalty={"pfr_policy": "half_finetune", "coefficient": coefficient,
+                                    "enabled": True})
+    with np.errstate(over="ignore"):
+        got = outcome(new.run_stage1)
+        assert got == outcome(ref.run_stage1)
+    assert search_state(new) == search_state(ref)
+    assert got == (None if raises is None else
+                   (ad.NonFiniteError, f"non-finite values in tensor produced by op '{raises}'"))
+
+
 def test_search_non_finite_input_matches_graph():
     new, ref = search_pair()
     batch = new.train_data.subset(np.arange(8))
@@ -535,6 +549,49 @@ def test_search_non_finite_input_matches_graph():
         assert got == failure(getattr(ref, step), batch)
         assert "op 'leaf'" in got[1]
         assert search_state(new) == search_state(ref)
+
+
+def poke(tau=None, alpha=None, nan_in_last_cell=False):
+    """A change made to both searches before the step under test."""
+    def apply(s):
+        if tau is not None:
+            s.tau = tau
+        for c in s.cells:
+            if alpha is not None:
+                c.alpha.value[:] = alpha
+        if nan_in_last_cell:
+            s.cells[-1].alpha.value[1] = np.nan
+    return apply
+
+
+# the change, and the error the architecture step and the network step then
+# raise (None: the step completes)
+SAMPLER_FAILURES = {
+    "1/tau overflows": (poke(tau=1e-320), "scale", "gumbel_argmax"),
+    "NaN alpha in the last cell": (poke(nan_in_last_cell=True), "add", "gumbel_argmax"),
+    "alpha at +-1e308": (poke(alpha=[1e308, -1e308, 0.0]), None, None),
+    "alpha at +-1e308, tau 0.5": (poke(tau=0.5, alpha=[1e308, -1e308, 0.0]), "scale", "gumbel_argmax"),
+}
+
+
+@pytest.mark.parametrize("step", ["arch_step", "net_step"])
+@pytest.mark.parametrize("case", sorted(SAMPLER_FAILURES))
+def test_sampler_failures_match_graph(case, step):
+    # the batched sampler raises the error of the per-cell graph sampler, at
+    # the same cell, with the generator where the per-cell draws leave it
+    change, arch_op, net_op = SAMPLER_FAILURES[case]
+    new, ref = search_pair()
+    batch = new.val_data.subset(np.arange(8))
+    for s in (new, ref):
+        s.arch_step(batch)  # move alpha and the optimizer off their initial state
+        change(s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = outcome(lambda: getattr(new, step)(batch))
+        assert got == outcome(lambda: getattr(ref, step)(batch))
+    assert search_state(new) == search_state(ref)
+    op = arch_op if step == "arch_step" else net_op
+    assert got == (None if op is None else
+                   (ad.NonFiniteError, f"non-finite values in tensor produced by op '{op}'"))
 
 
 @pytest.mark.parametrize("bad", ["-1", "L", "shape"])
@@ -556,3 +613,76 @@ def test_search_steps_check_labels(bad):
     for rows in [(train, bad_rows)] + [(bad_rows, val)] * (bad != "shape"):
         assert failure(harness.train_fixed_schemes, model, cells, [("finetune",) * 3], *rows,
                        **training_args(cfg, 0)) == want
+
+
+# -- the search steps fuzzed against the graph ----------------------------------
+
+
+@st.composite
+def search_setups(draw):
+    dim = draw(st.integers(2, 24))
+    mode = draw(st.sampled_from(["NFA", "NA"]))
+    kinds = draw(st.sampled_from([("BA",), ("GA",)] + [("BA", "GA"), ("GA", "BA")] * (mode == "NFA")))
+    policy = draw(st.sampled_from(objective.PFR_POLICIES))
+    return {
+        "spec": cascade.CascadeSpec(dim, draw(st.sampled_from([k for k in range(1, dim + 1)
+                                                               if dim % k == 0])),
+                                    draw(st.integers(1, 2))),
+        "mode": mode,
+        "kinds": kinds,
+        "penalty": objective.PenaltyConfig(
+            pfr_policy=policy, pfr_constant=draw(st.integers(0, 1000)) if policy == "constant" else 0,
+            coefficient=draw(st.sampled_from([0.0]) | st.floats(0.01, 10.0)),
+            enabled=draw(st.booleans())),
+        "search": SearchConfig(stage1_epochs=draw(st.integers(1, 2)), stage2_epochs=1,
+                               batch_size=draw(st.integers(1, 40)), lr_network=0.01, lr_arch=0.05,
+                               seed=draw(st.integers(0, 2**16))),
+        "n_target": draw(st.integers(2, 64)),
+    }
+
+
+def recorded(s):
+    """Wrap ``s``'s steps on the instance: every call appends the step's
+    name, its return value and the search's state afterwards to the list
+    returned."""
+    log = []
+    for name in ("arch_step", "net_step", "_scheme_step"):
+        def step(*args, _method=getattr(s, name), _name=name, **kwargs):
+            out = _method(*args, **kwargs)
+            log.append((_name, repr(out), search_state(s)))
+            return out
+        setattr(s, name, step)
+    return log
+
+
+FUZZ_EXAMPLES = (settings.get_profile(SEARCH_FUZZ_PROFILE).max_examples
+                 if settings.get_current_profile_name() == SEARCH_FUZZ_PROFILE else 150)
+
+
+@settings(max_examples=FUZZ_EXAMPLES, deadline=None)
+@given(setup=search_setups())
+def test_search_fuzz_matches_graph(setup):
+    """Stage 1 and stage 2 on drawn cascades, modes, adapters, penalties,
+    batch sizes and seeds: every step's return value, alpha, every network
+    parameter, both optimizers' moments and step counts and the sampler's
+    state equal the graph search's byte for byte."""
+    spec, cfg = setup["spec"], setup["search"]
+    data = generate_synthetic(SynthDataConfig(n_samples=setup["n_target"], dim=spec.dim,
+                                              n_labels=spec.n_labels, n_intermediate=spec.dim,
+                                              domain="target"), cfg.seed)
+    train, val = split_dataset(data, cfg.split_ratio, cfg.seed)
+    logs, searches = [], []
+    for cls in (AdaptiveSearch, graph_reference.GraphSearch):
+        model = cascade.build_cascade(spec, cfg.seed)
+        model.freeze()
+        cells = cell.build_cells(model, mode=setup["mode"], adapter_kinds=setup["kinds"], seed=cfg.seed)
+        s = cls(model, cells, train, val, setup["penalty"], cfg)
+        logs.append(recorded(s))
+        s.run_stage1()
+        s.run_stage2()
+        searches.append(s)
+    new, ref = searches
+    assert logs[0] == logs[1]
+    assert any(name == "arch_step" for name, _, _ in logs[0])
+    assert [repr(r) for r in new.state.history] == [repr(r) for r in ref.state.history]
+    assert repr(new.evaluate(val)) == repr(ref.evaluate(val))

@@ -145,7 +145,7 @@ class TestStepContracts:
             return forward_path(c, path, *args, **kwargs)
 
         monkeypatch.setattr(cell.NfaCell, "forward_path", counting)
-        ref, new = make_search(), make_search()
+        ref, new = make_search(search_cls=graph_reference.GraphSearch), make_search()
         batches = new.train_data.batches(16, np.random.default_rng(1))
         all_paths = {(c.index, p) for c in new.cells for p in c.paths}
         sampled_seen, idle_seen = set(), set()
