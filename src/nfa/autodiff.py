@@ -46,7 +46,6 @@ __all__ = [
     "dense",
     "dense_check",
     "dense_core",
-    "dense_forward",
     "dense_backward",
     "softmax_backward",
     "nll",
@@ -512,9 +511,9 @@ def _stacked(shape):
 
 
 def dense_check(x_shape, w_shape, b_shape, act):
-    """Raise :func:`dense_forward`'s ``ValueError`` for an unknown ``act`` or
-    its :class:`ShapeError` for shapes that do not fit; return the shape of
-    the layer's output."""
+    """Raise :func:`dense`'s ``ValueError`` for an unknown ``act`` or its
+    :class:`ShapeError` for shapes that do not fit; return the shape of the
+    layer's output."""
     if act not in ACTIVATIONS:
         raise ValueError(f"dense: unknown activation {act!r}")
     if (len(x_shape) not in (2, 3) or len(w_shape) not in (2, 3) or x_shape[-1] != w_shape[-2]
@@ -529,8 +528,16 @@ def dense_check(x_shape, w_shape, b_shape, act):
 
 
 def dense_core(x, w, b, act, affine=False):
-    """The arithmetic of :func:`dense_forward` on arrays that
-    :func:`dense_check` has accepted, with its finite checks."""
+    """``(z, y)`` of a dense layer on numpy arrays whose shapes
+    :func:`dense_check` accepts: ``z = x @ w + b`` and ``y = act(z)``; ``act``
+    is a key of :data:`ACTIVATIONS`. ``x`` and ``w`` may carry a leading
+    scheme axis, ``(S, n, a)`` and ``(S, a, b)``, with the bias then
+    ``(S, 1, b)``: each scheme's slice is computed as alone.
+
+    Checked finite as the graph checks it: ``z`` as one dense node, or with
+    ``affine`` as the ops of :func:`affine`: ``x @ w`` as matmul and ``z`` as
+    add. A finite ``z`` gives a finite ``y`` for every activation, so the
+    activation op's check cannot fail."""
     z = x @ w
     if affine:
         check_finite(z, "matmul")
@@ -539,22 +546,8 @@ def dense_core(x, w, b, act, affine=False):
     return z, ACTIVATIONS[act][0](z)
 
 
-def dense_forward(x, w, b, act, affine=False):
-    """``(z, y)`` of a dense layer on numpy arrays: ``z = x @ w + b`` and
-    ``y = act(z)``; ``act`` is a key of :data:`ACTIVATIONS`. ``x`` and ``w``
-    may carry a leading scheme axis, ``(S, n, a)`` and ``(S, a, b)``, with the
-    bias then ``(S, 1, b)``: each scheme's slice is computed as alone.
-
-    Checked as :func:`dense_check`, then finite as the graph checks it: ``z``
-    as one dense node, or with ``affine`` as the ops of :func:`affine`:
-    ``x @ w`` as matmul and ``z`` as add. A finite ``z`` gives a finite ``y``
-    for every activation, so the activation op's check cannot fail."""
-    dense_check(x.shape, w.shape, b.shape, act)
-    return dense_core(x, w, b, act, affine)
-
-
 def dense_backward(g, x, w, b_shape, act, z, y, need_x=True, need_w=True, need_b=True):
-    """The gradients ``(dx, dw, db)`` of the dense layer :func:`dense_forward`
+    """The gradients ``(dx, dw, db)`` of the dense layer :func:`dense_core`
     evaluated, from its output gradient ``g``; each one not needed is None.
     A stacked bias sums each scheme's rows alone."""
     g = ACTIVATIONS[act][1](g, z, y)
@@ -574,7 +567,8 @@ def dense(x, w, b, act):
     forward and backward evaluate the numpy expressions of :func:`affine`
     followed by the activation op, so values and gradients equal theirs bit
     for bit."""
-    z, y = dense_forward(x.value, w.value, b.value, act)
+    dense_check(x.shape, w.shape, b.shape, act)
+    z, y = dense_core(x.value, w.value, b.value, act)
 
     def bwd(g):
         return dense_backward(g, x.value, w.value, b.shape, act, z, y,

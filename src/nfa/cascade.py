@@ -167,7 +167,7 @@ def pretrain_upstream(model: CascadedModel, source_data, epochs, lr, batch_size=
                   lambda target, shape: ad.check_finite(target, "leaf"), _mse_grad)
         # stage 0 is trained and outside the next stage's optimizer: its output
         # over every source row, computed once, is stage 1's constant input
-        h, _ = layers_forward(_dense_layers(model.stages[0]), source_data.x)
+        h, _ = run_layers(_dense_layers(model.stages[0]), source_data.x)
         run_stage(1, h, source_data.inter_labels, checked_labels,
                   lambda out, labels: _nll_backward(*_nll_probs(out, labels)[:2]))
     model.freeze()
@@ -179,7 +179,7 @@ def _dense_layers(modules):
 
 
 def check_layers(layers, x_shape):
-    """Raise :func:`ad.dense_forward`'s ``ShapeError`` or ``ValueError`` for
+    """Raise :func:`ad.dense_check`'s ``ShapeError`` or ``ValueError`` for
     the first of the dense ``layers`` that does not fit an input of shape
     ``x_shape`` and the layers before it; return the output's shape."""
     for w, b, act in layers:
@@ -200,14 +200,8 @@ def run_layers(layers, x):
     return x, tape
 
 
-def layers_forward(layers, x):
-    """:func:`run_layers` after :func:`check_layers` on ``x``'s shape."""
-    check_layers(layers, x.shape)
-    return run_layers(layers, x)
-
-
 def layers_backward(tape, g, need_x, params=True):
-    """Sweep a tape of :func:`layers_forward` backward from the output
+    """Sweep a tape of :func:`run_layers` backward from the output
     gradient ``g``: unless ``params`` is false, each trainable ``W`` and ``b``
     takes its ``grad``. Returns the input gradient, or None unless ``need_x``."""
     for i in range(len(tape) - 1, -1, -1):
@@ -309,13 +303,16 @@ class BottleneckAdapter:
     def forward_array(self, x, params):
         """:meth:`forward` on the array ``x`` without a graph, with ``params``
         named as this adapter's, either its own or stacked over schemes (see
-        :func:`ad.dense_forward`). Returns the output and a function from its
+        :func:`ad.dense_core`). Returns the output and a function from its
         gradient to ``x``'s (None unless ``need_x``) that stores each
         parameter's gradient unless ``params`` is false. Two dense rules and
-        the skip; arrays are checked as the graph's ops."""
+        the skip; arrays are checked finite as the graph's ops. ``x`` is its
+        module's output, of ``in_dim`` columns, and ``params`` are this
+        adapter's or :meth:`NfaCell.stacked_params` copies of them, so no
+        shape is checked."""
         dw, db, uw, ub = (params[k] for k in ("down.W", "down.b", "up.W", "up.b"))
-        zd, h = ad.dense_forward(x, dw.value, db.value, "tanh", affine=True)
-        zu, _ = ad.dense_forward(h, uw.value, ub.value, "linear", affine=True)
+        zd, h = ad.dense_core(x, dw.value, db.value, "tanh", affine=True)
+        zu, _ = ad.dense_core(h, uw.value, ub.value, "linear", affine=True)
         out = x + zu
         ad.check_finite(out, "add")
 
@@ -364,21 +361,17 @@ class GatedAdapter:
     def forward_array(self, x, params):
         """:meth:`forward` on arrays without a graph, as
         :meth:`BottleneckAdapter.forward_array`. The backward adds each
-        gradient's terms in the order the graph's sweep adds them."""
+        gradient's terms in the order the graph's sweep adds them.
+
+        Only the final ``add`` is checked after the two dense rules: the gate
+        is the sigmoid of a finite ``z``, so it lies in [0, 1], and ``x`` and
+        the expansion are finite, so the graph's ``leaf``, ``scale``, ``add``
+        and two ``mul`` checks before it cannot fail."""
         gw, gb, ew, eb = (params[k] for k in ("gate.W", "gate.b", "expand.W", "expand.b"))
-        zg, gate = ad.dense_forward(x, gw.value, gb.value, "sigmoid", affine=True)
-        expanded, _ = ad.dense_forward(x, ew.value, eb.value, "linear", affine=True)
-        ones = np.ones(self.in_dim)
-        ad.check_finite(ones, "leaf")
-        neg = gate * -1.0
-        ad.check_finite(neg, "scale")
-        one_minus_g = ones + neg
-        ad.check_finite(one_minus_g, "add")
-        kept = gate * x
-        ad.check_finite(kept, "mul")
-        mixed = one_minus_g * expanded
-        ad.check_finite(mixed, "mul")
-        out = kept + mixed
+        zg, gate = ad.dense_core(x, gw.value, gb.value, "sigmoid", affine=True)
+        expanded, _ = ad.dense_core(x, ew.value, eb.value, "linear", affine=True)
+        one_minus_g = np.ones(self.in_dim) + gate * -1.0
+        out = gate * x + one_minus_g * expanded
         ad.check_finite(out, "add")
 
         def backward(g, need_x, params=True):

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParameterSet, Tensor
-from .cascade import layers_backward, layers_forward, make_adapter
+from .cascade import check_layers, layers_backward, make_adapter, run_layers
 
 FROZEN = "frozen"
 FINETUNE = "finetune"
@@ -84,37 +84,29 @@ def gumbel_softmax(alpha, tau, rng=None, hard=False, noise=True):
     return PathWeights(st, hard=True)
 
 
-def gumbel_argmax(alpha, tau, rng):
-    """The path index that ``gumbel_softmax(alpha, tau, rng, hard=True)``
-    picks, from the same Gumbel draw, computed in numpy without a graph: the
-    same expressions as ``ad.add``, ``ad.scale`` and ``ad.softmax_lastdim``,
-    and the same ``NonFiniteError`` for non-finite logits."""
-    _check_tau(tau)
-    logits = (alpha.value + rng.gumbel(size=alpha.shape)) * float(1.0 / tau)
-    ad.check_finite(logits, "gumbel_argmax")
-    return int(np.argmax(ad.softmax(logits)))
-
-
-def gumbel_probs(cells, tau, rng, replay):
+def gumbel_probs(cells, tau, rng, op=None):
     """Row ``i`` is cell ``i``'s soft weights ``softmax((alpha + G) / tau)``,
     every cell's Gumbel noise ``G`` drawn at once: the same stream as one draw
     per cell in cell order, and row by row the bytes of
-    :func:`gumbel_softmax` and :func:`gumbel_argmax`. The cells have equally
-    many paths.
+    :func:`gumbel_softmax`. The cells have equally many paths.
 
-    Where a row is not finite, ``rng`` is rewound and ``replay(alpha, tau,
-    rng)``, one of those two samplers, runs cell by cell: it raises that
-    cell's error and leaves ``rng`` where the per-cell draws leave it. A
-    finite row has finite Gumbel noise, sum and scale, and a finite softmax,
-    so no per-cell check can fail where the batch passes."""
+    Where a row is not finite, the first such row ``i`` raises as the
+    per-cell graph sampler would at cell ``i``: ``rng`` is rewound and draws
+    the ``i + 1`` cells' noise that sampler takes, and the row's ``alpha + G``
+    is checked as ``add``, then its scaled logits as ``scale`` (both under
+    ``op`` where given). A finite row has finite noise, sum and scale, and a
+    finite softmax, so no cell before ``i`` would have raised."""
     _check_tau(tau)
     alphas = np.array([c.alpha.value for c in cells])
     state = rng.bit_generator.state
     logits = (alphas + rng.gumbel(size=alphas.shape)) * float(1.0 / tau)
-    if not np.isfinite(logits).all():
+    finite = np.isfinite(logits).all(axis=-1)
+    if not finite.all():
+        i = int(np.argmin(finite))
         rng.bit_generator.state = state
-        for c in cells:  # raises at the first cell whose row is not finite
-            replay(c.alpha, tau, rng)
+        noisy = alphas[i] + rng.gumbel(size=(i + 1, alphas.shape[1]))[i]
+        ad.check_finite(noisy, op or "add")
+        ad.check_finite(noisy * float(1.0 / tau), op or "scale")
     return ad.softmax(logits)
 
 
@@ -217,14 +209,17 @@ class NfaCell:
     def forward_path(self, path, x, params, backbone=None):
         """``path`` on the array ``x`` without a graph, training ``params``
         (this cell's own, or :meth:`stacked_params` of them). ``backbone`` is
-        the frozen module's ``(output, tape)`` on ``x`` when already run.
+        the frozen module's ``(output, tape)`` on ``x`` when already run,
+        which checked ``x``; otherwise ``x`` is checked against the first
+        layer the path runs (see :func:`_run_checked`).
         Returns the output and its backward ``(g, need_x, params=True)``,
         which stores each parameter's gradient unless ``params`` is false and
         returns ``x``'s gradient (None unless ``need_x``)."""
         if path == FINETUNE:
-            y, tape = layers_forward(self.module.layers(params), x)
+            layers = self.module.layers(params)
+            y, tape = run_layers(layers, x) if backbone is not None else _run_checked(layers, x)
             return y, _tape_backward(tape)
-        base, tape = backbone if backbone is not None else layers_forward(self.module.layers(), x)
+        base, tape = backbone if backbone is not None else _run_checked(self.module.layers(), x)
         adapter = self._adapter(path)
         y, inner = (base, None) if adapter is None else adapter.forward_array(base, params)
         return y, _tape_backward(tape, frozen=True, inner=inner)
@@ -239,17 +234,22 @@ class NfaCell:
         group ``(path, None, params)`` on this cell's own parameters: then
         ``x``, the output and their gradients have no scheme axis.
 
+        Only a stack ``(S, n, a)`` is indexed; any other ``x`` is one shared
+        input, checked once before it runs (a stack's rows are checked per
+        group, see :meth:`forward_path`).
+
         Returns the output, each group's rows put in place by index, and a
         function from its gradient to ``x``'s (None unless asked) that stores
         each parameter's gradient."""
-        shared = x.ndim == 2
-        backbone = (layers_forward(self.module.layers(), x)
+        path, positions, params = groups[0]
+        if positions is None:  # one scheme alone
+            return self.forward_path(path, x, params)
+        shared = x.ndim != 3
+        backbone = (_run_checked(self.module.layers(), x)
                     if shared and any(path != FINETUNE for path, _, _ in groups) else None)
         out, backs = None, []
         for path, positions, params in groups:
             y, back = self.forward_path(path, x if shared else x[positions], params, backbone)
-            if positions is None:  # one scheme alone
-                return y, back
             backs.append((positions, back))
             if out is None:
                 out = np.empty((sum(len(pos) for _, pos, _ in groups),) + y.shape[-2:])
@@ -278,7 +278,7 @@ class NfaCell:
         gradient."""
         if w.shape != (self.n_paths,):
             raise ad.ShapeError(f"cell {self.index}: got {w.shape[0]} weights for {self.n_paths} paths")
-        backbone = layers_forward(self.module.layers(), x)
+        backbone = _run_checked(self.module.layers(), x)
         out, outs, backs = None, [], []
         for k, path in enumerate(self.paths):
             y, back = self.forward_path(path, x, self._params_of[path], backbone)
@@ -303,6 +303,14 @@ class NfaCell:
             return grad, backs[k](g, need_x, params=False) if need_x else None
 
         return out, backward
+
+
+def _run_checked(layers, x):
+    """:func:`run_layers` on an array ``x`` checked against the first of the
+    dense ``layers`` (``ad.dense_check``'s ``ShapeError``): a module's layers
+    are built to chain, so no later layer is checked."""
+    check_layers(layers[:1], x.shape)
+    return run_layers(layers, x)
 
 
 def _tape_backward(tape, frozen=False, inner=None):

@@ -17,8 +17,7 @@ from . import autodiff as ad
 from . import objective
 from .cascade import _nll, _nll_backward
 from .cell import (arch_group, cascade_forward, cascade_forward_mixed, cascade_forward_stacked,
-                   gumbel_argmax, gumbel_probs, gumbel_softmax, gumbel_softmax_grad, network_group,
-                   scheme_params, scheme_plan)
+                   gumbel_probs, gumbel_softmax_grad, network_group, scheme_params, scheme_plan)
 
 
 @dataclass(frozen=True)
@@ -163,8 +162,7 @@ class AdaptiveSearch:
         if len(val_batch) == 0:
             raise ValueError("arch_step needs a nonempty batch")
         tau = self.tau
-        probs = gumbel_probs(self.cells, tau, self._gumbel_rng,
-                             lambda alpha, t, rng: gumbel_softmax(alpha, t, rng=rng, hard=True))
+        probs = gumbel_probs(self.cells, tau, self._gumbel_rng)
         picks = probs.argmax(axis=-1)
         logits, backward = cascade_forward_mixed(self.model, self.cells, np.eye(probs.shape[-1])[picks],
                                                  val_batch.x)
@@ -190,14 +188,14 @@ class AdaptiveSearch:
         the penalty (a function of alpha alone) is excluded.
 
         Each cell's path is sampled as in ``arch_step`` (same Gumbel draws,
-        no graph; a non-finite sample raises as :func:`cell.gumbel_argmax`),
+        no graph; a non-finite sample raises under the name ``gumbel_argmax``),
         and only the sampled path is forwarded and backpropagated, without a
         graph: the straight-through gradient into alpha would be discarded.
         The unsampled paths' parameters take an exact zero gradient, which is
         what the all-path backward gave them."""
         if len(train_batch) == 0:
             raise ValueError("net_step needs a nonempty batch")
-        probs = gumbel_probs(self.cells, self.tau, self._gumbel_rng, gumbel_argmax)
+        probs = gumbel_probs(self.cells, self.tau, self._gumbel_rng, op="gumbel_argmax")
         scheme = [c.paths[k] for c, k in zip(self.cells, probs.argmax(axis=-1))]
         live = scheme_params(self.cells, scheme)
         idle = [name for name in self.net_params if name not in live]

@@ -86,7 +86,7 @@ class GraphSearch(AdaptiveSearch):
     def net_step(self, train_batch):
         """The network step on the sampled weights' one-hot paths. The step
         reports a non-finite sample under the name ``gumbel_argmax``, the
-        graph-free sampler that the network step has always used; it fails
+        name that the network step's sampler has always used; it fails
         at the same cell as the graph, with the same draws taken."""
         if len(train_batch) == 0:
             raise ValueError("net_step needs a nonempty batch")

@@ -493,3 +493,27 @@ def test_mse_scale_of_a_finite_target_is_finite(target):
     """Why ``_mse_grad`` does not check ``target * -1.0`` as ``scale``:
     negation is exact, so a target checked finite as a leaf stays finite."""
     assert np.isfinite(target * -1.0).all()
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(FINITE_EXTREMES)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays=hnp.array_shapes(max_dims=3, max_side=6).flatmap(
+    lambda shape: st.tuples(*[hnp.arrays(np.float64, shape, elements=FINITE)] * 3)))
+@example(arrays=(np.array(FINITE_EXTREMES),) * 3)
+@example(arrays=(np.array(FINITE_EXTREMES), np.array(FINITE_EXTREMES[::-1]),
+                 np.array(FINITE_EXTREMES[1:] + FINITE_EXTREMES[:1])))
+def test_gated_mix_of_finite_arrays_is_finite(arrays):
+    """Why ``GatedAdapter.forward_array`` checks only its final ``add``: the
+    gate is the sigmoid of a finite ``z``, so it lies in [0, 1], and with a
+    finite input and expansion the graph's ``leaf``, ``scale``, ``add`` and
+    two ``mul`` before that add are finite."""
+    z, x, expanded = arrays
+    gate = ad.ACTIVATIONS["sigmoid"][0](z)
+    assert ((gate >= 0.0) & (gate <= 1.0)).all()
+    ones = np.ones(z.shape[-1:])
+    neg = gate * -1.0
+    one_minus_g = ones + neg
+    for value in (ones, neg, one_minus_g, gate * x, one_minus_g * expanded):
+        assert np.isfinite(value).all()

@@ -3,7 +3,7 @@
 Each reference below is the earlier implementation, kept here as a test-local
 copy: ``affine`` plus an activation op for ``dense``, the depth-first
 topological sort for ``backward``, per-tensor moment arrays for ``Adam``,
-the Gumbel-softmax graph for ``gumbel_argmax``, ``np.broadcast_to(...).copy()``
+the Gumbel-softmax graph for ``gumbel_probs``, ``np.broadcast_to(...).copy()``
 for the gradients of ``tensor_sum`` and ``tensor_mean``, the adapters' graph
 forward for their array rules, one graph-trained scheme at a time for
 ``harness.train_fixed_schemes``, and ``graph_reference.GraphSearch`` (every
@@ -11,6 +11,7 @@ search step on the graph) for the search's graph-free steps.
 """
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from nfa import autodiff as ad
 from nfa import cascade, cell, harness, objective
 from nfa.config import config_from_dict
 from nfa.data import SynthDataConfig, generate_synthetic
-from nfa.search import AdaptiveSearch, SearchConfig, cascade_loss, split_dataset
+from nfa.search import AdaptiveSearch, SearchConfig, cascade_loss, scheme_step, split_dataset
 
 ACTIVATIONS = {"tanh": ad.tanh, "relu": ad.relu, "sigmoid": ad.sigmoid, "linear": None}
 
@@ -278,19 +279,21 @@ def test_gumbel_argmax_matches_hard_gumbel_softmax(seed, n, tau, spread):
     a, b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
     for _ in range(3):
         want = int(np.argmax(cell.gumbel_softmax(alpha, tau, rng=a, hard=True).values))
-        assert cell.gumbel_argmax(alpha, tau, b) == want
+        assert int(np.argmax(cell.gumbel_probs([SimpleNamespace(alpha=alpha)], tau, b)[0])) == want
     assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_gumbel_argmax_keeps_checks():
     alpha = ad.parameter(np.zeros(3))
+    one_cell = [SimpleNamespace(alpha=alpha)]
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="temperature must be positive"):
-        cell.gumbel_argmax(alpha, 0.0, rng)
-    with pytest.raises(ad.NonFiniteError):
-        cell.gumbel_argmax(alpha, 1e-320, rng)  # 1/tau overflows
+        cell.gumbel_probs(one_cell, 0.0, rng, op="gumbel_argmax")
+    with pytest.raises(ad.NonFiniteError, match="op 'gumbel_argmax'"):
+        cell.gumbel_probs(one_cell, 1e-320, rng, op="gumbel_argmax")  # 1/tau overflows
     alpha.value[1] = np.nan
-    for sample in (cell.gumbel_argmax, lambda a, t, r: cell.gumbel_softmax(a, t, rng=r, hard=True)):
+    for sample in (lambda a, t, r: cell.gumbel_probs([SimpleNamespace(alpha=a)], t, r),
+                   lambda a, t, r: cell.gumbel_softmax(a, t, rng=r, hard=True)):
         with pytest.raises(ad.NonFiniteError):
             sample(alpha, 1.0, rng)
 
@@ -342,16 +345,16 @@ def test_array_rules_check_under_graph_op_names(rng):
     with pytest.raises(ad.NonFiniteError, match="op 'matmul'"):
         adapter.forward_array(rng.normal(size=(3, 4)), stacked)
     with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError, match="op 'dense'"):
-        cascade.layers_forward([(ad.constant(np.full((4, 4), 1e200)), ad.constant(np.zeros(4)),
-                                 "tanh")], np.full((2, 3, 4), 1e200))
+        cascade.run_layers([(ad.constant(np.full((4, 4), 1e200)), ad.constant(np.zeros(4)),
+                             "tanh")], np.full((2, 3, 4), 1e200))
 
 
 def test_stacked_dense_rejects_mismatched_shapes():
     x, w = np.ones((2, 5, 3)), np.ones((3, 3, 4))
     with pytest.raises(ad.ShapeError, match="dense"):
-        ad.dense_forward(x, w, np.ones((3, 1, 4)), "tanh")
+        ad.dense_check(x.shape, w.shape, (3, 1, 4), "tanh")
     with pytest.raises(ad.ShapeError, match="bias"):
-        ad.dense_forward(x, w[:2], np.ones((2, 5, 4)), "tanh")
+        ad.dense_check(x.shape, w[:2].shape, (2, 5, 4), "tanh")
 
 
 def graph_fixed_scheme(model, cells, scheme, train, val, lr, epochs, batch_size, seed):
@@ -615,19 +618,119 @@ def test_search_steps_check_labels(bad):
                        **training_args(cfg, 0)) == want
 
 
+# -- one input check per cell ----------------------------------------------------
+
+
+WRONG_INPUTS = {"wrong width": (8, 17), "1-D": (16,), "4-D": (1, 1, 8, 16)}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_INPUTS))
+def test_wrong_shape_inputs_raise_the_graph_error(case):
+    # every numpy route of a toy6 cell or cascade raises the graph's dense
+    # ShapeError for its input, naming the first layer that the input meets:
+    # the module's, or a stacked fine-tune copy's when every scheme fine-tunes
+    # the first cell
+    x = np.ones(WRONG_INPUTS[case])
+    cfg = fixed_scheme_config(preset="toy6", pretrain_epochs=1, n_source=64, n_target=64)
+    model, cells, train, val = harness.build_experiment(cfg, 0)
+    c, n_cells = cells[0], len(cells)
+    want = failure(c.forward, ad.constant(x), "frozen")
+    assert want == (ad.ShapeError, f"dense: incompatible shapes {x.shape} @ (16, 16)")
+
+    def stacked_want(copies):
+        return ad.ShapeError, f"dense: incompatible shapes {x.shape} @ ({copies}, 16, 16)"
+
+    search = AdaptiveSearch(model, cells, train, val, cfg.penalty, cfg.search)
+    batch = replace(val.subset(np.arange(8)), x=x)
+    rows = train.subset(np.arange(16))
+    args = training_args(cfg, 0)
+    routes = {"forward_mixed": (lambda: c.forward_mixed(x, np.eye(3)[0]), want),
+              "cascade_forward_mixed": (lambda: cell.cascade_forward_mixed(
+                  model, cells, np.eye(3)[[0] * n_cells], x), want),
+              "arch_step": (lambda: search.arch_step(batch), want),
+              "net_step": (lambda: search.net_step(batch), want)}
+    for path in c.paths:
+        own = c.params_for_choice(path)
+        routes[f"forward_path {path}"] = (lambda p=path, o=own: c.forward_path(p, x, o), want)
+        routes[f"forward_stacked {path} alone"] = (
+            lambda p=path, o=own: c.forward_stacked(x, [(p, None, o)]), want)
+        routes[f"cascade_forward_stacked scheme_plan {path}"] = (
+            lambda p=path: cell.cascade_forward_stacked(model, cells,
+                                                        cell.scheme_plan(cells, (p,) * n_cells), x),
+            want)
+    for first in ("finetune", "adapter:BA"):
+        schemes = [(first,) + ("frozen",) * (n_cells - 1), (first,) + ("finetune",) * (n_cells - 1)]
+        plan, _ = harness._stack(cells, schemes)
+        fine = first == "finetune"
+        routes[f"forward_stacked first {first}"] = (
+            lambda plan=plan: c.forward_stacked(x, plan[0]), stacked_want(2) if fine else want)
+        routes[f"cascade_forward_stacked first {first}"] = (
+            lambda plan=plan: cell.cascade_forward_stacked(model, cells, plan, x),
+            stacked_want(2) if fine else want)
+        routes[f"train_fixed_schemes first {first}, training rows"] = (
+            lambda sc=schemes: harness.train_fixed_schemes(model, cells, sc, replace(rows, x=x),
+                                                           val, **args),
+            stacked_want(2) if fine else want)
+        routes[f"train_fixed_schemes first {first}, validation rows"] = (  # one scheme at a time
+            lambda sc=schemes: harness.train_fixed_schemes(model, cells, sc, rows,
+                                                           replace(rows, x=x), **args),
+            stacked_want(1) if fine else want)
+    assert {name: outcome(route) for name, (route, _) in routes.items()} == {
+        name: expected for name, (_, expected) in routes.items()}
+
+
+def test_each_cell_checks_its_input_once(monkeypatch):
+    # at most one dense_check per path group that each cell runs: a layer
+    # after the first, whose shape the cell fixes when it is built, is never
+    # checked again
+    cfg = fixed_scheme_config(preset="toy6", pretrain_epochs=1, n_source=64, n_target=64)
+    model, cells, train, val = harness.build_experiment(cfg, 0)
+    search = AdaptiveSearch(model, cells, train, val, cfg.penalty, cfg.search)
+    batch = train.subset(np.arange(8))
+    shapes = []
+    dense_check = ad.dense_check
+
+    def counting(x_shape, *args):
+        shapes.append(x_shape)
+        return dense_check(x_shape, *args)
+
+    monkeypatch.setattr(ad, "dense_check", counting)
+    scheme = ("finetune", "adapter:BA", "frozen", "adapter:BA", "frozen", "finetune")
+    scheme_step(model, cells, cell.scheme_plan(cells, scheme), batch,
+                ad.Adam(cell.scheme_params(cells, scheme), lr=0.01))
+    assert len(shapes) <= len(cells)
+    shapes.clear()
+    search.arch_step(batch)
+    assert len(shapes) <= len(cells)
+    shapes.clear()
+    plan, params = harness._stack(cells, harness.scheme_space(cells)[:harness.STACK_SCHEMES])
+    scheme_step(model, cells, plan, batch, ad.Adam(params, lr=0.01))
+    assert len(shapes) <= sum(len(groups) for groups in plan)
+    assert shapes
+
+
 # -- the search steps fuzzed against the graph ----------------------------------
 
 
 @st.composite
-def search_setups(draw):
+def cascade_specs(draw):
     dim = draw(st.integers(2, 24))
+    return cascade.CascadeSpec(dim, draw(st.sampled_from([k for k in range(1, dim + 1) if dim % k == 0])),
+                               draw(st.integers(1, 2)))
+
+
+@st.composite
+def modes_and_kinds(draw):
     mode = draw(st.sampled_from(["NFA", "NA"]))
-    kinds = draw(st.sampled_from([("BA",), ("GA",)] + [("BA", "GA"), ("GA", "BA")] * (mode == "NFA")))
+    return mode, draw(st.sampled_from([("BA",), ("GA",)] + [("BA", "GA"), ("GA", "BA")] * (mode == "NFA")))
+
+
+@st.composite
+def search_setups(draw):
+    mode, kinds = draw(modes_and_kinds())
     policy = draw(st.sampled_from(objective.PFR_POLICIES))
     return {
-        "spec": cascade.CascadeSpec(dim, draw(st.sampled_from([k for k in range(1, dim + 1)
-                                                               if dim % k == 0])),
-                                    draw(st.integers(1, 2))),
+        "spec": draw(cascade_specs()),
         "mode": mode,
         "kinds": kinds,
         "penalty": objective.PenaltyConfig(
@@ -686,3 +789,34 @@ def test_search_fuzz_matches_graph(setup):
     assert any(name == "arch_step" for name, _, _ in logs[0])
     assert [repr(r) for r in new.state.history] == [repr(r) for r in ref.state.history]
     assert repr(new.evaluate(val)) == repr(ref.evaluate(val))
+
+
+ORACLE_FUZZ_EXAMPLES = (settings.get_profile(SEARCH_FUZZ_PROFILE).max_examples
+                        if settings.get_current_profile_name() == SEARCH_FUZZ_PROFILE else 250)
+
+
+@settings(max_examples=ORACLE_FUZZ_EXAMPLES, deadline=None)
+@given(spec=cascade_specs(), mode_kinds=modes_and_kinds(), batch_size=st.integers(1, 40),
+       n_target=st.integers(2, 64), seed=st.integers(0, 2**16), data=st.data())
+def test_stacked_oracle_fuzz_matches_graph(spec, mode_kinds, batch_size, n_target, seed, data):
+    """The stacked oracle on drawn cascades, modes, adapters, batch sizes and
+    seeds: each of 1-3 drawn schemes' validation loss from
+    ``harness.train_fixed_schemes`` equals the loss of that scheme trained
+    alone on the graph."""
+    mode, kinds = mode_kinds
+    paths = cell.cell_paths(mode, kinds)
+    schemes = data.draw(st.lists(st.tuples(*[st.sampled_from(paths)] * (3 * spec.modules_per_stage)),
+                                 min_size=1, max_size=3))
+    rows = generate_synthetic(SynthDataConfig(n_samples=n_target, dim=spec.dim, n_labels=spec.n_labels,
+                                              n_intermediate=spec.dim, domain="target"), seed)
+    train, val = split_dataset(rows, 0.5, seed)
+    model = cascade.build_cascade(spec, seed)
+    model.freeze()
+    args = {"lr": 0.01, "epochs": 1, "batch_size": batch_size, "seed": seed}
+
+    def fresh_cells():
+        return cell.build_cells(model, mode=mode, adapter_kinds=kinds, seed=seed)
+
+    got = harness.train_fixed_schemes(model, fresh_cells(), schemes, train, val, **args)
+    want = [graph_fixed_scheme(model, fresh_cells(), scheme, train, val, **args) for scheme in schemes]
+    assert [repr(v) for v in got] == [repr(v) for v in want]
