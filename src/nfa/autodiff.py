@@ -32,14 +32,12 @@ __all__ = [
     "add",
     "mul",
     "matmul",
-    "relu",
     "tanh",
     "sigmoid",
     "softmax_lastdim",
     "log",
     "tensor_sum",
     "tensor_mean",
-    "concat_lastdim",
     "scale",
     "index_lastdim",
     "affine",
@@ -79,7 +77,6 @@ def _sigmoid(z):
 #                     input gradient from the output gradient g, z and the output y)
 ACTIVATIONS = {
     "tanh": (np.tanh, lambda g, z, y: g * (1.0 - y * y)),
-    "relu": (lambda z: np.where(z > 0.0, z, 0.0), lambda g, z, y: g * (z > 0.0)),
     "sigmoid": (_sigmoid, lambda g, z, y: g * y * (1.0 - y)),
     "linear": (lambda z: z, lambda g, z, y: g),
 }
@@ -195,10 +192,6 @@ def _activation(act, x):
     return _make(act, y, (x,), lambda g: (grad(g, z, y),))
 
 
-def relu(x):
-    return _activation("relu", x)
-
-
 def tanh(x):
     return _activation("tanh", x)
 
@@ -241,23 +234,6 @@ def tensor_mean(x):
         return (np.full(x.shape, g / n),)
 
     return _make("mean", x.value.mean(), (x,), bwd)
-
-
-def concat_lastdim(nodes):
-    nodes = list(nodes)
-    if not nodes:
-        raise ShapeError("concat_lastdim: no inputs")
-    lead = nodes[0].shape[:-1]
-    for n in nodes:
-        if n.shape[:-1] != lead:
-            raise ShapeError(f"concat_lastdim: leading shapes differ ({lead} vs {n.shape[:-1]})")
-    widths = [n.shape[-1] for n in nodes]
-    splits = np.cumsum(widths)[:-1]
-
-    def bwd(g):
-        return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=-1))
-
-    return _make("concat_lastdim", np.concatenate([n.value for n in nodes], axis=-1), tuple(nodes), bwd)
 
 
 def scale(x, c):
@@ -404,13 +380,15 @@ class Adam:
     handed a writable copy. ``_m`` and ``_v`` map each name to its view into
     the moments."""
 
-    def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr):
         if lr <= 0:
             raise ValueError("lr must be positive")
         for name, p in params.items():
             if not p.value.flags.writeable:
                 raise ValueError(f"adam: parameter {name!r} is read-only (frozen)")
-        size = self._layout(params, lr, betas, eps)
+        size = self._layout(params, lr)
         self._flat_x = np.empty(size)
         self._flat_m, self._flat_v = np.zeros(size), np.zeros(size)
         self._index = None  # positions of the parameters in the flat arrays; None: all, in order
@@ -421,11 +399,9 @@ class Adam:
         self._m = self._views(self._flat_m)
         self._v = self._views(self._flat_v)
 
-    def _layout(self, params, lr, betas, eps):
+    def _layout(self, params, lr):
         self.params = params
         self.lr = float(lr)
-        self.beta1, self.beta2 = float(betas[0]), float(betas[1])
-        self.eps = float(eps)
         self.t = 0
         self._spans = {}  # name -> (start, stop) in this optimizer's parameter order
         offset = 0
@@ -491,7 +467,7 @@ class Adam:
         them from this optimizer's flat arrays and scatters them back on
         every step."""
         opt = Adam.__new__(Adam)
-        opt._layout(params, self.lr, (self.beta1, self.beta2), self.eps)
+        opt._layout(params, self.lr)
         opt.t = self.t
         opt._flat_x, opt._flat_m, opt._flat_v = self._flat_x, self._flat_m, self._flat_v
         where = np.arange(self._flat_m.size) if self._index is None else self._index

@@ -234,9 +234,9 @@ class NfaCell:
         group ``(path, None, params)`` on this cell's own parameters: then
         ``x``, the output and their gradients have no scheme axis.
 
-        Only a stack ``(S, n, a)`` is indexed; any other ``x`` is one shared
-        input, checked once before it runs (a stack's rows are checked per
-        group, see :meth:`forward_path`).
+        Only a stack ``(S, n, a)``, ``S`` the plan's scheme count, is
+        indexed; any other ``x`` is one shared input, checked once before it
+        runs (a stack's rows are checked per group, see :meth:`forward_path`).
 
         Returns the output, each group's rows put in place by index, and a
         function from its gradient to ``x``'s (None unless asked) that stores
@@ -245,6 +245,9 @@ class NfaCell:
         if positions is None:  # one scheme alone
             return self.forward_path(path, x, params)
         shared = x.ndim != 3
+        n = sum(len(pos) for _, pos, _ in groups)
+        if not shared and x.shape[0] != n:
+            raise ad.ShapeError(f"cell {self.index}: a stack of {x.shape[0]} inputs for {n} schemes")
         backbone = (_run_checked(self.module.layers(), x)
                     if shared and any(path != FINETUNE for path, _, _ in groups) else None)
         out, backs = None, []
@@ -252,7 +255,7 @@ class NfaCell:
             y, back = self.forward_path(path, x if shared else x[positions], params, backbone)
             backs.append((positions, back))
             if out is None:
-                out = np.empty((sum(len(pos) for _, pos, _ in groups),) + y.shape[-2:])
+                out = np.empty((n,) + y.shape[-2:])
             out[positions] = y
 
         def backward(g, need_x):
@@ -265,44 +268,28 @@ class NfaCell:
 
         return out, backward
 
-    def forward_mixed(self, x, w):
-        """The sum of every path's output on the array ``x`` weighted by the
-        path weights ``w``, an array of one per path, without a graph. The frozen backbone
-        runs once, shared by the frozen and adapter paths, and each weighted
-        term and partial sum is checked as the graph's ``mul`` and ``add``.
+    def forward_mixed(self, x, k):
+        """Path ``k``'s output on the array ``x`` without a graph, as the
+        graph's sum of every path weighted by the one-hot row of ``k``: that
+        sum is path ``k``'s output up to the sign of a zero. Every path runs,
+        the frozen and adapter paths on one backbone, because the weights'
+        gradient needs every path's output.
 
         Returns the output and a function from its gradient ``g`` to
-        ``(the weights' gradient, x's gradient or None unless asked)``. It
-        sweeps back only the path of weight 1.0, so it needs one-hot weights:
-        every other path's weight is exactly 0.0. No network parameter takes a
-        gradient."""
-        if w.shape != (self.n_paths,):
-            raise ad.ShapeError(f"cell {self.index}: got {w.shape[0]} weights for {self.n_paths} paths")
+        ``(the weights' gradient, x's gradient or None unless asked)``; only
+        path ``k`` is swept back, and no network parameter takes a gradient."""
         backbone = _run_checked(self.module.layers(), x)
-        out, outs, backs = None, [], []
-        for k, path in enumerate(self.paths):
-            y, back = self.forward_path(path, x, self._params_of[path], backbone)
-            term = w[k] * y
-            ad.check_finite(term, "mul")
-            if out is None:
-                out = term
-            else:
-                out = out + term
-                ad.check_finite(out, "add")
-            outs.append(y)
-            backs.append(back)
+        outs, backs = zip(*(self.forward_path(path, x, self._params_of[path], backbone)
+                            for path in self.paths))
 
         def backward(g, need_x):
-            k = int(np.argmax(w))
-            if w[k] != 1.0 or np.count_nonzero(w) != 1:
-                raise ValueError(f"the mixed backward sweeps one path: it needs one-hot weights, got {w}")
             # as each path's mul and index_lastdim: the weight's gradient is
             # (g * y) summed to a scalar, and the paths' one-hot contributions
             # are added, which turns a -0.0 into +0.0
             grad = np.zeros(self.n_paths) + [(g * y).sum(axis=0).sum(axis=0) for y in outs]
             return grad, backs[k](g, need_x, params=False) if need_x else None
 
-        return out, backward
+        return outs[k], backward
 
 
 def _run_checked(layers, x):
@@ -340,7 +327,7 @@ def _check_cascade(model, cells, per_cell):
     if len(cells) != len(model.modules):
         raise ValueError(f"{len(cells)} cells for {len(model.modules)} modules")
     if len(per_cell) != len(cells):
-        raise ValueError(f"{len(per_cell)} weight vectors for {len(cells)} cells")
+        raise ValueError(f"{len(per_cell)} per-cell entries for {len(cells)} cells")
 
 
 def cascade_forward(model, cells, x, scheme):
@@ -394,18 +381,18 @@ def cascade_forward_stacked(model, cells, plan, x):
     return h, backward
 
 
-def cascade_forward_mixed(model, cells, weights, x):
-    """The cascade on the array ``x`` without a graph when cell ``i`` mixes
-    its paths by the one-hot row ``weights[i]`` (see
+def cascade_forward_mixed(model, cells, picks, x):
+    """The cascade on the array ``x`` without a graph when cell ``i`` runs
+    its path ``picks[i]``, as under one-hot path weights (see
     :meth:`NfaCell.forward_mixed`). Returns the logits and a function from
-    their gradient to the weights' gradient, one row per cell; no network
-    parameter takes a gradient."""
-    _check_cascade(model, cells, weights)
+    their gradient to the one-hot weights' gradient, one row per cell; no
+    network parameter takes a gradient."""
+    _check_cascade(model, cells, picks)
     h, backs = _forward_arrays(model, cells, x,
-                               lambda i, cell, h: cell.forward_mixed(h, weights[i]))
+                               lambda i, cell, h: cell.forward_mixed(h, picks[i]))
 
     def backward(g):
-        grads = np.empty(np.shape(weights))
+        grads = np.empty((len(cells), cells[0].n_paths))
         for i in range(len(backs) - 1, -1, -1):
             back, s = backs[i]
             if s is not None:

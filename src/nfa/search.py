@@ -152,20 +152,20 @@ class AdaptiveSearch:
         over the cells' alphas that ``opt_arch.minimize`` runs.
 
         Every cell's path is sampled from one Gumbel draw
-        (:func:`cell.gumbel_probs`), the cascade mixes each cell's paths by
-        its one-hot row in numpy (:func:`cell.cascade_forward_mixed`), and the
-        penalty and the total loss are floats. The node's value is the total
-        loss. Its backward gives each alpha the straight-through graph's
-        gradient in closed form, in that graph's order: the cross-entropy
-        gradient swept back to the weights, the penalty's added to it, then
+        (:func:`cell.gumbel_probs`), the cascade runs each cell's pick in
+        numpy (:func:`cell.cascade_forward_mixed`), as the graph's sum under
+        the one-hot straight-through weights, and the penalty and the total
+        loss are floats. The node's value is the total loss. Its backward
+        gives each alpha the straight-through graph's gradient in closed
+        form, in that graph's order: the cross-entropy gradient swept back to
+        the weights, the penalty's added to it, then
         :func:`cell.gumbel_softmax_grad`. No network gradient is computed."""
         if len(val_batch) == 0:
             raise ValueError("arch_step needs a nonempty batch")
         tau = self.tau
         probs = gumbel_probs(self.cells, tau, self._gumbel_rng)
         picks = probs.argmax(axis=-1)
-        logits, backward = cascade_forward_mixed(self.model, self.cells, np.eye(probs.shape[-1])[picks],
-                                                 val_batch.x)
+        logits, backward = cascade_forward_mixed(self.model, self.cells, picks, val_batch.x)
         task, p, onehot = _nll(logits, val_batch.labels)
         pen = objective.hard_penalty(self._penalty_table, picks)
         total = objective.total_value(task, pen, self.penalty_cfg)

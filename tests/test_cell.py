@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from conftest import check_grad, numeric_grad, rel_err
+from conftest import FINITE_EXTREMES, check_grad, numeric_grad, rel_err
 from graph_reference import cell_forward, one_hot_weights
 from nfa import autodiff as ad
 from nfa import cascade, cell
@@ -120,21 +123,21 @@ class TestCellForward:
     def test_one_hot_frozen_equals_pretrained_forward(self, rng):
         c = make_cell()
         x = rng.normal(size=(4, 16))
-        out, _ = c.forward_mixed(x, np.eye(3)[0])
+        out, _ = c.forward_mixed(x, 0)
         assert np.array_equal(out, c.module.forward(ad.constant(x)).value)
 
     def test_finetune_equals_frozen_at_init(self, rng):
         c = make_cell()
         x = rng.normal(size=(4, 16))
-        frozen, _ = c.forward_mixed(x, np.eye(3)[0])
-        finetune, _ = c.forward_mixed(x, np.eye(3)[1])
+        frozen, _ = c.forward_mixed(x, 0)
+        finetune, _ = c.forward_mixed(x, 1)
         assert np.array_equal(frozen, finetune)
 
     def test_na_equal_weights_with_zero_init_adapter(self, rng):
         c = make_cell(mode="NA")
-        x = rng.normal(size=(4, 16))
-        out, _ = c.forward_mixed(x, np.array([0.5, 0.5]))
-        np.testing.assert_allclose(out, c.module.forward(ad.constant(x)).value, atol=1e-15)
+        x = ad.constant(rng.normal(size=(4, 16)))
+        out = cell_forward(c, x, cell.PathWeights(ad.constant([0.5, 0.5]), hard=False))
+        np.testing.assert_allclose(out.value, c.module.forward(x).value, atol=1e-15)
 
     def test_finetune_path_skips_backbone_forward(self, rng, monkeypatch):
         c = make_cell()
@@ -178,27 +181,11 @@ class TestCellForward:
     def test_weighted_sum_linearity(self, rng):
         c = make_cell()
         c.adapters[0].params["up.W"].value[:] = rng.normal(size=(4, 16)) * 0.3
-        x = rng.normal(size=(3, 16))
+        x = ad.constant(rng.normal(size=(3, 16)))
         w = np.array([0.2, 0.5, 0.3])
-        mixed, _ = c.forward_mixed(x, w)
-        parts = [c.forward_mixed(x, np.eye(3)[k])[0] for k in range(3)]
+        mixed = cell_forward(c, x, cell.PathWeights(ad.constant(w), hard=False)).value
+        parts = [cell_forward(c, x, path).value for path in c.paths]
         np.testing.assert_allclose(mixed, sum(wk * p for wk, p in zip(w, parts)), atol=1e-12)
-
-    def test_weight_length_mismatch(self, rng):
-        c = make_cell()
-        with pytest.raises(ad.ShapeError, match="weights"):
-            c.forward_mixed(rng.normal(size=(2, 16)), np.eye(4)[0])
-
-    def test_mixed_backward_needs_one_hot_weights(self, rng):
-        c = make_cell()
-        x, g = rng.normal(size=(2, 16)), rng.normal(size=(2, 16))
-        for w in ([0.5, 0.5, 0.0], [1.0, 0.0, -1.0], [0.0, 0.0, 0.0]):
-            _, backward = c.forward_mixed(x, np.array(w))
-            with pytest.raises(ValueError, match="needs one-hot weights"):
-                backward(g, need_x=True)
-        _, backward = c.forward_mixed(x, np.eye(3)[1])
-        grad, dx = backward(g, need_x=True)
-        assert grad.shape == (3,) and dx.shape == (2, 16)
 
     def test_hard_st_forward_matches_argmax_path(self, rng):
         c = make_cell()
@@ -206,9 +193,44 @@ class TestCellForward:
         x = rng.normal(size=(3, 16))
         alpha = ad.parameter([0.1, 0.0, 2.0])
         w = cell.gumbel_softmax(alpha, tau=1.0, noise=False, hard=True)
-        out, _ = c.forward_mixed(x, w.values)
-        pure, _ = c.forward_mixed(x, np.eye(3)[2])
-        assert np.array_equal(out, pure)
+        out = cell_forward(c, ad.constant(x), w)
+        pure, _ = c.forward_mixed(x, 2)
+        assert np.array_equal(out.value, pure)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(FINITE_EXTREMES)
+EXTREME_OUTPUTS = [np.array(FINITE_EXTREMES), np.array(FINITE_EXTREMES[::-1]),
+                   np.array(FINITE_EXTREMES[1:] + FINITE_EXTREMES[:1])]
+
+
+@st.composite
+def path_outputs_and_pick(draw):
+    shape = draw(hnp.array_shapes(max_dims=2, max_side=6))
+    n_paths = draw(st.integers(2, 4))
+    outs = [draw(hnp.arrays(np.float64, shape, elements=FINITE)) for _ in range(n_paths)]
+    return outs, draw(st.integers(0, n_paths - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mix=path_outputs_and_pick())
+@example(mix=(EXTREME_OUTPUTS, 0))
+@example(mix=(EXTREME_OUTPUTS, 1))
+@example(mix=(EXTREME_OUTPUTS, 2))
+def test_one_hot_mix_of_finite_outputs_is_the_pick(mix):
+    """Why ``NfaCell.forward_mixed`` returns path ``k``'s output and checks no
+    ``mul`` or ``add``: under the one-hot weights of ``k``, the graph's mix of
+    finite path outputs (``index_lastdim``, ``mul`` and ``add`` in path order,
+    each checked finite as it is made) equals ``y_k``, its bytes different
+    only where ``y_k`` is -0.0."""
+    outs, k = mix
+    w = ad.constant(np.eye(len(outs))[k])
+    out = None
+    for j, y in enumerate(outs):
+        term = ad.mul(ad.index_lastdim(w, j), ad.constant(y))
+        out = term if out is None else ad.add(out, term)
+    assert np.array_equal(out.value, outs[k])
+    differs = out.value.view(np.uint64) != outs[k].view(np.uint64)
+    assert (outs[k][differs] == 0.0).all() and np.signbit(outs[k][differs]).all()
 
 
 class TestGradientFlow:
@@ -320,8 +342,7 @@ def test_cascade_forward_with_cells(rng):
     model = cascade.build_cascade(cascade.CascadeSpec(), 5)
     model.freeze()
     cells = cell.build_cells(model, seed=5)
-    weights = np.eye(cells[0].n_paths)[[0] * len(cells)]
-    out, _ = cell.cascade_forward_mixed(model, cells, weights, rng.normal(size=(3, 16)))
+    out, _ = cell.cascade_forward_mixed(model, cells, [0] * len(cells), rng.normal(size=(3, 16)))
     assert out.shape == (3, 8)
 
 

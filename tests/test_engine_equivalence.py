@@ -26,7 +26,7 @@ from nfa.config import config_from_dict
 from nfa.data import SynthDataConfig, generate_synthetic
 from nfa.search import AdaptiveSearch, SearchConfig, cascade_loss, scheme_step, split_dataset
 
-ACTIVATIONS = {"tanh": ad.tanh, "relu": ad.relu, "sigmoid": ad.sigmoid, "linear": None}
+ACTIVATIONS = {"tanh": ad.tanh, "sigmoid": ad.sigmoid, "linear": None}
 
 
 def affine_then(x, w, b, act):
@@ -622,18 +622,32 @@ def test_search_steps_check_labels(bad):
 
 
 WRONG_INPUTS = {"wrong width": (8, 17), "1-D": (16,), "4-D": (1, 1, 8, 16)}
+# stacks of the wrong number of schemes for a two-scheme plan
+WRONG_STACKS = {"3 schemes for 2": (3, 8, 16), "1 scheme for 2": (1, 8, 16)}
 
 
-@pytest.mark.parametrize("case", sorted(WRONG_INPUTS))
+@pytest.mark.parametrize("case", sorted(WRONG_INPUTS) + sorted(WRONG_STACKS))
 def test_wrong_shape_inputs_raise_the_graph_error(case):
     # every numpy route of a toy6 cell or cascade raises the graph's dense
     # ShapeError for its input, naming the first layer that the input meets:
     # the module's, or a stacked fine-tune copy's when every scheme fine-tunes
-    # the first cell
-    x = np.ones(WRONG_INPUTS[case])
+    # the first cell. A stack of the wrong size, which only a stacked plan
+    # indexes, raises a ShapeError naming both counts
+    x = np.ones({**WRONG_INPUTS, **WRONG_STACKS}[case])
     cfg = fixed_scheme_config(preset="toy6", pretrain_epochs=1, n_source=64, n_target=64)
     model, cells, train, val = harness.build_experiment(cfg, 0)
     c, n_cells = cells[0], len(cells)
+
+    def two_schemes(first):
+        return [(first,) + ("frozen",) * (n_cells - 1), (first,) + ("finetune",) * (n_cells - 1)]
+
+    if case in WRONG_STACKS:
+        want = (ad.ShapeError, f"cell 0: a stack of {x.shape[0]} inputs for 2 schemes")
+        for first in ("finetune", "adapter:BA"):
+            plan, _ = harness._stack(cells, two_schemes(first))
+            assert outcome(lambda: c.forward_stacked(x, plan[0])) == want
+            assert outcome(lambda: cell.cascade_forward_stacked(model, cells, plan, x)) == want
+        return
     want = failure(c.forward, ad.constant(x), "frozen")
     assert want == (ad.ShapeError, f"dense: incompatible shapes {x.shape} @ (16, 16)")
 
@@ -644,9 +658,9 @@ def test_wrong_shape_inputs_raise_the_graph_error(case):
     batch = replace(val.subset(np.arange(8)), x=x)
     rows = train.subset(np.arange(16))
     args = training_args(cfg, 0)
-    routes = {"forward_mixed": (lambda: c.forward_mixed(x, np.eye(3)[0]), want),
-              "cascade_forward_mixed": (lambda: cell.cascade_forward_mixed(
-                  model, cells, np.eye(3)[[0] * n_cells], x), want),
+    routes = {"forward_mixed": (lambda: c.forward_mixed(x, 0), want),
+              "cascade_forward_mixed": (lambda: cell.cascade_forward_mixed(model, cells, [0] * n_cells, x),
+                                        want),
               "arch_step": (lambda: search.arch_step(batch), want),
               "net_step": (lambda: search.net_step(batch), want)}
     for path in c.paths:
@@ -659,7 +673,7 @@ def test_wrong_shape_inputs_raise_the_graph_error(case):
                                                         cell.scheme_plan(cells, (p,) * n_cells), x),
             want)
     for first in ("finetune", "adapter:BA"):
-        schemes = [(first,) + ("frozen",) * (n_cells - 1), (first,) + ("finetune",) * (n_cells - 1)]
+        schemes = two_schemes(first)
         plan, _ = harness._stack(cells, schemes)
         fine = first == "finetune"
         routes[f"forward_stacked first {first}"] = (
