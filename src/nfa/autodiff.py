@@ -396,8 +396,8 @@ class Adam:
             a, b = self._spans[name]
             self._flat_x[a:b] = p.value.reshape(-1)
             p.value = self._flat_x[a:b].reshape(p.shape)
-        self._m = self._views(self._flat_m)
-        self._v = self._views(self._flat_v)
+        self._m = self.views(self._flat_m)
+        self._v = self.views(self._flat_v)
 
     def _layout(self, params, lr):
         self.params = params
@@ -410,11 +410,13 @@ class Adam:
             offset += p.value.size
         return offset
 
-    def _views(self, flat):
+    def views(self, flat):
+        """Each parameter's view, by name and in order, into ``flat``."""
         return {name: flat[a:b].reshape(self.params[name].shape)
                 for name, (a, b) in self._spans.items()}
 
     def step(self):
+        """Gather every parameter's ``grad`` and :meth:`update` from them."""
         if len(self.params) == 0:
             return
         grads = []
@@ -422,7 +424,10 @@ class Adam:
             if p.grad is None:
                 raise ValueError(f"adam step: parameter {name!r} has no gradient")
             grads.append(p.grad)
-        g = np.concatenate(grads, axis=None)
+        self.update(np.concatenate(grads, axis=None))
+
+    def update(self, g):
+        """One step from the flat gradient ``g``, laid out as :meth:`views`."""
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t

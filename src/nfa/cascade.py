@@ -16,7 +16,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParameterSet, Tensor
-from .data import batch_order
 
 
 STAGES = ("denoise", "recognize", "label")
@@ -121,61 +120,83 @@ def pretrain_upstream(model: CascadedModel, source_data, epochs, lr, batch_size=
     classification) on source-domain data; the final stage stays at its random
     init. Freezes all modules afterward, fixing the pretrained snapshots.
 
-    Each stage is checked once, before its first batch: its dense layers'
-    shapes and activations (:func:`check_layers`), its whole input finite,
-    and its whole target finite (denoise) or in the label range
-    (:func:`checked_labels`, recognize). A batch then gathers only those two
-    arrays' rows, runs the layers' arithmetic in numpy with a tape
-    (:func:`run_layers`), gets the loss gradient in closed form and sweeps
-    the tape backward into each parameter's ``grad`` for :meth:`Adam.step`.
-    Only when the whole input or target fails is each batch's checked, the
-    input as a ``leaf`` and the target as before its loss, so the error comes
-    at the same batch. Every check that can fire is made under the name of
-    the graph op that would have made the array, and the weights equal graph
-    training's bit for bit."""
+    Each stage is checked once, before its first batch: its dense layers
+    (:func:`check_layers`), its whole input finite and its whole target
+    finite (denoise) or in the label range (:func:`checked_labels`). Each
+    epoch gathers both in its shuffled order once; a batch is a slice. A
+    step runs the layers in numpy, checking each ``z`` by
+    :func:`_check_dense`, writes the gradients into views of one flat buffer
+    and hands it to :meth:`Adam.update`. Only when a whole-array check fails
+    is each batch's input checked as a ``leaf`` and its target before its
+    loss, so the error comes at the same batch. Every check is made under
+    the name of the graph op that would have made the array, and the
+    weights equal graph training's bit for bit."""
     if len(source_data) == 0:
         raise ValueError("pretraining requires a nonempty source dataset")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9E7A]))
+    x, n = source_data.x, len(source_data)
 
-    def run_stage(stage_index, x, target, check_target, loss_grad):
-        modules = model.stages[stage_index]
+    def run_stage(stage_index, target, check_target, loss_grad):
         params = ParameterSet()
-        for m in modules:
+        for m in model.stages[stage_index]:
             params.merge(m.params, prefix=m.name + ".")
-        layers = _dense_layers(modules)
+        # the trained stages before this one run forward on each batch, as on
+        # the graph (BLAS may round a row among other rows differently)
+        frozen = [layer for stage in model.stages[:stage_index] for m in stage for layer in m.layers()]
+        layers = frozen + [layer for m in model.stages[stage_index] for layer in m.layers()]
         width = check_layers(layers, x[:batch_size].shape)[-1]
-        opt = ad.Adam(params, lr=lr)
+        opt = ad.Adam(params, lr=lr)  # the values become views of its buffer, updated in place
+        grad = np.empty(params.count)  # W and b of each layer, in order, as params holds them
+        views = list(opt.views(grad).values())
+        grads = [(None, None)] * len(frozen) + list(zip(views[::2], views[1::2]))
+        plan = [(w.value, b.value, ad.ACTIVATIONS[act], dw, db)
+                for (w, b, act), (dw, db) in zip(layers, grads)]
         try:  # the whole input and target, once
             ad.check_finite(x, "leaf")
             check_target(target, (len(target), width))
             per_batch = False
         except (ad.NonFiniteError, ValueError):  # then each batch, to raise at the same batch
             per_batch = True
+        n_frozen, n_layers, batches = len(frozen), len(plan), range(0, n, batch_size)
         for _ in range(epochs):
-            for rows in batch_order(len(x), batch_size, rng):
-                bx, bt = x[rows], target[rows]
+            order = rng.permutation(n)  # the draw of data.batch_order
+            xs, ts = x[order], target[order]
+            for i in batches:
+                h, bt = xs[i:i + batch_size], ts[i:i + batch_size]
                 if per_batch:
-                    ad.check_finite(bx, "leaf")
-                out, tape = run_layers(layers, bx)
+                    ad.check_finite(h, "leaf")
+                tape = []
+                for w, b, (act, _), _, _ in plan:
+                    z = np.dot(h, w)  # np.dot is @ byte for byte on 2-D arrays, with less overhead
+                    z += b
+                    _check_dense(z)
+                    y = act(z)
+                    tape.append((h, z, y))
+                    h = y
                 if per_batch:
-                    check_target(bt, out.shape)
-                layers_backward(tape, loss_grad(out, bt), need_x=False)
-                opt.step()
+                    check_target(bt, h.shape)
+                g = loss_grad(h, bt)
+                for k in range(n_layers - 1, n_frozen - 1, -1):
+                    w, _, (_, act_grad), dw, db = plan[k]
+                    h, z, y = tape[k]
+                    g = act_grad(g, z, y)
+                    np.add.reduce(g, axis=0, out=db)
+                    np.dot(h.T, g, out=dw)
+                    if k > n_frozen:
+                        g = np.dot(g, w.T)
+                opt.update(grad)
 
     if epochs > 0:
-        run_stage(0, source_data.x, source_data.clean,
-                  lambda target, shape: ad.check_finite(target, "leaf"), _mse_grad)
-        # stage 0 is trained and outside the next stage's optimizer: its output
-        # over every source row, computed once, is stage 1's constant input
-        h, _ = run_layers(_dense_layers(model.stages[0]), source_data.x)
-        run_stage(1, h, source_data.inter_labels, checked_labels,
-                  lambda out, labels: _nll_backward(*_nll_probs(out, labels)[:2]))
+        run_stage(0, source_data.clean, lambda target, shape: ad.check_finite(target, "leaf"), _mse_grad)
+        run_stage(1, source_data.inter_labels, checked_labels, _nll_grad)
     model.freeze()
 
 
-def _dense_layers(modules):
-    """``(W, b, activation)`` of every dense layer of ``modules``, in forward order."""
-    return [layer for m in modules for layer in m.layers()]
+def _check_dense(z):
+    """``ad.check_finite(z, "dense")`` run only when the sum of squares is
+    not finite (``np.vdot`` warns of no overflow)."""
+    if not math.isfinite(np.vdot(z, z)):
+        ad.check_finite(z, "dense")
 
 
 def check_layers(layers, x_shape):
@@ -215,16 +236,18 @@ def layers_backward(tape, g, need_x, params=True):
 
 
 def _mse_grad(pred, target):
-    """The gradient of ``ad.mean((pred - target)**2)`` with respect to
-    ``pred``, computed as the graph of ``add(pred, scale(target, -1))``,
-    ``mul(diff, diff)`` and ``tensor_mean`` computes it, for a ``target``
-    already checked finite as a leaf (then its ``scale`` is finite too)."""
-    diff = pred + target * -1.0
-    ad.check_finite(diff, "add")
+    """The gradient of ``ad.mean((pred - target)**2)`` with respect to a
+    finite ``pred`` for a ``target`` checked finite as a leaf, computed and
+    checked as the graph of ``add(pred, scale(target, -1))``, ``mul(diff,
+    diff)`` and ``tensor_mean``. IEEE subtraction adds the negation; the
+    mean's own sum is finite exactly when the three checks pass."""
+    diff = pred - target
     sq = diff * diff
-    ad.check_finite(sq, "mul")
-    ad.check_finite(sq.mean(), "mean")
-    t = np.full(sq.shape, 1.0 / sq.size) * diff
+    if not math.isfinite(np.add.reduce(sq, axis=None)):
+        ad.check_finite(diff, "add")
+        ad.check_finite(sq, "mul")
+        ad.check_finite(sq.mean(), "mean")
+    t = diff * (1.0 / diff.size)
     return t + t  # mul(diff, diff) gets one contribution per input
 
 
@@ -253,6 +276,16 @@ def _nll_probs(logits, labels):
         logp = np.log(probs)
     ad.check_finite(logp, "log")
     return probs, np.eye(probs.shape[-1])[labels], logp
+
+
+def _nll_grad(logits, labels):
+    """:func:`_nll_backward` of :func:`_nll_probs`: the softmax of finite
+    logits lies in [0, 1], so its ``log`` is taken and checked only when
+    its least entry is not positive."""
+    probs = ad.softmax(logits)
+    if not np.minimum.reduce(probs, axis=None) > 0.0:
+        _nll_probs(logits, labels)
+    return _nll_backward(probs, np.eye(probs.shape[-1])[labels])
 
 
 def _nll(logits, labels):

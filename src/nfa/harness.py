@@ -333,12 +333,15 @@ def write_metrics(history, path):
 
 
 def run_experiment(cfg: ExperimentConfig, seed=None, out_dir=None, step_callback=None) -> RunResult:
-    """Pretrain -> split -> stage 1 -> stage 2 -> discretize -> account -> export."""
+    """Pretrain -> split -> stage 1 -> stage 2 -> discretize -> account -> export,
+    after deleting an earlier run's files from the run directory."""
     seed = int(seed) if seed is not None else cfg.search.seed
     search_cfg = replace(cfg.search, seed=seed)
     out = resolve_out_dir(cfg, out_dir, seed=seed)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "FAILED").unlink(missing_ok=True)
+    for name in ("FAILED", "architecture.json", "metrics.csv", "checkpoints/stage1.bin",
+                 "checkpoints/stage1.json", "checkpoints/stage2.bin", "checkpoints/stage2.json"):
+        (out / name).unlink(missing_ok=True)
     stage = "setup"
     try:
         model, cells, train, val = build_experiment(cfg, seed)

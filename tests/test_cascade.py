@@ -1,6 +1,7 @@
 """Cascade construction, adapters, parameter counts, and upstream pretraining."""
 
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,10 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import FINITE_EXTREMES, check_grad
+from conftest import FINITE_EXTREMES, SEARCH_FUZZ_PROFILE, check_grad
 from nfa import autodiff as ad
 from nfa import cascade, cell
 from nfa.data import SynthDataConfig, generate_synthetic
+from test_engine_equivalence import cascade_specs
 
 
 def source_data(n=256, seed=0):
@@ -253,27 +255,27 @@ class TestPretraining:
         stage_params = [[t for m in model.stages[s] for _, t in m.params.items()]
                         for s in (0, 1)]
         stage1_ids = {id(t) for t in stage_params[1]}
-        steps = []  # per Adam step: its parameters, then stage 0's grads and values
-        step = ad.Adam.step
+        steps = []  # per Adam update: its parameters, then stage 0's grads and values
+        update = ad.Adam.update
 
-        def recording(opt):
+        def recording(opt, g):
             steps.append(({id(p) for _, p in opt.params.items()},
                           [t.grad for t in stage_params[0]],
                           [t.value.tobytes() for t in stage_params[0]]))
-            step(opt)
+            update(opt, g)
 
-        monkeypatch.setattr(ad.Adam, "step", recording)
+        monkeypatch.setattr(ad.Adam, "update", recording)
         cascade.pretrain_upstream(model, source_data(), epochs=1, lr=0.01, seed=3)
         # 256 rows in batches of 32: 8 steps per stage, the recognize stage's last
         assert [i for i, s in enumerate(steps) if s[0] & stage1_ids] == list(range(8, 16))
         recognize = steps[8:]
         assert all(ids == stage1_ids for ids, _, _ in recognize)
         # stage 0's parameters are stepped before the recognize stage and only
-        # read during it: no gradient is assigned to them and none changes
-        _, grads, values = recognize[0]
-        assert all(g is not None for g in grads)
+        # read during it: pretraining writes gradients into its flat buffer,
+        # so no gradient is assigned to them, and none of them changes
+        values = recognize[0][2]
         for _, step_grads, step_values in recognize:
-            assert all(a is b for a, b in zip(step_grads, grads))
+            assert all(g is None for g in step_grads)
             assert step_values == values
         assert [t.value.tobytes() for t in stage_params[0]] == values
 
@@ -337,8 +339,10 @@ class TestPretraining:
 
         (ref, ref_data), (new, new_data) = setup(), setup()
         if op is None:
-            per_batch_recognize_pretrain(ref, ref_data, epochs=2, lr=0.01, seed=3)
-            cascade.pretrain_upstream(new, new_data, epochs=2, lr=0.01, seed=3)
+            with warnings.catch_warnings():  # nothing overflows, and no check says it did
+                warnings.simplefilter("error")
+                per_batch_recognize_pretrain(ref, ref_data, epochs=2, lr=0.01, seed=3)
+                cascade.pretrain_upstream(new, new_data, epochs=2, lr=0.01, seed=3)
             for a, b in zip(ref.modules, new.modules):
                 assert a.params.checksum() == b.params.checksum(), a.name
             return
@@ -356,6 +360,33 @@ class TestPretraining:
         if case.endswith("last_batch"):  # the batches before it did step
             init = cascade.build_cascade(cascade.CascadeSpec(), 3)
             assert new.modules[0].params.checksum() != init.modules[0].params.checksum()
+
+    def test_denoise_output_overflow_in_recognize_stage_raises_at_the_same_step(self, monkeypatch):
+        # a denoise weight made large after the denoise stage's last step:
+        # only the row with a large input overflows, in the recognize stage's
+        # fourth batch, after three recognize steps
+        data = source_data()
+        x = data.x.copy()
+        x[pass_order(len(data), 3, index=2)[100], 0] = 1e5
+        data = replace(data, x=x)
+        update = ad.Adam.update
+
+        def poking(opt, g):
+            update(opt, g)
+            if opt.t == 16 and "denoise.0.L0.W" in opt.params:  # 2 passes of 8 batches
+                opt.params["denoise.0.L0.W"].value[0, 0] = 1e304
+
+        monkeypatch.setattr(ad.Adam, "update", poking)
+        ref, new = (cascade.build_cascade(cascade.CascadeSpec(), 3) for _ in range(2))
+        message = "non-finite values in tensor produced by op 'dense'"
+        with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError, match=message):
+            per_batch_recognize_pretrain(ref, data, epochs=2, lr=0.01, seed=3)
+        with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError, match=message):
+            cascade.pretrain_upstream(new, data, epochs=2, lr=0.01, seed=3)
+        for a, b in zip(ref.modules, new.modules):
+            assert a.params.checksum() == b.params.checksum(), a.name
+        init = cascade.build_cascade(cascade.CascadeSpec(), 3)
+        assert new.stages[1][0].params.checksum() != init.stages[1][0].params.checksum()
 
     def test_out_of_range_label_raises_at_the_same_step(self):
         data = source_data()
@@ -517,3 +548,176 @@ def test_gated_mix_of_finite_arrays_is_finite(arrays):
     one_minus_g = ones + neg
     for value in (ones, neg, one_minus_g, gate * x, one_minus_g * expanded):
         assert np.isfinite(value).all()
+
+
+# -- pretraining's one-reduction checks, and why each raises exactly as before --
+
+
+ANY = st.floats() | st.sampled_from(FINITE_EXTREMES)
+
+
+def recorded(fn, *args):
+    """``(outcome, warned)``: the bytes of what ``fn(*args)`` returned (None
+    for None) or the message of the ``NonFiniteError`` it raised, and
+    whether it emitted a ``RuntimeWarning``."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = fn(*args)
+            outcome = ("returned", None if out is None else np.asarray(out).tobytes())
+        except ad.NonFiniteError as e:
+            outcome = ("raised", str(e))
+    return outcome, any(issubclass(w.category, RuntimeWarning) for w in caught)
+
+
+def graph_mse_grad(pred, target):
+    """The checks and gradient of ``ad.mean((pred - target)**2)`` op by op,
+    as the graph of ``add(pred, scale(target, -1))``, ``mul(diff, diff)``
+    and ``tensor_mean`` makes them."""
+    diff = pred + target * -1.0
+    ad.check_finite(diff, "add")
+    sq = diff * diff
+    ad.check_finite(sq, "mul")
+    ad.check_finite(sq.mean(), "mean")
+    t = np.full(sq.shape, 1.0 / sq.size) * diff
+    return t + t
+
+
+def shaped_pairs(elements):
+    return hnp.array_shapes(min_dims=2, max_dims=2, max_side=8).flatmap(
+        lambda shape: st.tuples(*[hnp.arrays(np.float64, shape, elements=elements)] * 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(z=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=8), elements=ANY))
+@example(z=np.full((4, 4), 1e200))  # every element finite, the sum of squares overflows
+@example(z=np.array([FINITE_EXTREMES, FINITE_EXTREMES[::-1]]))
+@example(z=np.array([[np.inf, -np.inf], [np.nan, 0.0]]))
+def test_dense_prefilter_raises_exactly_when_the_dense_check_does(z):
+    """``_check_dense`` raises exactly when ``check_finite(z, "dense")``
+    does, with its message, and never warns: ``np.vdot`` reports no
+    overflow."""
+    got, warned = recorded(cascade._check_dense, z)
+    assert got == recorded(ad.check_finite, z, "dense")[0]
+    assert not warned
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays=shaped_pairs(ANY))
+@example(arrays=(np.full((4, 4), 1e200), np.zeros((4, 4))))  # the squares overflow: mul
+@example(arrays=(np.full((4, 4), 1e154), np.zeros((4, 4))))  # only their sum overflows: mean
+@example(arrays=(np.array([[1.7e308, 1.0]]), np.array([[-1.7e308, 1.0]])))  # the difference: add
+@example(arrays=(np.array([[np.inf, 1e200]]), np.zeros((1, 2))))
+@example(arrays=(np.array([FINITE_EXTREMES]), np.array([FINITE_EXTREMES[::-1]])))
+def test_mse_prefilter_raises_exactly_when_the_graph_checks_do(arrays):
+    """``_mse_grad`` raises exactly when the graph's ``add``, ``mul`` and
+    ``mean`` checks do, with the first failing one's message, and otherwise
+    returns the graph's gradient byte for byte. On the inputs pretraining
+    gives it, a finite prediction and a target checked finite, it warns
+    only where the graph warns."""
+    pred, target = arrays
+    got, warned = recorded(cascade._mse_grad, pred, target)
+    want, graph_warned = recorded(graph_mse_grad, pred, target)
+    assert got == want
+    if np.isfinite(pred).all() and np.isfinite(target).all():
+        assert graph_warned or not warned
+
+
+@settings(max_examples=300, deadline=None)
+@given(logits=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                         elements=ANY),
+       seed=st.integers(0, 2**32 - 1))
+@example(logits=np.array([[1e308, -1e308, 0.0]]), seed=0)  # a probability underflows to 0
+@example(logits=np.array([[-np.inf, 0.0], [1.0, 2.0]]), seed=1)
+@example(logits=np.array([FINITE_EXTREMES]), seed=2)
+def test_log_prefilter_raises_exactly_when_the_log_check_does(logits, seed):
+    """``_nll_grad`` checks ``log`` as ``probs.min() > 0``: it raises
+    exactly when ``_nll_probs``'s ``log`` check does, with its message,
+    warns only where that route warns, and otherwise returns the gradient
+    of ``_nll_backward`` on ``_nll_probs`` byte for byte."""
+    labels = np.random.default_rng(seed).integers(0, logits.shape[-1], logits.shape[-2])
+    got, warned = recorded(cascade._nll_grad, logits, labels)
+    want, graph_warned = recorded(
+        lambda: cascade._nll_backward(*cascade._nll_probs(logits, labels)[:2]))
+    assert got == want
+    assert graph_warned or not warned
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(1, 40), a=st.integers(1, 24), b=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
+def test_pretraining_dot_is_the_graphs_matmul(m, a, b, seed):
+    """Pretraining multiplies with ``np.dot`` where the graph uses ``@``: on
+    2-D float64 arrays both give the same bytes, for the forward on a slice
+    of the gathered rows, the weight gradient written into a view of a flat
+    buffer, and the input gradient."""
+    rng = np.random.default_rng(seed)
+    h, w, g = rng.normal(size=(m + 3, a))[2:m + 2], rng.normal(size=(a, b)), rng.normal(size=(m, b))
+    dw = np.empty(a * b + 1)[1:].reshape(a, b)
+    assert np.dot(h, w).tobytes() == (h @ w).tobytes()
+    assert np.dot(h.T, g, out=dw).tobytes() == (h.T @ g).tobytes()
+    assert np.dot(g, w.T).tobytes() == (g @ w.T).tobytes()
+
+
+# -- pretraining fuzzed against the graph -------------------------------------
+
+PRETRAIN_FUZZ_EXAMPLES = (settings.get_profile(SEARCH_FUZZ_PROFILE).max_examples
+                          if settings.get_current_profile_name() == SEARCH_FUZZ_PROFILE else 100)
+
+
+def raised(run):
+    """None, or the type and message of what ``run()`` raised."""
+    try:
+        run()
+    except Exception as e:  # any error, to compare with the graph's
+        return type(e), str(e)
+    return None
+
+
+@st.composite
+def poisons(draw, spec, n_source):
+    """None, or a NaN or infinity at a drawn place: ``(array, index,
+    value)`` with the array ``"x"``, ``"clean"`` or ``(module, name)`` of a
+    denoise or recognize weight."""
+    where = draw(st.sampled_from([None, "x", "clean", "weight"]))
+    if where is None:
+        return None
+    value = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    if where != "weight":
+        return where, (draw(st.integers(0, n_source - 1)), draw(st.integers(0, spec.dim - 1))), value
+    module = draw(st.integers(0, 2 * spec.modules_per_stage - 1))
+    name = draw(st.sampled_from(["L0.W", "L0.b", "L1.W", "L1.b"]))
+    shape = (spec.dim, spec.dim) if name.endswith("W") else (spec.dim,)
+    return (module, name), tuple(draw(st.integers(0, side - 1)) for side in shape), value
+
+
+@settings(max_examples=PRETRAIN_FUZZ_EXAMPLES, deadline=None)
+@given(spec=cascade_specs(), batch_size=st.integers(1, 40), epochs=st.integers(1, 2),
+       n_source=st.integers(1, 80), seed=st.integers(0, 2**16), data=st.data())
+def test_pretrain_fuzz_matches_graph(spec, batch_size, epochs, n_source, seed, data):
+    """Pretraining on drawn cascades, batch sizes, epochs, source sizes and
+    seeds, with or without a NaN or infinity drawn into the input, the
+    target or a weight: it raises what the graph reference raises, at the
+    same step, and every pretrained parameter equals the graph's byte for
+    byte."""
+    poison = data.draw(poisons(spec, n_source))
+    rows = generate_synthetic(SynthDataConfig(n_samples=n_source, dim=spec.dim, n_labels=spec.n_labels,
+                                              n_intermediate=spec.dim, domain="source"), seed)
+    models, outcomes = [], []
+    for pretrain in (per_batch_recognize_pretrain, cascade.pretrain_upstream):
+        model = cascade.build_cascade(spec, seed)
+        arrays = {"x": rows.x.copy(), "clean": rows.clean.copy()}
+        if poison is not None:
+            where, index, value = poison
+            if where in arrays:
+                arrays[where][index] = value
+            else:
+                model.modules[where[0]].params[where[1]].value[index] = value
+        with np.errstate(all="ignore"):
+            outcomes.append(raised(lambda: pretrain(model, replace(rows, **arrays), epochs=epochs,
+                                                    lr=0.01, batch_size=batch_size, seed=seed)))
+        models.append(model)
+    assert outcomes[1] == outcomes[0]
+    assert (poison is None) == (outcomes[0] is None)
+    for a, b in zip(*(m.modules for m in models)):
+        for (name, ta), (_, tb) in zip(a.params.items(), b.params.items()):
+            assert ta.value.tobytes() == tb.value.tobytes(), (a.name, name)

@@ -553,6 +553,36 @@ class TestRunExperiment:
         harness.run_experiment(cfg, seed=0)
         assert not flag.exists()
 
+    @staticmethod
+    def run_files(out):
+        return sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+
+    def test_rerun_without_stage2_removes_the_earlier_stage2(self, tmp_path):
+        out = tmp_path / "run"
+        harness.run_experiment(fast_config(), seed=0, out_dir=out)
+        assert (out / "checkpoints" / "stage2.bin").exists()
+        result = harness.run_experiment(fast_config(stage2_epochs=0), seed=0, out_dir=out)
+        assert self.run_files(out) == ["architecture.json", "checkpoints/stage1.bin",
+                                       "checkpoints/stage1.json", "metrics.csv"]
+        assert sorted(result.checkpoint_paths) == [out / "checkpoints" / "stage1.bin",
+                                                   out / "checkpoints" / "stage1.json"]
+
+    def test_rerun_failing_in_stage2_leaves_only_its_own_files(self, tmp_path):
+        def fail_in_stage2(kind, search):
+            if search.state.stage == 2:
+                raise ValueError("boom")
+
+        out, alone = tmp_path / "run", tmp_path / "alone"
+        harness.run_experiment(fast_config(), seed=0, out_dir=out)
+        rerun = fast_config(stage1_epochs=1)
+        with pytest.raises(RuntimeError, match="aborted during stage2: boom"):
+            harness.run_experiment(rerun, seed=0, out_dir=out, step_callback=fail_in_stage2)
+        assert self.run_files(out) == ["FAILED", "checkpoints/stage1.bin", "checkpoints/stage1.json"]
+        # the stage-1 checkpoint is the re-run's, not the earlier run's
+        harness.run_experiment(rerun, seed=0, out_dir=alone)
+        for name in ("stage1.bin", "stage1.json"):
+            assert (out / "checkpoints" / name).read_bytes() == (alone / "checkpoints" / name).read_bytes()
+
     @pytest.mark.parametrize("stage2_epochs", [0, 2])
     def test_final_val_loss_evaluated_once(self, tmp_path, monkeypatch, stage2_epochs):
         # stage 2's last epoch evaluates the final scheme; the run reuses that loss
