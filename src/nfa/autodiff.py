@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 
 import numpy as np
 
@@ -25,6 +26,7 @@ __all__ = [
     "NonFiniteError",
     "ACTIVATIONS",
     "check_finite",
+    "check_dense",
     "softmax",
     "backward",
     "constant",
@@ -40,7 +42,6 @@ __all__ = [
     "tensor_mean",
     "scale",
     "index_lastdim",
-    "affine",
     "dense",
     "dense_check",
     "dense_core",
@@ -66,6 +67,13 @@ def check_finite(value, what):
     element of ``value`` is finite."""
     if not np.logical_and.reduce(np.isfinite(value), axis=None):
         raise NonFiniteError(f"non-finite values in tensor produced by op '{what}'")
+
+
+def check_dense(z):
+    """``check_finite(z, "dense")``, run only when the sum of squares of
+    ``z`` is not finite (``np.vdot`` warns of no overflow)."""
+    if not math.isfinite(np.vdot(z, z)):
+        check_finite(z, "dense")
 
 
 def _sigmoid(z):
@@ -482,11 +490,6 @@ class Adam:
         return opt
 
 
-def affine(x, w, b):
-    """x @ w + b, the building block for adapters."""
-    return add(matmul(x, w), b)
-
-
 def _stacked(shape):
     return len(shape) == 3  # a leading scheme axis: (S, n, a) rows, (S, a, b) weights, (S, 1, b) biases
 
@@ -501,29 +504,27 @@ def dense_check(x_shape, w_shape, b_shape, act):
             or (_stacked(x_shape) and _stacked(w_shape) and x_shape[0] != w_shape[0])):
         raise ShapeError(f"dense: incompatible shapes {x_shape} @ {w_shape}")
     z_shape = (x_shape[:-2] or w_shape[:-2]) + (x_shape[-2], w_shape[-1])
-    if not _stacked(b_shape):
-        _check_binary("dense bias", b_shape, z_shape)
-    elif b_shape != (z_shape[0], 1, z_shape[-1]):
-        raise ShapeError(f"dense bias: stacked shape {b_shape} does not fit {z_shape}")
+    if _stacked(b_shape):
+        fits = _stacked(z_shape) and b_shape == (z_shape[0], 1, z_shape[-1])
+    else:
+        fits = len(b_shape) <= len(z_shape) and _suffix_broadcastable(b_shape, z_shape)
+    if not fits:
+        raise ShapeError(f"dense bias: shape {b_shape} does not fit {z_shape}")
     return z_shape
 
 
-def dense_core(x, w, b, act, affine=False):
+def dense_core(x, w, b, act):
     """``(z, y)`` of a dense layer on numpy arrays whose shapes
     :func:`dense_check` accepts: ``z = x @ w + b`` and ``y = act(z)``; ``act``
     is a key of :data:`ACTIVATIONS`. ``x`` and ``w`` may carry a leading
     scheme axis, ``(S, n, a)`` and ``(S, a, b)``, with the bias then
     ``(S, 1, b)``: each scheme's slice is computed as alone.
 
-    Checked finite as the graph checks it: ``z`` as one dense node, or with
-    ``affine`` as the ops of :func:`affine`: ``x @ w`` as matmul and ``z`` as
-    add. A finite ``z`` gives a finite ``y`` for every activation, so the
-    activation op's check cannot fail."""
+    ``z`` is checked by :func:`check_dense`; a finite ``z`` gives a finite
+    ``y`` for every activation, so the activation cannot fail a check."""
     z = x @ w
-    if affine:
-        check_finite(z, "matmul")
-    z = z + b
-    check_finite(z, "add" if affine else "dense")
+    z += b  # the bytes of x @ w + b: the bias never widens z (dense_check)
+    check_dense(z)
     return z, ACTIVATIONS[act][0](z)
 
 
@@ -544,10 +545,10 @@ def dense_backward(g, x, w, b_shape, act, z, y, need_x=True, need_w=True, need_b
 
 
 def dense(x, w, b, act):
-    """``act(x @ w + b)`` as one node, for the layers of a dense module. Its
-    forward and backward evaluate the numpy expressions of :func:`affine`
-    followed by the activation op, so values and gradients equal theirs bit
-    for bit."""
+    """``act(x @ w + b)`` as one node, for the layers of a module or an
+    adapter. Its forward and backward evaluate the numpy expressions of
+    ``add(matmul(x, w), b)`` followed by the activation op, so values and
+    gradients equal theirs bit for bit."""
     dense_check(x.shape, w.shape, b.shape, act)
     z, y = dense_core(x.value, w.value, b.value, act)
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParameterSet, Tensor
+from .data import batch_order
 
 
 STAGES = ("denoise", "recognize", "label")
@@ -123,10 +124,10 @@ def pretrain_upstream(model: CascadedModel, source_data, epochs, lr, batch_size=
     Each stage is checked once, before its first batch: its dense layers
     (:func:`check_layers`), its whole input finite and its whole target
     finite (denoise) or in the label range (:func:`checked_labels`). Each
-    epoch gathers both in its shuffled order once; a batch is a slice. A
-    step runs the layers in numpy, checking each ``z`` by
-    :func:`_check_dense`, writes the gradients into views of one flat buffer
-    and hands it to :meth:`Adam.update`. Only when a whole-array check fails
+    epoch gathers both once in the order of :func:`data.batch_order`; a
+    batch is a slice. A step runs the layers in numpy, checking each ``z``
+    by :func:`ad.check_dense`, writes the gradients into views of one flat
+    buffer and hands it to :meth:`Adam.update`. Only when a whole-array check fails
     is each batch's input checked as a ``leaf`` and its target before its
     loss, so the error comes at the same batch. Every check is made under
     the name of the graph op that would have made the array, and the
@@ -157,19 +158,19 @@ def pretrain_upstream(model: CascadedModel, source_data, epochs, lr, batch_size=
             per_batch = False
         except (ad.NonFiniteError, ValueError):  # then each batch, to raise at the same batch
             per_batch = True
-        n_frozen, n_layers, batches = len(frozen), len(plan), range(0, n, batch_size)
+        n_frozen, n_layers = len(frozen), len(plan)
         for _ in range(epochs):
-            order = rng.permutation(n)  # the draw of data.batch_order
+            order, spans = batch_order(n, batch_size, rng)
             xs, ts = x[order], target[order]
-            for i in batches:
-                h, bt = xs[i:i + batch_size], ts[i:i + batch_size]
+            for span in spans:
+                h, bt = xs[span], ts[span]
                 if per_batch:
                     ad.check_finite(h, "leaf")
                 tape = []
                 for w, b, (act, _), _, _ in plan:
                     z = np.dot(h, w)  # np.dot is @ byte for byte on 2-D arrays, with less overhead
                     z += b
-                    _check_dense(z)
+                    ad.check_dense(z)
                     y = act(z)
                     tape.append((h, z, y))
                     h = y
@@ -190,13 +191,6 @@ def pretrain_upstream(model: CascadedModel, source_data, epochs, lr, batch_size=
         run_stage(0, source_data.clean, lambda target, shape: ad.check_finite(target, "leaf"), _mse_grad)
         run_stage(1, source_data.inter_labels, checked_labels, _nll_grad)
     model.freeze()
-
-
-def _check_dense(z):
-    """``ad.check_finite(z, "dense")`` run only when the sum of squares is
-    not finite (``np.vdot`` warns of no overflow)."""
-    if not math.isfinite(np.vdot(z, z)):
-        ad.check_finite(z, "dense")
 
 
 def check_layers(layers, x_shape):
@@ -305,116 +299,114 @@ def _nll_backward(probs, onehot, g=1.0):
     return ad.softmax_backward(g / probs, probs)
 
 
-class BottleneckAdapter:
+class _Adapter:
+    """What both adapter kinds share: ``in_dim`` columns in and out, and the
+    dense layers ``LAYERS``, each ``(name, activation)`` with the parameters
+    ``name.W`` and ``name.b``."""
+
+    def __init__(self, in_dim):
+        if in_dim <= 0:
+            raise ValueError("adapter in_dim must be positive")
+        self.in_dim = in_dim
+        self.params = ParameterSet()
+
+    @property
+    def param_count(self):
+        return self.params.count
+
+    def layers(self, params=None):
+        """``(W, b, activation)`` of each of ``LAYERS``, from ``params`` (this
+        adapter's own by default)."""
+        p = params if params is not None else self.params
+        return [(p[f"{name}.W"], p[f"{name}.b"], act) for name, act in self.LAYERS]
+
+
+class BottleneckAdapter(_Adapter):
     """Down-projection, tanh, up-projection, skip connection. The up projection
     is zero-initialized so the adapter starts as an exact identity."""
 
     kind = "BA"
+    LAYERS = (("down", "tanh"), ("up", "linear"))
 
     def __init__(self, in_dim, rng: np.random.Generator):
-        if in_dim <= 0:
-            raise ValueError("adapter in_dim must be positive")
-        self.in_dim = in_dim
+        super().__init__(in_dim)
         self.hidden = max(1, math.ceil(in_dim / 4))
-        self.params = ParameterSet()
         w_down = rng.normal(0.0, 1.0 / math.sqrt(in_dim), size=(in_dim, self.hidden))
         self.params.add("down.W", Tensor(w_down, requires_grad=True))
         self.params.add("down.b", Tensor(np.zeros(self.hidden), requires_grad=True))
         self.params.add("up.W", Tensor(np.zeros((self.hidden, in_dim)), requires_grad=True))
         self.params.add("up.b", Tensor(np.zeros(in_dim), requires_grad=True))
 
-    @property
-    def param_count(self):
-        return self.params.count
-
     def forward(self, x):
         if x.shape[-1] != self.in_dim:
             raise ad.ShapeError(f"BA: input width {x.shape[-1]} != {self.in_dim}")
-        h = ad.tanh(ad.affine(x, self.params["down.W"], self.params["down.b"]))
-        return ad.add(x, ad.affine(h, self.params["up.W"], self.params["up.b"]))
+        down, up = self.layers()
+        return ad.add(x, ad.dense(ad.dense(x, *down), *up))
 
     def forward_array(self, x, params):
         """:meth:`forward` on the array ``x`` without a graph, with ``params``
         named as this adapter's, either its own or stacked over schemes (see
         :func:`ad.dense_core`). Returns the output and a function from its
         gradient to ``x``'s (None unless ``need_x``) that stores each
-        parameter's gradient unless ``params`` is false. Two dense rules and
-        the skip; arrays are checked finite as the graph's ops. ``x`` is its
-        module's output, of ``in_dim`` columns, and ``params`` are this
+        parameter's gradient unless ``params`` is false: :func:`run_layers`
+        and the skip, each array checked finite as the graph's ops. ``x`` is
+        its module's output, of ``in_dim`` columns, and ``params`` are this
         adapter's or :meth:`NfaCell.stacked_params` copies of them, so no
         shape is checked."""
-        dw, db, uw, ub = (params[k] for k in ("down.W", "down.b", "up.W", "up.b"))
-        zd, h = ad.dense_core(x, dw.value, db.value, "tanh", affine=True)
-        zu, _ = ad.dense_core(h, uw.value, ub.value, "linear", affine=True)
-        out = x + zu
+        y, tape = run_layers(self.layers(params), x)
+        out = x + y
         ad.check_finite(out, "add")
 
         def backward(g, need_x, params=True):
-            dh, g_uw, g_ub = ad.dense_backward(g, h, uw.value, ub.shape, "linear", zu, zu,
-                                               need_w=params, need_b=params)
-            dx, g_dw, g_db = ad.dense_backward(dh, x, dw.value, db.shape, "tanh", zd, h,
-                                               need_x=need_x, need_w=params, need_b=params)
-            if params:
-                uw.grad, ub.grad, dw.grad, db.grad = g_uw, g_ub, g_dw, g_db
-            return g + dx if need_x else None  # the skip's gradient, then the down projection's
+            dx = layers_backward(tape, g, need_x, params)
+            return g + dx if need_x else None  # the skip's gradient, then the projections'
 
         return out, backward
 
 
-class GatedAdapter:
+class GatedAdapter(_Adapter):
     """Elementwise gated mix of the input and an expanded linear transform:
     g(x) * x + (1 - g(x)) * expand(x). Gate bias starts positive so the block
     opens near the identity."""
 
     kind = "GA"
+    LAYERS = (("gate", "sigmoid"), ("expand", "linear"))  # both on the input
 
     def __init__(self, in_dim, rng: np.random.Generator):
-        if in_dim <= 0:
-            raise ValueError("adapter in_dim must be positive")
-        self.in_dim = in_dim
-        self.params = ParameterSet()
+        super().__init__(in_dim)
         self.params.add("gate.W", Tensor(np.zeros((in_dim, in_dim)), requires_grad=True))
         self.params.add("gate.b", Tensor(np.full(in_dim, 3.0), requires_grad=True))
         w_exp = rng.normal(0.0, 1.0 / math.sqrt(in_dim), size=(in_dim, in_dim))
         self.params.add("expand.W", Tensor(w_exp, requires_grad=True))
         self.params.add("expand.b", Tensor(np.zeros(in_dim), requires_grad=True))
 
-    @property
-    def param_count(self):
-        return self.params.count
-
     def forward(self, x):
         if x.shape[-1] != self.in_dim:
             raise ad.ShapeError(f"GA: input width {x.shape[-1]} != {self.in_dim}")
-        g = ad.sigmoid(ad.affine(x, self.params["gate.W"], self.params["gate.b"]))
-        expanded = ad.affine(x, self.params["expand.W"], self.params["expand.b"])
+        g, expanded = (ad.dense(x, w, b, act) for w, b, act in self.layers())
         one_minus_g = ad.add(ad.constant(np.ones(self.in_dim)), ad.scale(g, -1.0))
         return ad.add(ad.mul(g, x), ad.mul(one_minus_g, expanded))
 
     def forward_array(self, x, params):
         """:meth:`forward` on arrays without a graph, as
-        :meth:`BottleneckAdapter.forward_array`. The backward adds each
-        gradient's terms in the order the graph's sweep adds them.
+        :meth:`BottleneckAdapter.forward_array`, with one :func:`run_layers`
+        for each of the two layers. The backward adds each gradient's terms
+        in the order the graph's sweep adds them.
 
-        Only the final ``add`` is checked after the two dense rules: the gate
-        is the sigmoid of a finite ``z``, so it lies in [0, 1], and ``x`` and
-        the expansion are finite, so the graph's ``leaf``, ``scale``, ``add``
-        and two ``mul`` checks before it cannot fail."""
-        gw, gb, ew, eb = (params[k] for k in ("gate.W", "gate.b", "expand.W", "expand.b"))
-        zg, gate = ad.dense_core(x, gw.value, gb.value, "sigmoid", affine=True)
-        expanded, _ = ad.dense_core(x, ew.value, eb.value, "linear", affine=True)
+        Only the final ``add`` is checked after the two dense layers: the
+        gate is the sigmoid of a finite ``z``, so it lies in [0, 1], and ``x``
+        and the expansion are finite, so the graph's ``leaf``, ``scale``,
+        ``add`` and two ``mul`` checks before it cannot fail."""
+        (gate, gate_tape), (expanded, expand_tape) = (run_layers([layer], x)
+                                                      for layer in self.layers(params))
         one_minus_g = np.ones(self.in_dim) + gate * -1.0
         out = gate * x + one_minus_g * expanded
         ad.check_finite(out, "add")
 
         def backward(g, need_x, params=True):
             d_gate = g * x + (g * expanded) * -1.0  # through the mul, then the scale
-            dxe, g_ew, g_eb = ad.dense_backward(g * one_minus_g, x, ew.value, eb.shape, "linear",
-                                                expanded, expanded, need_x, params, params)
-            dxg, g_gw, g_gb = ad.dense_backward(d_gate, x, gw.value, gb.shape, "sigmoid", zg, gate,
-                                                need_x, params, params)
-            if params:
-                ew.grad, eb.grad, gw.grad, gb.grad = g_ew, g_eb, g_gw, g_gb
+            dxe = layers_backward(expand_tape, g * one_minus_g, need_x, params)
+            dxg = layers_backward(gate_tape, d_gate, need_x, params)
             return (g * gate + dxe) + dxg if need_x else None  # mul, expand, gate
 
         return out, backward

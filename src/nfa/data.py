@@ -59,7 +59,9 @@ class Dataset:
         return self.x.shape[0]
 
     def subset(self, indices):
-        idx = np.asarray(indices)
+        return self._rows(np.asarray(indices))
+
+    def _rows(self, idx):
         return Dataset(
             x=self.x[idx],
             clean=self.clean[idx],
@@ -70,17 +72,20 @@ class Dataset:
         )
 
     def batches(self, batch_size, rng):
-        """One shuffled pass: minibatches of ``batch_size`` rows (the last may
-        be short) in the order of a single ``rng.permutation``."""
-        return [self.subset(rows) for rows in batch_order(len(self), batch_size, rng)]
+        """One shuffled pass (see :func:`batch_order`): the rows gathered once
+        in its order, and each minibatch a slice of them."""
+        order, spans = batch_order(len(self), batch_size, rng)
+        rows = self.subset(order)
+        return [rows._rows(span) for span in spans]
 
 
 def batch_order(n, batch_size, rng):
-    """The row indices of each minibatch of one shuffled pass over ``n`` rows:
-    ``batch_size`` each (the last may be short), in the order of a single
-    ``rng.permutation``."""
-    order = rng.permutation(n)
-    return [order[i:i + batch_size] for i in range(0, n, batch_size)]
+    """One shuffled pass over ``n`` rows: a single ``rng.permutation(n)`` and
+    the slice of it that each minibatch takes, ``batch_size`` rows each (the
+    last may be short)."""
+    if batch_size <= 0:
+        raise ValueError(f"batch_size must be positive, got {batch_size}")
+    return rng.permutation(n), [slice(i, i + batch_size) for i in range(0, n, batch_size)]
 
 
 def prototypes(dim, n_intermediate):

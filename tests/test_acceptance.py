@@ -46,9 +46,50 @@ def checked(build_loss, x, tol=1e-4):
     return rel_err(got, want) < tol
 
 
+def random_params(params, stack, rng):
+    """Random trainable values named and shaped as ``params``, or with a
+    ``stack`` of schemes stacked as ``NfaCell.stacked_params`` stacks them."""
+    def shape(t):
+        return (stack,) + (1,) * (2 - t.value.ndim) + t.shape if stack else t.shape
+    return ad.ParameterSet({name: ad.parameter(0.5 * rng.normal(size=shape(t)))
+                            for name, t in params.items()})
+
+
+def module_rule(module):
+    """A module's layers as a numpy rule: ``run_layers`` and ``layers_backward``."""
+    def run(x, params):
+        out, tape = cascade.run_layers(module.layers(params), x)
+        return out, lambda g, need_x: cascade.layers_backward(tape, g, need_x)
+    return run
+
+
+def array_rule_checked(run, params, x, probe, tol=1e-4):
+    """Whether the numpy rule ``run(x, params) -> (out, backward)`` gives the
+    gradients of ``sum(out * probe)`` with respect to ``x`` and every one of
+    ``params`` within ``tol`` of central differences."""
+    _, backward = run(x, params)
+    grads = [(backward(probe, True), None)] + [(t.grad, t) for _, t in params.items()]
+
+    def loss_of(t):
+        def loss(v):
+            if t is None:
+                return (run(v, params)[0] * probe).sum()
+            kept, t.value = t.value, v
+            try:
+                return (run(x, params)[0] * probe).sum()
+            finally:
+                t.value = kept
+        return loss
+
+    return all(rel_err(g, numeric_grad(loss_of(t), (x if t is None else t.value).copy())) < tol
+               for g, t in grads)
+
+
 def test_criterion_1_gradcheck_all_ops_and_full_cell():
-    """Every autodiff op and the whole search-cell forward pass agree with
-    central finite differences (rel err < 1e-4) across 20 seeds."""
+    """Every autodiff op, the numpy dense rule of a module's layers and of
+    both adapters (unstacked and stacked over 2 schemes), and the whole
+    search-cell forward pass agree with central finite differences (rel err
+    < 1e-4) across 20 seeds."""
     failures = []
     for seed in range(20):
         rng = np.random.default_rng(seed)
@@ -87,7 +128,18 @@ def test_criterion_1_gradcheck_all_ops_and_full_cell():
 
         if not checked(cell_loss, rng.normal(size=3)):
             failures.append(f"cell@{seed}")
-    verdict("criterion 1: gradcheck of every op and the full cell, 20 seeds, rel err < 1e-4",
+
+        ba, ga = c.adapters[0], cascade.GatedAdapter(6, rng)
+        rules = {"layers": (module_rule(c.module), c.module.params),
+                 "BA": (ba.forward_array, ba.params), "GA": (ga.forward_array, ga.params)}
+        for name, (run, params) in rules.items():
+            for stack in (0, 2):
+                rows = (stack, 2, 6) if stack else (2, 6)
+                if not array_rule_checked(run, random_params(params, stack, rng),
+                                          rng.normal(size=rows), rng.normal(size=rows)):
+                    failures.append(f"{name}{'/stacked' if stack else ''}@{seed}")
+    verdict("criterion 1: gradcheck of every op, the numpy dense rules and the full cell, "
+            "20 seeds, rel err < 1e-4",
             not failures, detail=",".join(failures) or "all matched")
 
 

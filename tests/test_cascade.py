@@ -14,7 +14,7 @@ from conftest import FINITE_EXTREMES, SEARCH_FUZZ_PROFILE, check_grad
 from nfa import autodiff as ad
 from nfa import cascade, cell
 from nfa.data import SynthDataConfig, generate_synthetic
-from test_engine_equivalence import cascade_specs
+from test_engine_equivalence import affine, cascade_specs
 
 
 def source_data(n=256, seed=0):
@@ -173,8 +173,8 @@ class TestBottleneckAdapter:
         r = rng.normal(size=(3, 6))
 
         def loss_for(w):
-            h = ad.tanh(ad.affine(ad.constant(x), w, a.params["down.b"]))
-            out = ad.add(ad.constant(x), ad.affine(h, a.params["up.W"], a.params["up.b"]))
+            h = ad.tanh(affine(ad.constant(x), w, a.params["down.b"]))
+            out = ad.add(ad.constant(x), affine(h, a.params["up.W"], a.params["up.b"]))
             return ad.tensor_sum(ad.mul(out, ad.constant(r)))
 
         check_grad(loss_for, a.params["down.W"].value.copy())
@@ -234,6 +234,15 @@ class TestPretraining:
         cascade.pretrain_upstream(model, source_data(), epochs=0, lr=0.01, seed=3)
         assert [m.params.checksum() for m in model.modules] == before
         assert model.modules[0]._frozen
+
+    @pytest.mark.parametrize("batch_size", [0, -4])
+    def test_nonpositive_batch_size_rejected(self, batch_size):
+        model = cascade.build_cascade(cascade.CascadeSpec(), 3)
+        before = [m.params.checksum() for m in model.modules]
+        with pytest.raises(ValueError, match=f"batch_size must be positive, got {batch_size}"):
+            cascade.pretrain_upstream(model, source_data(n=64), epochs=1, lr=0.01,
+                                      batch_size=batch_size)
+        assert [m.params.checksum() for m in model.modules] == before
 
     def test_empty_data_rejected(self):
         model = cascade.build_cascade(cascade.CascadeSpec(), 3)
@@ -589,17 +598,55 @@ def shaped_pairs(elements):
 
 
 @settings(max_examples=300, deadline=None)
-@given(z=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=8), elements=ANY))
+@given(z=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=3, max_side=8), elements=ANY))
 @example(z=np.full((4, 4), 1e200))  # every element finite, the sum of squares overflows
 @example(z=np.array([FINITE_EXTREMES, FINITE_EXTREMES[::-1]]))
 @example(z=np.array([[np.inf, -np.inf], [np.nan, 0.0]]))
+@example(z=np.full((2, 3, 4), 1e200))  # stacked, as a stack of schemes gives it
+@example(z=np.array([[FINITE_EXTREMES], [[np.nan] * 6]]))
 def test_dense_prefilter_raises_exactly_when_the_dense_check_does(z):
-    """``_check_dense`` raises exactly when ``check_finite(z, "dense")``
+    """``ad.check_dense`` raises exactly when ``check_finite(z, "dense")``
     does, with its message, and never warns: ``np.vdot`` reports no
     overflow."""
-    got, warned = recorded(cascade._check_dense, z)
+    got, warned = recorded(ad.check_dense, z)
     assert got == recorded(ad.check_finite, z, "dense")[0]
     assert not warned
+
+
+def dense_shapes(stack, n, a, b):
+    """The shapes of ``x``, ``W`` and ``b`` of an ``a -> b`` dense layer on
+    ``n`` rows, with the leading scheme axis ``stack`` (``()`` or ``(S,)``)."""
+    return stack + (n, a), stack + (a, b), stack + (1,) * len(stack) + (b,)
+
+
+def checked_dense(x, w, b, act):
+    """``dense_core``'s ``(z, y)`` as ``x @ w + b`` checked in full by
+    ``check_finite(z, "dense")``."""
+    z = x @ w + b
+    ad.check_finite(z, "dense")
+    return z, ad.ACTIVATIONS[act][0](z)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays=st.tuples(st.sampled_from([(), (2,)]), *[st.integers(1, 5)] * 3).flatmap(
+    lambda sizes: st.tuples(*(hnp.arrays(np.float64, shape, elements=FINITE)
+                              for shape in dense_shapes(*sizes)))),
+    act=st.sampled_from(sorted(ad.ACTIVATIONS)))
+@example(arrays=(np.full((2, 3), 1e200), np.full((3, 2), 1e200), np.zeros(2)), act="tanh")
+@example(arrays=(np.full((2, 3), 1e200), np.full((3, 2), -1e200), np.zeros(2)), act="sigmoid")
+@example(arrays=(np.array([[1e308, 1e308]]), np.ones((2, 1)), np.zeros(1)), act="linear")
+@example(arrays=(np.ones((1, 1)), np.full((1, 1), 1.7e308), np.full(1, 1.7e308)), act="tanh")
+@example(arrays=(np.full((2, 2, 3), 1e200), np.full((2, 3, 2), 1e200), np.zeros((2, 1, 2))),
+         act="tanh")
+def test_dense_core_raises_exactly_when_the_dense_check_does(arrays, act):
+    """``dense_core`` on finite inputs whose product or sum may overflow
+    raises exactly when ``check_finite(z, "dense")`` on ``x @ w + b`` does,
+    with its message, returns its bytes otherwise, and warns only where it
+    warns."""
+    got, warned = recorded(ad.dense_core, *arrays, act)
+    want, full_warned = recorded(checked_dense, *arrays, act)
+    assert got == want
+    assert full_warned or not warned
 
 
 @settings(max_examples=300, deadline=None)

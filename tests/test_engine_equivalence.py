@@ -1,11 +1,12 @@
 """The engine's fast paths against the code they replace, byte for byte.
 
 Each reference below is the earlier implementation, kept here as a test-local
-copy: ``affine`` plus an activation op for ``dense``, the depth-first
-topological sort for ``backward``, per-tensor moment arrays for ``Adam``,
-the Gumbel-softmax graph for ``gumbel_probs``, ``np.broadcast_to(...).copy()``
-for the gradients of ``tensor_sum`` and ``tensor_mean``, the adapters' graph
-forward for their array rules, one graph-trained scheme at a time for
+copy: ``affine`` plus an activation op for ``dense`` and for the adapters'
+graph forward, the depth-first topological sort for ``backward``,
+per-tensor moment arrays for ``Adam``, the Gumbel-softmax graph for
+``gumbel_probs``, ``np.broadcast_to(...).copy()`` for the gradients of
+``tensor_sum`` and ``tensor_mean``, the adapters' graph forward for their
+array rules, one graph-trained scheme at a time for
 ``harness.train_fixed_schemes``, and ``graph_reference.GraphSearch`` (every
 search step on the graph) for the search's graph-free steps.
 """
@@ -29,9 +30,28 @@ from nfa.search import AdaptiveSearch, SearchConfig, cascade_loss, scheme_step, 
 ACTIVATIONS = {"tanh": ad.tanh, "sigmoid": ad.sigmoid, "linear": None}
 
 
+def affine(x, w, b):
+    """x @ w + b as the ops ``matmul`` and ``add``: the adapters' building
+    block before they ran on ``dense`` nodes."""
+    return ad.add(ad.matmul(x, w), b)
+
+
 def affine_then(x, w, b, act):
-    h = ad.affine(x, w, b)
+    h = affine(x, w, b)
     return h if ACTIVATIONS[act] is None else ACTIVATIONS[act](h)
+
+
+def affine_adapter_forward(adapter, x):
+    """The graph forward of a BA or GA adapter as it was built from
+    :func:`affine` and the ``tanh``/``sigmoid`` ops."""
+    p = adapter.params
+    if adapter.kind == "BA":
+        h = ad.tanh(affine(x, p["down.W"], p["down.b"]))
+        return ad.add(x, affine(h, p["up.W"], p["up.b"]))
+    g = ad.sigmoid(affine(x, p["gate.W"], p["gate.b"]))
+    expanded = affine(x, p["expand.W"], p["expand.b"])
+    one_minus_g = ad.add(ad.constant(np.ones(adapter.in_dim)), ad.scale(g, -1.0))
+    return ad.add(ad.mul(g, x), ad.mul(one_minus_g, expanded))
 
 
 class TestDense:
@@ -342,11 +362,48 @@ def test_array_rules_check_under_graph_op_names(rng):
     stacked = ad.ParameterSet({name: ad.parameter(v) for name, v
                                in stacked_copies(adapter.params, 2, rng).items()})
     stacked["down.W"].value[1, 0, 0] = np.inf
-    with pytest.raises(ad.NonFiniteError, match="op 'matmul'"):
+    with pytest.raises(ad.NonFiniteError, match="op 'dense'"):
         adapter.forward_array(rng.normal(size=(3, 4)), stacked)
     with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError, match="op 'dense'"):
         cascade.run_layers([(ad.constant(np.full((4, 4), 1e200)), ad.constant(np.zeros(4)),
                              "tanh")], np.full((2, 3, 4), 1e200))
+
+
+@pytest.mark.parametrize("kind", sorted(cascade.ADAPTER_KINDS))
+@pytest.mark.parametrize("copies", [None, 2])
+def test_adapter_dense_graph_matches_affine_graph(kind, copies, rng):
+    """The adapter's graph forward on ``dense`` nodes gives the bytes of its
+    :func:`affine_adapter_forward`: the value, every parameter's gradient
+    and the input's gradient. Stacked parameters and a stacked input (of
+    ``copies`` schemes) give each scheme's slice the bytes of that scheme
+    alone."""
+    adapter = cascade.make_adapter(kind, 6, rng)
+    n, shapes = 4, {name: t.shape for name, t in adapter.params.items()}
+    if copies is None:
+        values = {name: rng.normal(size=t.shape) for name, t in adapter.params.items()}
+        x, r = rng.normal(size=(n, 6)), rng.normal(size=(n, 6))
+    else:
+        values = stacked_copies(adapter.params, copies, rng)
+        x, r = rng.normal(size=(copies, n, 6)), rng.normal(size=(copies, n, 6))
+
+    def run(forward, values, x, r):
+        adapter.params = ad.ParameterSet({name: ad.parameter(v.copy())
+                                          for name, v in values.items()})
+        xt = ad.parameter(x.copy())
+        out = forward(adapter, xt)
+        ad.backward(ad.tensor_sum(ad.mul(out, ad.constant(r))))
+        return [out.value, xt.grad] + [t.grad for _, t in adapter.params.items()]
+
+    got = run(type(adapter).forward, values, x, r)
+    if copies is None:
+        want = run(affine_adapter_forward, values, x, r)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        return
+    for k in range(copies):
+        alone = {name: v[k].reshape(shapes[name]) for name, v in values.items()}
+        want = run(affine_adapter_forward, alone, x[k], r[k])
+        assert [a[k].reshape(w.shape).tobytes() for a, w in zip(got, want)] == [
+            w.tobytes() for w in want]
 
 
 def test_stacked_dense_rejects_mismatched_shapes():
@@ -355,6 +412,14 @@ def test_stacked_dense_rejects_mismatched_shapes():
         ad.dense_check(x.shape, w.shape, (3, 1, 4), "tanh")
     with pytest.raises(ad.ShapeError, match="bias"):
         ad.dense_check(x.shape, w[:2].shape, (2, 5, 4), "tanh")
+
+
+def test_dense_rejects_a_stacked_bias_for_an_unstacked_output():
+    shapes = (3, 4), (4, 5), (3, 1, 5)
+    with pytest.raises(ad.ShapeError, match="bias"):
+        ad.dense_check(*shapes, "tanh")
+    with pytest.raises(ad.ShapeError, match="bias"):
+        ad.dense(*(ad.constant(np.ones(shape)) for shape in shapes), "tanh")
 
 
 def graph_fixed_scheme(model, cells, scheme, train, val, lr, epochs, batch_size, seed):

@@ -94,6 +94,14 @@ class TestSyntheticData:
         twin.permutation(n)
         assert rng.random() == twin.random()  # exactly one permutation was drawn
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_nonpositive_batch_size_rejected(self, batch_size):
+        data = generate_synthetic(SynthDataConfig(n_samples=8, domain="source"), 0)
+        rng, twin = np.random.default_rng(0), np.random.default_rng(0)
+        with pytest.raises(ValueError, match=f"batch_size must be positive, got {batch_size}"):
+            data.batches(batch_size, rng)
+        assert rng.random() == twin.random()  # nothing was drawn
+
     def test_intermediate_multiple_enforced(self):
         with pytest.raises(ValueError, match="multiple"):
             SynthDataConfig(n_samples=8, n_intermediate=10, n_labels=8)
