@@ -396,27 +396,22 @@ class Adam:
         for name, p in params.items():
             if not p.value.flags.writeable:
                 raise ValueError(f"adam: parameter {name!r} is read-only (frozen)")
-        size = self._layout(params, lr)
-        self._flat_x = np.empty(size)
-        self._flat_m, self._flat_v = np.zeros(size), np.zeros(size)
-        self._index = None  # positions of the parameters in the flat arrays; None: all, in order
+        self.params = params
+        self.lr = float(lr)
+        self.t = 0
+        self._spans = {}  # name -> (start, stop) in the flat arrays
+        offset = 0
+        for name, p in params.items():
+            self._spans[name] = (offset, offset + p.value.size)
+            offset += p.value.size
+        self._flat_x = np.empty(offset)
+        self._flat_m, self._flat_v = np.zeros(offset), np.zeros(offset)
         for name, p in params.items():
             a, b = self._spans[name]
             self._flat_x[a:b] = p.value.reshape(-1)
             p.value = self._flat_x[a:b].reshape(p.shape)
         self._m = self.views(self._flat_m)
         self._v = self.views(self._flat_v)
-
-    def _layout(self, params, lr):
-        self.params = params
-        self.lr = float(lr)
-        self.t = 0
-        self._spans = {}  # name -> (start, stop) in this optimizer's parameter order
-        offset = 0
-        for name, p in params.items():
-            self._spans[name] = (offset, offset + p.value.size)
-            offset += p.value.size
-        return offset
 
     def views(self, flat):
         """Each parameter's view, by name and in order, into ``flat``."""
@@ -439,20 +434,11 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        idx = self._index
-        m = self._flat_m if idx is None else self._flat_m[idx]
-        v = self._flat_v if idx is None else self._flat_v[idx]
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
-        v += (1.0 - self.beta2) * g * g
-        update = self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-        if idx is None:
-            self._flat_x -= update
-        else:
-            self._flat_m[idx] = m
-            self._flat_v[idx] = v
-            self._flat_x[idx] -= update
+        self._flat_m *= self.beta1
+        self._flat_m += (1.0 - self.beta1) * g
+        self._flat_v *= self.beta2
+        self._flat_v += (1.0 - self.beta2) * g * g
+        self._flat_x -= self.lr * (self._flat_m / bc1) / (np.sqrt(self._flat_v / bc2) + self.eps)
 
     def clear_grads(self, idle=()):
         """Zero this optimizer's gradients before a step's backward pass.
@@ -475,18 +461,14 @@ class Adam:
         return loss.item()
 
     def restricted(self, params):
-        """An optimizer over a subset of this one's parameters that continues
-        from its step count and shares its values and moments: it gathers
-        them from this optimizer's flat arrays and scatters them back on
-        every step."""
-        opt = Adam.__new__(Adam)
-        opt._layout(params, self.lr)
+        """A new optimizer over a subset of this one's parameters that
+        continues from its step count and a copy of their moments; as with
+        any new optimizer, the values move into its own buffer."""
+        opt = Adam(params, self.lr)
         opt.t = self.t
-        opt._flat_x, opt._flat_m, opt._flat_v = self._flat_x, self._flat_m, self._flat_v
-        where = np.arange(self._flat_m.size) if self._index is None else self._index
-        opt._index = np.concatenate([where[:0]] + [where[slice(*self._spans[name])] for name in params])
-        opt._m = {name: self._m[name] for name in params}
-        opt._v = {name: self._v[name] for name in params}
+        for name in params:
+            opt._m[name][...] = self._m[name]
+            opt._v[name][...] = self._v[name]
         return opt
 
 
@@ -548,13 +530,16 @@ def dense(x, w, b, act):
     """``act(x @ w + b)`` as one node, for the layers of a module or an
     adapter. Its forward and backward evaluate the numpy expressions of
     ``add(matmul(x, w), b)`` followed by the activation op, so values and
-    gradients equal theirs bit for bit."""
+    gradients equal theirs bit for bit. An unstacked ``x`` or ``w`` under a
+    stacked other operand takes the sum of every scheme's gradient."""
     dense_check(x.shape, w.shape, b.shape, act)
     z, y = dense_core(x.value, w.value, b.value, act)
 
     def bwd(g):
-        return dense_backward(g, x.value, w.value, b.shape, act, z, y,
-                              x.requires_grad, w.requires_grad, b.requires_grad)
+        dx, dw, db = dense_backward(g, x.value, w.value, b.shape, act, z, y,
+                                    x.requires_grad, w.requires_grad, b.requires_grad)
+        return (dx if dx is None else _unbroadcast(dx, x.shape),
+                dw if dw is None else _unbroadcast(dw, w.shape), db)
 
     return _make("dense", y, (x, w, b), bwd)
 

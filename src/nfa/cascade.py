@@ -127,11 +127,10 @@ def pretrain_upstream(model: CascadedModel, source_data, epochs, lr, batch_size=
     epoch gathers both once in the order of :func:`data.batch_order`; a
     batch is a slice. A step runs the layers in numpy, checking each ``z``
     by :func:`ad.check_dense`, writes the gradients into views of one flat
-    buffer and hands it to :meth:`Adam.update`. Only when a whole-array check fails
-    is each batch's input checked as a ``leaf`` and its target before its
-    loss, so the error comes at the same batch. Every check is made under
-    the name of the graph op that would have made the array, and the
-    weights equal graph training's bit for bit."""
+    buffer and hands it to :meth:`Adam.update`. A stage whose input or
+    target fails its check raises before any of its weights moves. Every
+    check is made under the name of the graph op that would have made the
+    array, and the weights equal graph training's bit for bit."""
     if len(source_data) == 0:
         raise ValueError("pretraining requires a nonempty source dataset")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9E7A]))
@@ -146,26 +145,20 @@ def pretrain_upstream(model: CascadedModel, source_data, epochs, lr, batch_size=
         frozen = [layer for stage in model.stages[:stage_index] for m in stage for layer in m.layers()]
         layers = frozen + [layer for m in model.stages[stage_index] for layer in m.layers()]
         width = check_layers(layers, x[:batch_size].shape)[-1]
+        ad.check_finite(x, "leaf")
+        check_target(target, (len(target), width))
         opt = ad.Adam(params, lr=lr)  # the values become views of its buffer, updated in place
         grad = np.empty(params.count)  # W and b of each layer, in order, as params holds them
         views = list(opt.views(grad).values())
         grads = [(None, None)] * len(frozen) + list(zip(views[::2], views[1::2]))
         plan = [(w.value, b.value, ad.ACTIVATIONS[act], dw, db)
                 for (w, b, act), (dw, db) in zip(layers, grads)]
-        try:  # the whole input and target, once
-            ad.check_finite(x, "leaf")
-            check_target(target, (len(target), width))
-            per_batch = False
-        except (ad.NonFiniteError, ValueError):  # then each batch, to raise at the same batch
-            per_batch = True
         n_frozen, n_layers = len(frozen), len(plan)
         for _ in range(epochs):
             order, spans = batch_order(n, batch_size, rng)
             xs, ts = x[order], target[order]
             for span in spans:
                 h, bt = xs[span], ts[span]
-                if per_batch:
-                    ad.check_finite(h, "leaf")
                 tape = []
                 for w, b, (act, _), _, _ in plan:
                     z = np.dot(h, w)  # np.dot is @ byte for byte on 2-D arrays, with less overhead
@@ -174,8 +167,6 @@ def pretrain_upstream(model: CascadedModel, source_data, epochs, lr, batch_size=
                     y = act(z)
                     tape.append((h, z, y))
                     h = y
-                if per_batch:
-                    check_target(bt, h.shape)
                 g = loss_grad(h, bt)
                 for k in range(n_layers - 1, n_frozen - 1, -1):
                     w, _, (_, act_grad), dw, db = plan[k]

@@ -84,7 +84,7 @@ def gumbel_softmax(alpha, tau, rng=None, hard=False, noise=True):
     return PathWeights(st, hard=True)
 
 
-def gumbel_probs(cells, tau, rng, op=None):
+def gumbel_probs(cells, tau, rng):
     """Row ``i`` is cell ``i``'s soft weights ``softmax((alpha + G) / tau)``,
     every cell's Gumbel noise ``G`` drawn at once: the same stream as one draw
     per cell in cell order, and row by row the bytes of
@@ -93,9 +93,9 @@ def gumbel_probs(cells, tau, rng, op=None):
     Where a row is not finite, the first such row ``i`` raises as the
     per-cell graph sampler would at cell ``i``: ``rng`` is rewound and draws
     the ``i + 1`` cells' noise that sampler takes, and the row's ``alpha + G``
-    is checked as ``add``, then its scaled logits as ``scale`` (both under
-    ``op`` where given). A finite row has finite noise, sum and scale, and a
-    finite softmax, so no cell before ``i`` would have raised."""
+    is checked as ``add``, then its scaled logits as ``scale``. A finite row
+    has finite noise, sum and scale, and a finite softmax, so no cell before
+    ``i`` would have raised."""
     _check_tau(tau)
     alphas = np.array([c.alpha.value for c in cells])
     state = rng.bit_generator.state
@@ -105,8 +105,8 @@ def gumbel_probs(cells, tau, rng, op=None):
         i = int(np.argmin(finite))
         rng.bit_generator.state = state
         noisy = alphas[i] + rng.gumbel(size=(i + 1, alphas.shape[1]))[i]
-        ad.check_finite(noisy, op or "add")
-        ad.check_finite(noisy * float(1.0 / tau), op or "scale")
+        ad.check_finite(noisy, "add")
+        ad.check_finite(noisy * float(1.0 / tau), "scale")
     return ad.softmax(logits)
 
 

@@ -188,14 +188,14 @@ class AdaptiveSearch:
         the penalty (a function of alpha alone) is excluded.
 
         Each cell's path is sampled as in ``arch_step`` (same Gumbel draws,
-        no graph; a non-finite sample raises under the name ``gumbel_argmax``),
-        and only the sampled path is forwarded and backpropagated, without a
-        graph: the straight-through gradient into alpha would be discarded.
+        no graph), and only the sampled path is forwarded and
+        backpropagated, without a graph: the straight-through gradient into
+        alpha would be discarded.
         The unsampled paths' parameters take an exact zero gradient, which is
         what the all-path backward gave them."""
         if len(train_batch) == 0:
             raise ValueError("net_step needs a nonempty batch")
-        probs = gumbel_probs(self.cells, self.tau, self._gumbel_rng, op="gumbel_argmax")
+        probs = gumbel_probs(self.cells, self.tau, self._gumbel_rng)
         scheme = [c.paths[k] for c, k in zip(self.cells, probs.argmax(axis=-1))]
         live = scheme_params(self.cells, scheme)
         idle = [name for name in self.net_params if name not in live]
@@ -256,12 +256,12 @@ class AdaptiveSearch:
         scheme = self.discretization()
         # only the chosen paths' parameters can receive gradients now; restrict
         # the optimizer to exactly that group (keeps the missing-grad check
-        # strict) but carry the stage-1 moment estimates over
-        opt = self.opt_net.restricted(scheme_params(self.cells, scheme))
+        # strict) but carry the moment estimates and step count over
+        self.opt_net = self.opt_net.restricted(scheme_params(self.cells, scheme))
         for _ in range(self.cfg.stage2_epochs):
             train_losses = []
             for tb in self.train_data.batches(self.cfg.batch_size, self._train_order_rng):
-                train_losses.append(self._scheme_step(opt, scheme, tb))
+                train_losses.append(self._scheme_step(self.opt_net, scheme, tb))
                 self.state.train_ids_seen.update(int(i) for i in tb.ids)
                 if step_callback:
                     step_callback("net", self)

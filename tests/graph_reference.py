@@ -84,16 +84,10 @@ class GraphSearch(AdaptiveSearch):
         return total, task.item(), pen.item()
 
     def net_step(self, train_batch):
-        """The network step on the sampled weights' one-hot paths. The step
-        reports a non-finite sample under the name ``gumbel_argmax``, the
-        name that the network step's sampler has always used; it fails
-        at the same cell as the graph, with the same draws taken."""
+        """The network step on the sampled weights' one-hot paths."""
         if len(train_batch) == 0:
             raise ValueError("net_step needs a nonempty batch")
-        try:
-            weights = self.sample_weights()
-        except ad.NonFiniteError:
-            raise ad.NonFiniteError("non-finite values in tensor produced by op 'gumbel_argmax'")
+        weights = self.sample_weights()
         scheme = [c.paths[int(np.argmax(w.values))] for c, w in zip(self.cells, weights)]
         live = scheme_params(self.cells, scheme)
         idle = [name for name in self.net_params if name not in live]

@@ -5,6 +5,7 @@ arithmetic, sampling laws) with trend reproduction on the synthetic cascades
 
 import math
 import statistics
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -85,11 +86,50 @@ def array_rule_checked(run, params, x, probe, tol=1e-4):
                for g, t in grads)
 
 
+def closed_form_rules(c, rng):
+    """``name -> (f, grad, at)``: a closed-form gradient rule of the
+    graph-free routes, ``grad`` its gradient of the scalar function ``f`` at
+    the array ``at``. The rules: the softmax backward, the cross-entropy
+    gradient (unstacked with a loss gradient, and stacked over 2 schemes),
+    the squared-error gradient, the penalty's weight gradient, and the path
+    weights' and input's gradients of cell ``c``'s mixed forward, against
+    the graph's weighted sum."""
+    z, target, probe = (rng.normal(size=(2, 3)) for _ in range(3))
+    stacked, labels, g = rng.normal(size=(2, 2, 3)), rng.integers(0, 3, size=2), rng.normal()
+    x, out_probe, k = rng.normal(size=(2, 6)), rng.normal(size=(2, 6)), int(rng.integers(0, c.n_paths))
+
+    def mixed(w):
+        weights = SimpleNamespace(values=w, weights=ad.constant(w))  # any weights, off the simplex too
+        return (cell_forward(c, ad.constant(x), weights).value * out_probe).sum()
+
+    pcfg = objective.PenaltyConfig()
+
+    def pen(w):
+        return g * objective.penalty([c], [SimpleNamespace(weights=ad.constant(w))], pcfg).item()
+
+    _, backward = c.forward_mixed(x, k)
+    return {
+        "softmax_backward": (lambda v: (ad.softmax(v) * probe).sum(),
+                             ad.softmax_backward(probe, ad.softmax(z)), z),
+        "nll_backward": (lambda v: g * cascade._nll(v, labels)[0],
+                         cascade._nll_backward(*cascade._nll(z, labels)[1:], g), z),
+        "nll_backward/stacked": (lambda v: cascade._nll(v, labels)[0].sum(),
+                                 cascade._nll_backward(*cascade._nll(stacked, labels)[1:]), stacked),
+        "mse_grad": (lambda v: ((v - target) ** 2).mean(), cascade._mse_grad(z, target), z),
+        "hard_penalty_grad": (pen, objective.hard_penalty_grad(objective.penalty_table([c], pcfg), g)[0],
+                              np.eye(c.n_paths)[k]),
+        "forward_mixed/weights": (mixed, backward(out_probe, False)[0], np.eye(c.n_paths)[k]),
+        "forward_mixed/x": (lambda v: (c.forward_mixed(v, k)[0] * out_probe).sum(),
+                            backward(out_probe, True)[1], x),
+    }
+
+
 def test_criterion_1_gradcheck_all_ops_and_full_cell():
     """Every autodiff op, the numpy dense rule of a module's layers and of
-    both adapters (unstacked and stacked over 2 schemes), and the whole
-    search-cell forward pass agree with central finite differences (rel err
-    < 1e-4) across 20 seeds."""
+    both adapters (unstacked and stacked over 2 schemes), the closed-form
+    rules of :func:`closed_form_rules`, and the whole search-cell forward
+    pass agree with central finite differences (rel err < 1e-4) across 20
+    seeds."""
     failures = []
     for seed in range(20):
         rng = np.random.default_rng(seed)
@@ -138,8 +178,11 @@ def test_criterion_1_gradcheck_all_ops_and_full_cell():
                 if not array_rule_checked(run, random_params(params, stack, rng),
                                           rng.normal(size=rows), rng.normal(size=rows)):
                     failures.append(f"{name}{'/stacked' if stack else ''}@{seed}")
-    verdict("criterion 1: gradcheck of every op, the numpy dense rules and the full cell, "
-            "20 seeds, rel err < 1e-4",
+        for name, (f, grad, at) in closed_form_rules(c, rng).items():
+            if not rel_err(grad, numeric_grad(f, at.copy())) < 1e-4:
+                failures.append(f"{name}@{seed}")
+    verdict("criterion 1: gradcheck of every op, the numpy dense and closed-form rules and the "
+            "full cell, 20 seeds, rel err < 1e-4",
             not failures, detail=",".join(failures) or "all matched")
 
 
@@ -158,8 +201,10 @@ class _StubCell:
 
 
 def test_criterion_2_penalty_fixtures_and_properties():
-    """Hand-computed penalty fixtures hold to 1e-12; the per-cell term is
-    bounded in [0, 1] and monotone on 1,000 random simplex weights."""
+    """Hand-computed penalty fixtures hold to 1e-12, on the graph penalty and
+    on the search's float penalties of one pick (``hard_penalty``,
+    ``scheme_penalty``); the per-cell term is bounded in [0, 1] and monotone
+    on 1,000 random simplex weights."""
     c = _StubCell()
     half = objective.PenaltyConfig(pfr_policy="half_finetune")
     zero = objective.PenaltyConfig(pfr_policy="zero")
@@ -171,6 +216,11 @@ def test_criterion_2_penalty_fixtures_and_properties():
     ok = abs(pen([0.2, 0.5, 0.3], half) - 765 / 1950) < 1e-12
     ok &= abs(pen([1.0, 0.0, 0.0], half) - 600 / 1950) < 1e-12
     ok &= pen([1.0, 0.0, 0.0], zero) == 0.0
+    for k, want in enumerate((600 / 1950, 1200 / 1950, 150 / 1950)):
+        ok &= abs(objective.hard_penalty(objective.penalty_table([c], half), [k]) - want) < 1e-12
+        ok &= abs(objective.scheme_penalty([c], [c.paths[k]], half) - want) < 1e-12
+    ok &= objective.hard_penalty(objective.penalty_table([c], zero), [0]) == 0.0
+    ok &= objective.scheme_penalty([c], ["frozen"], zero) == 0.0
 
     rng = np.random.default_rng(2024)
     counts = objective.penalty_counts(c, half)
@@ -195,7 +245,9 @@ def test_criterion_2_penalty_fixtures_and_properties():
 def test_criterion_3_gumbel_softmax_laws():
     """Noise-free symmetric logits are exactly uniform; straight-through
     gradients equal soft gradients to 1e-12; the empirical two-path pick rate
-    matches e/(e+1) within 0.01 over 1e5 samples."""
+    matches e/(e+1) within 0.01 over 1e5 samples. Each law holds for the
+    graph sampler and for the search's (``gumbel_probs``, whose noise-free
+    case draws from a generator of zeros, and ``gumbel_softmax_grad``)."""
     w = cell.gumbel_softmax(ad.constant(np.zeros(4)), tau=1.3, noise=False)
     ok = np.array_equal(w.values, np.full(4, 0.25))
 
@@ -210,6 +262,13 @@ def test_criterion_3_gumbel_softmax_laws():
         ad.backward(ad.tensor_sum(ad.mul(sampled.weights, ad.constant(probe))))
         grads.append(alpha.grad.copy())
     ok &= bool(np.all(np.abs(grads[0] - grads[1]) < 1e-12))
+    zero_draws = SimpleNamespace(gumbel=lambda size: np.zeros(size),
+                                 bit_generator=SimpleNamespace(state=None))
+    uniform = cell.gumbel_probs([SimpleNamespace(alpha=ad.constant(np.zeros(4)))] * 2, 1.3, zero_draws)
+    ok &= np.array_equal(uniform, np.full((2, 4), 0.25))
+    soft = cell.gumbel_softmax(ad.constant([0.5, -0.2, 0.1]), tau=0.7, noise=False).values
+    closed = cell.gumbel_softmax_grad(probe[None], soft[None], 0.7)[0]
+    ok &= bool(np.all(np.abs(closed - grads[0]) < 1e-12))
 
     rng = np.random.default_rng(7)
     alpha = ad.constant([1.0, 0.0])
@@ -220,8 +279,12 @@ def test_criterion_3_gumbel_softmax_laws():
     )
     target = math.e / (math.e + 1.0)
     ok &= abs(hits / n - target) < 0.01
+    probs = cell.gumbel_probs([SimpleNamespace(alpha=alpha)] * n, 1.0, np.random.default_rng(8))
+    batched = float(np.mean(probs.argmax(axis=-1) == 0))
+    ok &= abs(batched - target) < 0.01
     verdict("criterion 3: gumbel-softmax uniformity, straight-through grads, pick rate e/(e+1)",
-            ok, detail=f"pick rate {hits / n:.4f} vs {target:.4f}")
+            ok, detail=f"pick rate {hits / n:.4f} per cell, {batched:.4f} in one call, "
+                       f"vs {target:.4f}")
 
 
 def test_criterion_4_group_exclusivity_and_frozen_isolation(tmp_path):

@@ -203,6 +203,27 @@ class TestGradcheckPerOp:
         check_grad(lambda t: probe(ad.dense(c(x), t, c(b), act)), w)
         check_grad(lambda t: probe(ad.dense(c(x), c(w), t, act)), b)
 
+    @pytest.mark.parametrize("unstacked", ["x", "w"])
+    def test_dense_unstacked_operand_sums_the_schemes(self, unstacked, rng):
+        # an unstacked input under stacked weights (or unstacked weights under
+        # a stacked input) takes a gradient of its own shape: the sum of
+        # every scheme's gradient with that scheme's slice run alone
+        x, w = rng.normal(size=(2, 5, 3)), rng.normal(size=(2, 3, 4))
+        b, r = rng.normal(size=(2, 1, 4)), rng.normal(size=(2, 5, 4))
+        shared = {"x": x[0], "w": w[0]}[unstacked]
+
+        def grad(x, w, b, r):
+            t = ad.parameter(shared)
+            args = {"x": t, "w": ad.constant(w)} if unstacked == "x" else {"x": ad.constant(x), "w": t}
+            out = ad.dense(args["x"], args["w"], ad.constant(b), "tanh")
+            ad.backward(ad.tensor_sum(ad.mul(out, ad.constant(r))))
+            return t.grad
+
+        got = grad(x, w, b, r)
+        assert got.shape == shared.shape
+        alone = grad(x[0], w[0], b[0, 0], r[0]) + grad(x[1], w[1], b[1, 0], r[1])
+        np.testing.assert_allclose(got, alone, rtol=1e-12, atol=1e-12)
+
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
@@ -325,9 +346,13 @@ class TestAdam:
             return ps, opt
 
         ps, full = twin()
+        parent = [buf.tobytes() for buf in (full._flat_x, full._flat_m, full._flat_v)]
         sub = full.restricted(ad.ParameterSet({"a": ps["a"], "c": ps["c"]}))
         assert sub.t == full.t == 3 and sub.lr == full.lr
-        assert sub._m["a"] is full._m["a"] and sub._v["c"] is full._v["c"]
+        for k in "ac":  # a copy of the parent's moments, in the restricted optimizer's own buffers
+            assert sub._m[k].tobytes() == full._m[k].tobytes() and sub._m[k].base is sub._flat_m
+            assert sub._v[k].tobytes() == full._v[k].tobytes() and sub._v[k].base is sub._flat_v
+            assert ps[k].value.base is sub._flat_x
         sub.minimize(ad.tensor_sum(ad.mul(ps["a"], ps["c"])))
         ref, ref_opt = twin()  # the full optimizer, stepping "b" on a zero gradient
         ref.zero_grads()
@@ -336,8 +361,9 @@ class TestAdam:
         ref_opt.step()
         for k in "ac":
             assert np.array_equal(ps[k].value, ref[k].value)
-            assert np.array_equal(full._m[k], ref_opt._m[k])
-            assert np.array_equal(full._v[k], ref_opt._v[k])
+            assert np.array_equal(sub._m[k], ref_opt._m[k])
+            assert np.array_equal(sub._v[k], ref_opt._v[k])
+        assert [buf.tobytes() for buf in (full._flat_x, full._flat_m, full._flat_v)] == parent
         assert sub.t == 4 and full.t == 3
 
     def test_values_become_views_of_one_buffer(self):

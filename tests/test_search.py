@@ -163,14 +163,14 @@ class TestStepContracts:
         # skipping the idle parameters instead of zero-filling them would show
         class SkippingIdle(graph_reference.GraphSearch):
             def _scheme_step(self, opt, scheme, batch, idle=()):
-                kept = opt.restricted(ad.ParameterSet(
-                    {n: t for n, t in opt.params.items() if n not in idle}))
-                loss = graph_reference.cascade_loss(self.model, self.cells, scheme, batch)
-                kept.params.zero_grads()
-                ad.backward(loss)
-                kept.step()
-                opt.t = kept.t
-                return loss.item()
+                # the zero-filled step, then the idle values and moments put back
+                kept = {n: [a.copy() for a in (opt.params[n].value, opt._m[n], opt._v[n])]
+                        for n in idle}
+                loss = super()._scheme_step(opt, scheme, batch, idle)
+                for n, arrays in kept.items():
+                    for a, old in zip((opt.params[n].value, opt._m[n], opt._v[n]), arrays):
+                        a[...] = old
+                return loss
 
         skipping = make_search(search_cls=SkippingIdle)
         for i in range(24):
@@ -220,6 +220,23 @@ class TestStaging:
         s.run_stage2()
         assert s.arch_params.checksum() == alpha
         assert s.discretization() == scheme
+
+    def test_second_stage2_continues_the_first(self):
+        # two stage-2 runs of 2 epochs equal one of 4: the second continues
+        # from the step count and moments that the first left in opt_net
+        def stage2_state(runs, epochs):
+            s = make_search(stage1_epochs=2, stage2_epochs=epochs)
+            s.run_stage1()
+            for _ in range(runs):
+                s.run_stage2()
+            for _, t in s.opt_net.params.items():
+                assert t.value.base is s.opt_net._flat_x  # the optimizer it stepped backs its values
+            return ([(n, t.value.tobytes()) for group in (s.net_params, s.arch_params)
+                     for n, t in group.items()],
+                    s.opt_net.t, s.opt_net._flat_m.tobytes(), s.opt_net._flat_v.tobytes(),
+                    [repr(r) for r in s.state.history])
+
+        assert stage2_state(2, 2) == stage2_state(1, 4)
 
     def test_stage2_moves_only_selected_group(self):
         s = make_search(stage1_epochs=2, stage2_epochs=2)
