@@ -122,8 +122,9 @@ def pretrain_upstream(model: CascadedModel, source_data, epochs, lr, batch_size=
     init. Freezes all modules afterward, fixing the pretrained snapshots.
 
     Each stage is checked once, before its first batch: its dense layers
-    (:func:`check_layers`), its whole input finite and its whole target
-    finite (denoise) or in the label range (:func:`checked_labels`). Each
+    (:func:`check_layers`), its whole input finite, and its whole target:
+    the output's shape and finite (denoise, :func:`checked_target`), or one
+    label per input row in the label range (:func:`checked_labels`). Each
     epoch gathers both once in the order of :func:`data.batch_order`; a
     batch is a slice. A step runs the layers in numpy, checking each ``z``
     by :func:`ad.check_dense`, writes the gradients into views of one flat
@@ -146,7 +147,7 @@ def pretrain_upstream(model: CascadedModel, source_data, epochs, lr, batch_size=
         layers = frozen + [layer for m in model.stages[stage_index] for layer in m.layers()]
         width = check_layers(layers, x[:batch_size].shape)[-1]
         ad.check_finite(x, "leaf")
-        check_target(target, (len(target), width))
+        check_target(target, (n, width))
         opt = ad.Adam(params, lr=lr)  # the values become views of its buffer, updated in place
         grad = np.empty(params.count)  # W and b of each layer, in order, as params holds them
         views = list(opt.views(grad).values())
@@ -179,7 +180,7 @@ def pretrain_upstream(model: CascadedModel, source_data, epochs, lr, batch_size=
                 opt.update(grad)
 
     if epochs > 0:
-        run_stage(0, source_data.clean, lambda target, shape: ad.check_finite(target, "leaf"), _mse_grad)
+        run_stage(0, source_data.clean, checked_target, _mse_grad)
         run_stage(1, source_data.inter_labels, checked_labels, _nll_grad)
     model.freeze()
 
@@ -193,30 +194,46 @@ def check_layers(layers, x_shape):
     return x_shape
 
 
-def run_layers(layers, x):
-    """The output of the dense ``layers``, accepted by :func:`check_layers`,
-    on the array ``x`` and the tape of ``(x, W, b, act, z, y)`` per layer,
-    checking each ``z`` as the graph's dense nodes would (a finite ``z``
-    gives a finite ``y``)."""
+def run_dense(layers, x, check=False):
+    """The output of a plan's dense ``layers`` (``(W, b, act, dW, db)``
+    each, see :class:`cell.Plan`) on the array ``x``, and the tape of
+    ``(x, z, y)`` per layer. Each ``z`` is checked as the graph's dense nodes
+    check it (a finite ``z`` gives a finite ``y``). With ``check``, ``x`` is
+    first checked against the first layer (``ad.dense_check``'s
+    ``ShapeError``): the layers are built to chain, so no later layer is.
+    Each layer is ``ad.dense_core``, the graph's dense rule."""
+    if check:
+        w, b, act, _, _ = layers[0]
+        ad.dense_check(x.shape, w.shape, b.shape, act)
     tape = []
-    for w, b, act in layers:
-        z, y = ad.dense_core(x, w.value, b.value, act)
-        tape.append((x, w, b, act, z, y))
+    for w, b, act, _, _ in layers:
+        z, y = ad.dense_core(x, w, b, act)
+        tape.append((x, z, y))
         x = y
     return x, tape
 
 
-def layers_backward(tape, g, need_x, params=True):
-    """Sweep a tape of :func:`run_layers` backward from the output
-    gradient ``g``: unless ``params`` is false, each trainable ``W`` and ``b``
-    takes its ``grad``. Returns the input gradient, or None unless ``need_x``."""
-    for i in range(len(tape) - 1, -1, -1):
-        x, w, b, act, z, y = tape[i]
-        train = params and w.requires_grad
-        g, dw, db = ad.dense_backward(g, x, w.value, b.shape, act, z, y, need_x or i > 0,
-                                      train, train and b.requires_grad)
-        if train:
-            w.grad, b.grad = dw, db
+def sweep_dense(layers, tape, g, need_x, train=True):
+    """Sweep a tape of :func:`run_dense` back from the output gradient
+    ``g``: unless ``train`` is false, each layer with a ``dW`` writes its
+    weight and bias gradients into ``dW`` and ``db``. Returns the input
+    gradient, or None unless ``need_x``. The arithmetic is
+    ``ad.dense_backward``'s; as in :func:`ad.dense_core`, a product of two
+    2-D arrays is ``np.dot``."""
+    for k in range(len(layers) - 1, -1, -1):
+        w, _, act, dw, db = layers[k]
+        x, z, y = tape[k]
+        g = ad.ACTIVATIONS[act][1](g, z, y)
+        flat = x.ndim == 2 and w.ndim == 2  # then g is 2-D too
+        if train and dw is not None:
+            np.add.reduce(g, axis=-2, keepdims=True, out=db)
+            if flat:
+                np.dot(x.T, g, out=dw)
+            else:
+                np.matmul(x.swapaxes(-1, -2), g, out=dw)
+        if not (k or need_x):
+            return None
+        g = np.dot(g, w.T) if flat else g @ w.swapaxes(-1, -2)
     return g
 
 
@@ -234,6 +251,15 @@ def _mse_grad(pred, target):
         ad.check_finite(sq.mean(), "mean")
     t = diff * (1.0 / diff.size)
     return t + t  # mul(diff, diff) gets one contribution per input
+
+
+def checked_target(target, shape):
+    """Raise a ``ShapeError`` naming both shapes unless the denoising
+    ``target`` has ``shape``, the output's, and the graph's ``leaf`` error
+    unless it is finite."""
+    if target.shape != shape:
+        raise ad.ShapeError(f"denoise target: shape {target.shape} does not match the output's {shape}")
+    ad.check_finite(target, "leaf")
 
 
 def checked_labels(labels, logits_shape):
@@ -334,25 +360,24 @@ class BottleneckAdapter(_Adapter):
         down, up = self.layers()
         return ad.add(x, ad.dense(ad.dense(x, *down), *up))
 
-    def forward_array(self, x, params):
-        """:meth:`forward` on the array ``x`` without a graph, with ``params``
-        named as this adapter's, either its own or stacked over schemes (see
-        :func:`ad.dense_core`). Returns the output and a function from its
-        gradient to ``x``'s (None unless ``need_x``) that stores each
-        parameter's gradient unless ``params`` is false: :func:`run_layers`
-        and the skip, each array checked finite as the graph's ops. ``x`` is
-        its module's output, of ``in_dim`` columns, and ``params`` are this
-        adapter's or :meth:`NfaCell.stacked_params` copies of them, so no
-        shape is checked."""
-        y, tape = run_layers(self.layers(params), x)
+    def run(self, x, layers):
+        """:meth:`forward` on the array ``x`` without a graph, with the
+        plan's ``layers`` of this adapter (its own, or stacked over schemes):
+        :func:`run_dense` and the skip, each array checked finite as the
+        graph's ops. Returns the output and the record :meth:`sweep` reads.
+        ``x`` is its module's output, of ``in_dim`` columns, and ``layers``
+        are this adapter's, so no shape is checked."""
+        y, tape = run_dense(layers, x)
         out = x + y
         ad.check_finite(out, "add")
+        return out, tape
 
-        def backward(g, need_x, params=True):
-            dx = layers_backward(tape, g, need_x, params)
-            return g + dx if need_x else None  # the skip's gradient, then the projections'
-
-        return out, backward
+    def sweep(self, layers, tape, g, need_x, train=True):
+        """The backward of :meth:`run` from its output gradient ``g``: the
+        layers' :func:`sweep_dense`, then the skip's gradient added. Returns
+        ``x``'s gradient, or None unless ``need_x``."""
+        dx = sweep_dense(layers, tape, g, need_x, train)
+        return g + dx if need_x else None
 
 
 class GatedAdapter(_Adapter):
@@ -378,29 +403,31 @@ class GatedAdapter(_Adapter):
         one_minus_g = ad.add(ad.constant(np.ones(self.in_dim)), ad.scale(g, -1.0))
         return ad.add(ad.mul(g, x), ad.mul(one_minus_g, expanded))
 
-    def forward_array(self, x, params):
+    def run(self, x, layers):
         """:meth:`forward` on arrays without a graph, as
-        :meth:`BottleneckAdapter.forward_array`, with one :func:`run_layers`
-        for each of the two layers. The backward adds each gradient's terms
-        in the order the graph's sweep adds them.
+        :meth:`BottleneckAdapter.run`, with one :func:`run_dense` for each of
+        the two layers.
 
         Only the final ``add`` is checked after the two dense layers: the
         gate is the sigmoid of a finite ``z``, so it lies in [0, 1], and ``x``
         and the expansion are finite, so the graph's ``leaf``, ``scale``,
         ``add`` and two ``mul`` checks before it cannot fail."""
-        (gate, gate_tape), (expanded, expand_tape) = (run_layers([layer], x)
-                                                      for layer in self.layers(params))
+        gate, gate_tape = run_dense(layers[:1], x)
+        expanded, expand_tape = run_dense(layers[1:], x)
         one_minus_g = np.ones(self.in_dim) + gate * -1.0
         out = gate * x + one_minus_g * expanded
         ad.check_finite(out, "add")
+        return out, (x, gate, expanded, one_minus_g, gate_tape, expand_tape)
 
-        def backward(g, need_x, params=True):
-            d_gate = g * x + (g * expanded) * -1.0  # through the mul, then the scale
-            dxe = layers_backward(expand_tape, g * one_minus_g, need_x, params)
-            dxg = layers_backward(gate_tape, d_gate, need_x, params)
-            return (g * gate + dxe) + dxg if need_x else None  # mul, expand, gate
-
-        return out, backward
+    def sweep(self, layers, record, g, need_x, train=True):
+        """The backward of :meth:`run`, as :meth:`BottleneckAdapter.sweep`;
+        each gradient's terms are added in the order the graph's sweep adds
+        them."""
+        x, gate, expanded, one_minus_g, gate_tape, expand_tape = record
+        d_gate = g * x + (g * expanded) * -1.0  # through the mul, then the scale
+        dxe = sweep_dense(layers[1:], expand_tape, g * one_minus_g, need_x, train)
+        dxg = sweep_dense(layers[:1], gate_tape, d_gate, need_x, train)
+        return (g * gate + dxe) + dxg if need_x else None  # mul, expand, gate
 
 
 ADAPTER_KINDS = {"BA": BottleneckAdapter, "GA": GatedAdapter}

@@ -12,13 +12,14 @@ is always frozen and the search only decides skip vs adapter.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParameterSet, Tensor
-from .cascade import check_layers, layers_backward, make_adapter, run_layers
+from .cascade import _nll, _nll_backward, make_adapter, run_dense, sweep_dense
 
 FROZEN = "frozen"
 FINETUNE = "finetune"
@@ -206,111 +207,241 @@ class NfaCell:
                          requires_grad=True)
             for name, t in self.params_for_choice(path).items()})
 
-    def forward_path(self, path, x, params, backbone=None):
-        """``path`` on the array ``x`` without a graph, training ``params``
-        (this cell's own, or :meth:`stacked_params` of them). ``backbone`` is
-        the frozen module's ``(output, tape)`` on ``x`` when already run,
-        which checked ``x``; otherwise ``x`` is checked against the first
-        layer the path runs (see :func:`_run_checked`).
-        Returns the output and its backward ``(g, need_x, params=True)``,
-        which stores each parameter's gradient unless ``params`` is false and
-        returns ``x``'s gradient (None unless ``need_x``)."""
-        if path == FINETUNE:
-            layers = self.module.layers(params)
-            y, tape = run_layers(layers, x) if backbone is not None else _run_checked(layers, x)
-            return y, _tape_backward(tape)
-        base, tape = backbone if backbone is not None else _run_checked(self.module.layers(), x)
+    def path_layers(self, path, params):
+        """The dense layers ``path`` trains, ``(W, b, activation)`` from
+        ``params`` (this cell's own, or :meth:`stacked_params` of them), in
+        forward order; none for the frozen path."""
         adapter = self._adapter(path)
-        y, inner = (base, None) if adapter is None else adapter.forward_array(base, params)
-        return y, _tape_backward(tape, frozen=True, inner=inner)
-
-    def forward_stacked(self, x, groups):
-        """The cell on the array ``x`` without a graph, for schemes stacked on a
-        leading axis. ``groups`` lists ``(path, positions, params)``: the
-        positions of the schemes that run ``path`` and its
-        :meth:`stacked_params` for them. ``x`` is ``(S, n, a)``, or ``(n, a)``
-        when every scheme has the same input; then the backbone runs once for
-        every path that uses it. One scheme may also run alone, as the single
-        group ``(path, None, params)`` on this cell's own parameters: then
-        ``x``, the output and their gradients have no scheme axis.
-
-        Only a stack ``(S, n, a)``, ``S`` the plan's scheme count, is
-        indexed; any other ``x`` is one shared input, checked once before it
-        runs (a stack's rows are checked per group, see :meth:`forward_path`).
-
-        Returns the output, each group's rows put in place by index, and a
-        function from its gradient to ``x``'s (None unless asked) that stores
-        each parameter's gradient."""
-        path, positions, params = groups[0]
-        if positions is None:  # one scheme alone
-            return self.forward_path(path, x, params)
-        shared = x.ndim != 3
-        n = sum(len(pos) for _, pos, _ in groups)
-        if not shared and x.shape[0] != n:
-            raise ad.ShapeError(f"cell {self.index}: a stack of {x.shape[0]} inputs for {n} schemes")
-        backbone = (_run_checked(self.module.layers(), x)
-                    if shared and any(path != FINETUNE for path, _, _ in groups) else None)
-        out, backs = None, []
-        for path, positions, params in groups:
-            y, back = self.forward_path(path, x if shared else x[positions], params, backbone)
-            backs.append((positions, back))
-            if out is None:
-                out = np.empty((n,) + y.shape[-2:])
-            out[positions] = y
-
-        def backward(g, need_x):
-            dx = np.empty(g.shape[:-1] + x.shape[-1:]) if need_x else None
-            for positions, back in backs:
-                d = back(g[positions], need_x)
-                if need_x:
-                    dx[positions] = d
-            return dx
-
-        return out, backward
-
-    def forward_mixed(self, x, k):
-        """Path ``k``'s output on the array ``x`` without a graph, as the
-        graph's sum of every path weighted by the one-hot row of ``k``: that
-        sum is path ``k``'s output up to the sign of a zero. Every path runs,
-        the frozen and adapter paths on one backbone, because the weights'
-        gradient needs every path's output.
-
-        Returns the output and a function from its gradient ``g`` to
-        ``(the weights' gradient, x's gradient or None unless asked)``; only
-        path ``k`` is swept back, and no network parameter takes a gradient."""
-        backbone = _run_checked(self.module.layers(), x)
-        outs, backs = zip(*(self.forward_path(path, x, self._params_of[path], backbone)
-                            for path in self.paths))
-
-        def backward(g, need_x):
-            # as each path's mul and index_lastdim: the weight's gradient is
-            # (g * y) summed to a scalar, and the paths' one-hot contributions
-            # are added, which turns a -0.0 into +0.0
-            grad = np.zeros(self.n_paths) + [(g * y).sum(axis=0).sum(axis=0) for y in outs]
-            return grad, backs[k](g, need_x, params=False) if need_x else None
-
-        return outs[k], backward
+        if adapter is not None:
+            return adapter.layers(params)
+        return self.module.layers(params) if path == FINETUNE else []
 
 
-def _run_checked(layers, x):
-    """:func:`run_layers` on an array ``x`` checked against the first of the
-    dense ``layers`` (``ad.dense_check``'s ``ShapeError``): a module's layers
-    are built to chain, so no later layer is checked."""
-    check_layers(layers[:1], x.shape)
-    return run_layers(layers, x)
+# The schemes that run one path of a cell, as a Plan holds them: the cell's
+# index, the path, the schemes' positions in a stack (None for one scheme
+# alone), the cell's frozen backbone layers, the layers the path trains (none
+# for frozen) and the adapter that runs them (None for frozen and fine-tune).
+Group = namedtuple("Group", "index path positions backbone layers adapter")
 
 
-def _tape_backward(tape, frozen=False, inner=None):
-    """The backward of a path: ``inner`` (an adapter's backward) and then the
-    module's layers on ``tape``; a frozen backbone is swept only for the
-    input gradient."""
-    def backward(g, need_x, params=True):
-        if inner is not None:
-            g = inner(g, need_x, params)
-        if not need_x and (frozen or not params):
-            return None
-        return layers_backward(tape, g, need_x, params)
-    return backward
+class Plan:
+    """What a network training step reads, built once per optimizer ``opt``
+    (a new optimizer moves the values into its own buffer, so it needs a new
+    plan): the flat gradient buffer ``grad``, laid out as ``opt.views`` lays
+    it out, and ``groups``, per cell the ``Group`` of each entry
+    ``(path, positions, params)`` of ``stacks`` (``params`` what the path
+    trains: the cell's own, or :meth:`NfaCell.stacked_params` of them). By
+    default each cell has every path alone on its own parameters, in the
+    order of its ``paths``.
+
+    A group's dense layers are arrays ``(W, b, act, dW, db)``: ``W`` and
+    ``b`` are the parameters' values, views into ``opt``'s value buffer where
+    ``opt`` trains them; ``dW`` and ``db`` are their views into ``grad``
+    (``db`` with a row axis for the bias sum), or None where ``opt`` does
+    not train them."""
+
+    def __init__(self, model, cells, opt, stacks=None):
+        if stacks is None:
+            stacks = [[(path, None, c.params_for_choice(path)) for path in c.paths] for c in cells]
+        _check_cascade(model, cells, stacks)
+        self.softmax_after = model.softmax_after
+        self.opt = opt
+        self.grad = np.zeros(opt.params.count)
+        views = opt.views(self.grad)
+        grad_of = {id(t): views[name] for name, t in opt.params.items()}
+
+        def arrays(layers):
+            out = []
+            for w, b, act in layers:
+                dw, db = grad_of.get(id(w)), grad_of.get(id(b))
+                out.append((w.value, b.value, act, dw, db if db is None or db.ndim > 1 else db[None]))
+            return out
+
+        self.groups = []
+        for c, stack in zip(cells, stacks):
+            backbone = arrays(c.module.layers())
+            self.groups.append([Group(c.index, path, positions, backbone,
+                                      arrays(c.path_layers(path, params)), c._adapter(path))
+                                for path, positions, params in stack])
+
+    def step(self, groups, batch):
+        """One training step of ``opt`` on ``batch``, cell ``i`` running
+        ``groups[i]`` (see :func:`run_cell`): :meth:`forward`, the
+        closed-form cross-entropy gradient swept back into ``grad``, and one
+        ``opt.update``. ``grad`` is zeroed first, so a parameter that no group
+        trains takes an exact zero gradient, as the graph's idle parameters
+        do; the sweep stops at the first cell where some group trains.
+        Returns the loss, one per scheme when stacked."""
+        logits, tape = self.forward(groups, batch.x)
+        loss, probs, onehot = _nll(logits, batch.labels)
+        self.grad.fill(0.0)
+        g = _nll_backward(probs, onehot)
+        first = next((i for i, gs in enumerate(groups) if any(group.layers for group in gs)),
+                     len(groups))
+        for i in range(len(groups) - 1, first - 1, -1):
+            record, s = tape[i]
+            if s is not None:
+                g = ad.softmax_backward(g, s)
+            g = sweep_cell(groups[i], record, g, i > first)
+        self.opt.update(self.grad)
+        return loss
+
+    def forward(self, groups, x):
+        """The cascade on the array ``x`` without a graph, cell ``i`` running
+        ``groups[i]``: the logits, ``(S, n, L)`` for a stack, and the tape
+        that :meth:`step` sweeps."""
+        return self._run(x, lambda i, h: run_cell(groups[i], h, i == 0))
+
+    def forward_mixed(self, picks, x):
+        """The cascade on the array ``x`` without a graph when cell ``i`` runs
+        its path ``picks[i]``, as under one-hot path weights (see
+        :func:`forward_mixed`), on this plan's default groups. Returns the
+        logits and a function from their gradient to the one-hot weights'
+        gradient, one row per cell; no network parameter takes a gradient."""
+        h, backs = self._run(x, lambda i, h: forward_mixed(self.groups[i], h, picks[i], i == 0))
+
+        def backward(g):
+            grads = np.empty((len(backs), len(self.groups[0])))
+            for i in range(len(backs) - 1, -1, -1):
+                back, s = backs[i]
+                if s is not None:
+                    g = ad.softmax_backward(g, s)
+                grads[i], g = back(g, i > 0)
+            return grads
+
+        return h, backward
+
+    def _run(self, x, run):
+        """The cascade on the array ``x``, cell ``i`` run by ``run(i, h) ->
+        (h, record)``; only the first cell checks its input's shape, since
+        the cells are built to chain. Returns the output and, per cell, its
+        record and the softmax output after it (None where none follows)."""
+        ad.check_finite(x, "leaf")
+        h, tape = x, []
+        for i, softmax in enumerate(self.softmax_after):
+            h, record = run(i, h)
+            s = None
+            if softmax:
+                h = s = ad.softmax(h)
+                ad.check_finite(s, "softmax_lastdim")
+            tape.append((record, s))
+        return h, tape
+
+    def alone(self, k):
+        """Per cell, the group of this stacked plan that runs the scheme at
+        position ``k``, as a stack of that scheme alone: its layers' rows of
+        ``k``, without gradients."""
+        out = []
+        for groups in self.groups:
+            for group in groups:
+                rows = np.flatnonzero(group.positions == k)
+                if rows.size:
+                    r = slice(rows[0], rows[0] + 1)
+                    layers = [(w[r], b[r], act, None, None) for w, b, act, _, _ in group.layers]
+                    out.append([group._replace(positions=np.zeros(1, dtype=int), layers=layers)])
+        return out
+
+
+def run_path(group, x, base=None, check=False):
+    """The path of ``group`` on the array ``x``: its output and the record
+    that :func:`sweep_path` reads. ``base`` is the backbone's
+    :func:`run_dense` on ``x`` when already run; otherwise, with ``check``,
+    ``x`` is checked against the first layer the path runs. The fine-tune
+    path runs no backbone."""
+    if group.path == FINETUNE:
+        y, tape = run_dense(group.layers, x, check)
+        return y, (None, tape)
+    y, tape = base if base is not None else run_dense(group.backbone, x, check)
+    if group.adapter is None:
+        return y, (tape, None)
+    out, inner = group.adapter.run(y, group.layers)
+    return out, (tape, inner)
+
+
+def sweep_path(group, record, g, need_x, train=True):
+    """The backward of :func:`run_path` from its output gradient ``g``:
+    unless ``train`` is false, each layer the optimizer trains writes its
+    gradients (:func:`sweep_dense`); the frozen backbone is swept only for
+    ``x``'s gradient. Returns ``x``'s gradient, or None unless ``need_x``."""
+    if not (need_x or train):
+        return None
+    tape, inner = record
+    if group.path == FINETUNE:
+        return sweep_dense(group.layers, inner, g, need_x, train)
+    if group.adapter is not None:
+        g = group.adapter.sweep(group.layers, inner, g, need_x, train)
+    return sweep_dense(group.backbone, tape, g, True, False) if need_x else None
+
+
+def run_cell(groups, x, check=False):
+    """A cell on the array ``x`` for schemes stacked on a leading axis:
+    ``groups`` are its ``Group``s, one per path that some scheme runs.
+    ``x`` is ``(S, n, a)``, or ``(n, a)`` when every scheme has the same
+    input; then the backbone runs once for every group that uses it. One
+    scheme may also run alone, as a single group without positions: then
+    ``x``, the output and their gradients have no scheme axis.
+
+    Only a stack ``(S, n, a)``, ``S`` the groups' scheme count, is indexed.
+    With ``check``, ``x`` is checked against the first layer each group
+    meets, and a shared ``x`` once against the backbone when it runs.
+
+    Returns the output, each group's rows put in place by index, and the
+    record that :func:`sweep_cell` reads."""
+    if groups[0].positions is None:  # one scheme alone
+        return run_path(groups[0], x, None, check)
+    shared = x.ndim != 3
+    n = sum(len(group.positions) for group in groups)
+    if not shared and x.shape[0] != n:
+        raise ad.ShapeError(f"cell {groups[0].index}: a stack of {x.shape[0]} inputs for {n} schemes")
+    base = (run_dense(groups[0].backbone, x, check)
+            if shared and any(group.path != FINETUNE for group in groups) else None)
+    out, records = None, []
+    for group in groups:
+        y, record = run_path(group, x if shared else x[group.positions], base, check and base is None)
+        records.append(record)
+        if out is None:
+            out = np.empty((n,) + y.shape[-2:])
+        out[group.positions] = y
+    return out, records
+
+
+def sweep_cell(groups, record, g, need_x, train=True):
+    """The backward of :func:`run_cell` from its output gradient ``g``:
+    each group's :func:`sweep_path` on its rows. Returns ``x``'s gradient,
+    or None unless ``need_x``."""
+    if groups[0].positions is None:
+        return sweep_path(groups[0], record, g, need_x, train)
+    width = groups[0].backbone[0][0].shape[0]  # the input's: the backbone's first W is (a, b)
+    dx = np.empty(g.shape[:-1] + (width,)) if need_x else None
+    for group, rec in zip(groups, record):
+        d = sweep_path(group, rec, g[group.positions], need_x, train)
+        if need_x:
+            dx[group.positions] = d
+    return dx
+
+
+def forward_mixed(groups, x, k, check=False):
+    """Path ``k``'s output on the array ``x``, where ``groups`` are a cell's
+    groups of every path alone (a :class:`Plan`'s default), as the graph's
+    sum of every path weighted by the one-hot row of ``k``: that sum is path
+    ``k``'s output up to the sign of a zero. Every path runs, the frozen and
+    adapter paths on one backbone, because the weights' gradient needs every
+    path's output. With ``check``, ``x`` is checked against the backbone.
+
+    Returns the output and a function from its gradient ``g`` to ``(the
+    weights' gradient, x's gradient or None unless asked)``; only path ``k``
+    is swept back, and no network parameter takes a gradient."""
+    base = run_dense(groups[0].backbone, x, check)
+    runs = [run_path(group, x, base) for group in groups]
+
+    def backward(g, need_x):
+        # as each path's mul and index_lastdim: the weight's gradient is
+        # (g * y) summed to a scalar, and the paths' one-hot contributions
+        # are added, which turns a -0.0 into +0.0
+        grad = np.zeros(len(runs)) + [(g * y).sum(axis=0).sum(axis=0) for y, _ in runs]
+        return grad, sweep_path(groups[k], runs[k][1], g, need_x, train=False)
+
+    return runs[k][0], backward
 
 
 def build_cells(model, mode="NFA", adapter_kinds=("BA",), seed=0):
@@ -340,73 +471,6 @@ def cascade_forward(model, cells, x, scheme):
         if model.softmax_after[i]:
             h = ad.softmax_lastdim(h)
     return h
-
-
-def _forward_arrays(model, cells, x, cell_forward):
-    """The cascade on the array ``x`` without a graph, cell ``i`` run by
-    ``cell_forward(i, cell, h) -> (h, backward)``. Returns the output and,
-    per cell, its backward and the softmax output after it (None where no
-    softmax follows)."""
-    ad.check_finite(x, "leaf")
-    h, backs = x, []
-    for i, cell in enumerate(cells):
-        h, back = cell_forward(i, cell, h)
-        s = None
-        if model.softmax_after[i]:
-            h = s = ad.softmax(h)
-            ad.check_finite(s, "softmax_lastdim")
-        backs.append((back, s))
-    return h, backs
-
-
-def cascade_forward_stacked(model, cells, plan, x):
-    """:func:`cascade_forward` on the array ``x`` without a graph, for schemes
-    stacked on a leading axis: ``plan`` holds each cell's groups (see
-    :meth:`NfaCell.forward_stacked`; :func:`scheme_plan` runs one scheme on
-    the cells' own parameters). Returns the ``(S, n, L)`` logits, ``(n, L)``
-    for one scheme alone, and a function that sweeps their gradient back
-    into every trained parameter's ``grad``; the sweep stops at the first
-    cell where some scheme trains."""
-    _check_cascade(model, cells, plan)
-    h, backs = _forward_arrays(model, cells, x, lambda i, cell, h: cell.forward_stacked(h, plan[i]))
-    first = next((i for i, groups in enumerate(plan) if any(len(p) for _, _, p in groups)), len(plan))
-
-    def backward(g):
-        for i in range(len(backs) - 1, first - 1, -1):
-            back, s = backs[i]
-            if s is not None:
-                g = ad.softmax_backward(g, s)
-            g = back(g, i > first)
-
-    return h, backward
-
-
-def cascade_forward_mixed(model, cells, picks, x):
-    """The cascade on the array ``x`` without a graph when cell ``i`` runs
-    its path ``picks[i]``, as under one-hot path weights (see
-    :meth:`NfaCell.forward_mixed`). Returns the logits and a function from
-    their gradient to the one-hot weights' gradient, one row per cell; no
-    network parameter takes a gradient."""
-    _check_cascade(model, cells, picks)
-    h, backs = _forward_arrays(model, cells, x,
-                               lambda i, cell, h: cell.forward_mixed(h, picks[i]))
-
-    def backward(g):
-        grads = np.empty((len(cells), cells[0].n_paths))
-        for i in range(len(backs) - 1, -1, -1):
-            back, s = backs[i]
-            if s is not None:
-                g = ad.softmax_backward(g, s)
-            grads[i], g = back(g, i > 0)
-        return grads
-
-    return h, backward
-
-
-def scheme_plan(cells, scheme):
-    """The plan of :func:`cascade_forward_stacked` that runs ``scheme`` (one
-    path name per cell) alone on the cells' own parameters."""
-    return [[(choice, None, c.params_for_choice(choice))] for c, choice in zip(cells, scheme)]
 
 
 def scheme_params(cells, scheme):

@@ -20,12 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ParameterSet, Tensor
+from .autodiff import ParameterSet
 from .cascade import STAGES, _nll, build_cascade, pretrain_upstream
-from .cell import arch_group, build_cells, cascade_forward_stacked, cell_paths, network_group
+from .cell import Plan, arch_group, build_cells, cell_paths, network_group
 from .config import ExperimentConfig, config_hash
 from .data import SynthDataConfig, generate_synthetic
-from .search import AdaptiveSearch, scheme_step, split_dataset
+from .search import AdaptiveSearch, split_dataset
 
 OUTPUT_ROOT_ENV = "NFA_OUTPUT_ROOT"
 DEFAULT_ORACLE_CAP = 243
@@ -386,13 +386,13 @@ def scheme_space(cells):
 def _stack(cells, schemes):
     """Per cell, ``schemes`` grouped by path: ``(path, positions, params)``
     with the path's parameters stacked over the group (see
-    ``NfaCell.forward_stacked``); and every stacked parameter in one set."""
+    ``cell.Plan``); and every stacked parameter in one set."""
     for scheme in schemes:
         if len(scheme) != len(cells):
             raise ValueError(f"scheme {scheme!r} names {len(scheme)} paths for {len(cells)} cells")
         for cell, choice in zip(cells, scheme):
             cell.params_for_choice(choice)  # raises for a path the cell does not have
-    plan, params = [], ParameterSet()
+    stacks, params = [], ParameterSet()
     for cell, column in zip(cells, zip(*schemes)):
         groups = []
         for path in cell.paths:
@@ -401,20 +401,8 @@ def _stack(cells, schemes):
                 stacked = cell.stacked_params(path, positions.size)
                 params.merge(stacked, prefix=f"cell{cell.index}.{path}.")
                 groups.append((path, positions, stacked))
-        plan.append(groups)
-    return plan, params
-
-
-def _one_scheme(plan, k):
-    """The plan of the scheme at position ``k`` of ``plan`` alone."""
-    out = []
-    for groups in plan:
-        for path, positions, params in groups:
-            rows = np.flatnonzero(positions == k)
-            if rows.size:
-                sliced = ParameterSet({name: Tensor(t.value[rows]) for name, t in params.items()})
-                out.append([(path, np.zeros(1, dtype=int), sliced)])
-    return out
+        stacks.append(groups)
+    return stacks, params
 
 
 def train_fixed_schemes(model, cells, schemes, train, val, lr, epochs, batch_size, seed):
@@ -425,23 +413,24 @@ def train_fixed_schemes(model, cells, schemes, train, val, lr, epochs, batch_siz
     ``SeedSequence([seed, 0x04AC])`` shuffles; an all-frozen scheme trains
     nothing.
 
-    Up to ``STACK_SCHEMES`` schemes train together without a graph: every
-    array has a leading scheme axis, and each scheme's slice gets the bytes
-    that training it alone on the graph gives. Validation runs one scheme at
-    a time, which bounds its memory by one scheme's pass."""
+    Up to ``STACK_SCHEMES`` schemes train together without a graph, by
+    :meth:`cell.Plan.step`: every array has a leading scheme axis, and each
+    scheme's slice gets the bytes that training it alone on the graph gives.
+    Validation runs one scheme at a time (:meth:`cell.Plan.alone`), which
+    bounds its memory by one scheme's pass."""
     schemes = [tuple(s) for s in schemes]
     losses = []
     for start in range(0, len(schemes), STACK_SCHEMES):
         chunk = schemes[start:start + STACK_SCHEMES]
-        plan, params = _stack(cells, chunk)
+        stacks, params = _stack(cells, chunk)
+        plan = Plan(model, cells, ad.Adam(params, lr=lr), stacks)
         if len(params):
-            opt = ad.Adam(params, lr=lr)
             rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x04AC]))
             for _ in range(epochs):
                 for batch in train.batches(batch_size, rng):
-                    scheme_step(model, cells, plan, batch, opt)
+                    plan.step(plan.groups, batch)
         for k in range(len(chunk)):
-            logits, _ = cascade_forward_stacked(model, cells, _one_scheme(plan, k), val.x)
+            logits, _ = plan.forward(plan.alone(k), val.x)
             losses.append(float(_nll(logits, val.labels)[0][0]))
     return losses
 

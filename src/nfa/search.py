@@ -16,8 +16,8 @@ import numpy as np
 from . import autodiff as ad
 from . import objective
 from .cascade import _nll, _nll_backward
-from .cell import (arch_group, cascade_forward, cascade_forward_mixed, cascade_forward_stacked,
-                   gumbel_probs, gumbel_softmax_grad, network_group, scheme_params, scheme_plan)
+from .cell import (Plan, arch_group, cascade_forward, gumbel_probs, gumbel_softmax_grad,
+                   network_group, scheme_params)
 
 
 @dataclass(frozen=True)
@@ -93,21 +93,6 @@ def cascade_loss(model, cells, scheme, data):
     return objective.task_loss(logits, data.labels)
 
 
-def scheme_step(model, cells, plan, batch, opt, idle=()):
-    """One training step of the schemes of ``plan`` (see
-    ``cell.cascade_forward_stacked``) without a graph, as ``opt.minimize``
-    on their loss graph: the forward, ``opt.clear_grads(idle)``, the
-    closed-form cross-entropy gradient swept into every trained parameter's
-    ``grad``, and one Adam step. Returns the loss, one per scheme when
-    stacked."""
-    logits, backward = cascade_forward_stacked(model, cells, plan, batch.x)
-    loss, probs, onehot = _nll(logits, batch.labels)
-    opt.clear_grads(idle)
-    backward(_nll_backward(probs, onehot))
-    opt.step()
-    return loss
-
-
 class AdaptiveSearch:
     """Owns the cells, the two optimizer groups, and the search schedule."""
 
@@ -123,6 +108,7 @@ class AdaptiveSearch:
         self.net_params = network_group(cells)
         self.arch_params = arch_group(cells)
         self.opt_net = ad.Adam(self.net_params, lr=cfg.lr_network)
+        self._plan = Plan(model, cells, self.opt_net)
         self.opt_arch = ad.Adam(self.arch_params, lr=cfg.lr_arch)
         ss = np.random.SeedSequence([int(cfg.seed), 0x5EA2]).spawn(3)
         self._gumbel_rng = np.random.default_rng(ss[0])
@@ -153,7 +139,8 @@ class AdaptiveSearch:
 
         Every cell's path is sampled from one Gumbel draw
         (:func:`cell.gumbel_probs`), the cascade runs each cell's pick in
-        numpy (:func:`cell.cascade_forward_mixed`), as the graph's sum under
+        numpy on the network plan's layers (:meth:`cell.Plan.forward_mixed`),
+        as the graph's sum under
         the one-hot straight-through weights, and the penalty and the total
         loss are floats. The node's value is the total loss. Its backward
         gives each alpha the straight-through graph's gradient in closed
@@ -165,7 +152,7 @@ class AdaptiveSearch:
         tau = self.tau
         probs = gumbel_probs(self.cells, tau, self._gumbel_rng)
         picks = probs.argmax(axis=-1)
-        logits, backward = cascade_forward_mixed(self.model, self.cells, picks, val_batch.x)
+        logits, backward = self._plan.forward_mixed(picks, val_batch.x)
         task, p, onehot = _nll(logits, val_batch.labels)
         pen = objective.hard_penalty(self._penalty_table, picks)
         total = objective.total_value(task, pen, self.penalty_cfg)
@@ -180,7 +167,7 @@ class AdaptiveSearch:
         loss = ad.Tensor(total, requires_grad=True, op="arch_step",
                          inputs=tuple(c.alpha for c in self.cells), backward_fn=grads)
         total = self.opt_arch.minimize(loss)
-        self.state.val_ids_seen.update(int(i) for i in val_batch.ids)
+        self.state.val_ids_seen.update(val_batch.ids.tolist())
         return total, float(task), pen
 
     def net_step(self, train_batch):
@@ -196,18 +183,16 @@ class AdaptiveSearch:
         if len(train_batch) == 0:
             raise ValueError("net_step needs a nonempty batch")
         probs = gumbel_probs(self.cells, self.tau, self._gumbel_rng)
-        scheme = [c.paths[k] for c, k in zip(self.cells, probs.argmax(axis=-1))]
-        live = scheme_params(self.cells, scheme)
-        idle = [name for name in self.net_params if name not in live]
-        task = self._scheme_step(self.opt_net, scheme, train_batch, idle)
-        self.state.train_ids_seen.update(int(i) for i in train_batch.ids)
+        picks = probs.argmax(axis=-1)
+        task = self._train([[cell_groups[k]] for cell_groups, k in zip(self._plan.groups, picks)],
+                           train_batch)
+        self.state.train_ids_seen.update(train_batch.ids.tolist())
         return task
 
-    def _scheme_step(self, opt, scheme, batch, idle=()):
-        """One :func:`scheme_step` of ``scheme`` on the cells' own parameters;
-        returns the loss as a float."""
-        return float(scheme_step(self.model, self.cells, scheme_plan(self.cells, scheme), batch,
-                                 opt, idle))
+    def _train(self, groups, batch):
+        """One :meth:`cell.Plan.step` of ``opt_net``, cell ``i`` running
+        ``groups[i]``; returns the loss as a float."""
+        return float(self._plan.step(groups, batch))
 
     def _record_epoch(self, stage, train_loss, val_loss, pen):
         self.state.history.append(EpochRecord(
@@ -254,15 +239,18 @@ class AdaptiveSearch:
         if self.state.stage != 2:
             raise RuntimeError("run stage 1 before stage 2")
         scheme = self.discretization()
-        # only the chosen paths' parameters can receive gradients now; restrict
-        # the optimizer to exactly that group (keeps the missing-grad check
-        # strict) but carry the moment estimates and step count over
+        # only the chosen paths' parameters train now: restrict the optimizer
+        # to exactly that group, carrying the moment estimates and step count
+        # over; it moves their values into its own buffer, so it needs a plan
         self.opt_net = self.opt_net.restricted(scheme_params(self.cells, scheme))
+        self._plan = Plan(self.model, self.cells, self.opt_net)
+        groups = [[cell_groups[c.paths.index(choice)]]
+                  for c, cell_groups, choice in zip(self.cells, self._plan.groups, scheme)]
         for _ in range(self.cfg.stage2_epochs):
             train_losses = []
             for tb in self.train_data.batches(self.cfg.batch_size, self._train_order_rng):
-                train_losses.append(self._scheme_step(self.opt_net, scheme, tb))
-                self.state.train_ids_seen.update(int(i) for i in tb.ids)
+                train_losses.append(self._train(groups, tb))
+                self.state.train_ids_seen.update(tb.ids.tolist())
                 if step_callback:
                     step_callback("net", self)
             val_task, pen = self.evaluate(self.val_data)

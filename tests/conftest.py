@@ -56,6 +56,15 @@ def check_grad(build_loss, x, h=1e-5, tol=1e-4):
     assert err < tol, f"gradcheck failed: rel err {err:.3e}\nanalytic={got}\nnumeric={want}"
 
 
+def plan_layers(layers):
+    """Dense layers ``(W, b, act)`` of tensors as a ``cell.Plan`` lays them
+    out, ``(W, b, act, dW, db)``: their values, and a gradient array of
+    each's shape, NaN until a sweep writes it (the bias's with its row axis)."""
+    return [(w.value, b.value, act, np.full(w.shape, np.nan),
+             np.full(b.shape if len(b.shape) > 1 else (1,) + b.shape, np.nan))
+            for w, b, act in layers]
+
+
 def make_config(
     seed=0,
     preset="toy6",

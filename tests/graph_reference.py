@@ -88,15 +88,20 @@ class GraphSearch(AdaptiveSearch):
         if len(train_batch) == 0:
             raise ValueError("net_step needs a nonempty batch")
         weights = self.sample_weights()
-        scheme = [c.paths[int(np.argmax(w.values))] for c, w in zip(self.cells, weights)]
-        live = scheme_params(self.cells, scheme)
-        idle = [name for name in self.net_params if name not in live]
-        task = self._scheme_step(self.opt_net, scheme, train_batch, idle)
+        picks = [int(np.argmax(w.values)) for w in weights]
+        task = self._train([[groups[k]] for groups, k in zip(self._plan.groups, picks)], train_batch)
         self.state.train_ids_seen.update(int(i) for i in train_batch.ids)
         return task
 
-    def _scheme_step(self, opt, scheme, batch, idle=()):
-        return opt.minimize(cascade_loss(self.model, self.cells, scheme, batch), idle=idle)
+    def idle(self, scheme):
+        """The names of ``opt_net``'s parameters that ``scheme`` does not train."""
+        live = scheme_params(self.cells, scheme)
+        return [name for name in self.opt_net.params if name not in live]
+
+    def _train(self, groups, batch):
+        scheme = [cell_groups[0].path for cell_groups in groups]
+        return self.opt_net.minimize(cascade_loss(self.model, self.cells, scheme, batch),
+                                     idle=self.idle(scheme))
 
     def evaluate(self, data):
         scheme = self.discretization()

@@ -9,13 +9,13 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from conftest import analytic_grad, numeric_grad, rel_err
+from conftest import analytic_grad, numeric_grad, plan_layers, rel_err
 from graph_reference import cell_forward
 from nfa import autodiff as ad
 from nfa import cascade, cell, harness, objective
 from nfa.config import config_from_dict
 from nfa.search import AdaptiveSearch
-from test_cell import make_cell
+from test_cell import make_cell, path_groups
 
 
 def verdict(name, ok, detail=""):
@@ -56,20 +56,46 @@ def random_params(params, stack, rng):
                             for name, t in params.items()})
 
 
+def plan_rule(layers_of, run, sweep):
+    """A rule of the network plan as ``(x, params) -> (out, backward)``: the
+    layers ``layers_of(params)`` as the plan lays them out
+    (:func:`plan_layers`), ``run(layers, x) -> (out, record)`` and
+    ``sweep(layers, record, g, need_x)``. ``backward(g)`` returns ``x``'s
+    gradient and each parameter's gradient array by the parameter's id."""
+    def rule(x, params):
+        tensors = layers_of(params)
+        layers = plan_layers(tensors)
+        out, record = run(layers, x)
+
+        def backward(g):
+            dx = sweep(layers, record, g, True)
+            return dx, {id(t): grad for (w, b, _), (*_, dw, db) in zip(tensors, layers)
+                        for t, grad in ((w, dw), (b, db))}
+
+        return out, backward
+    return rule
+
+
 def module_rule(module):
-    """A module's layers as a numpy rule: ``run_layers`` and ``layers_backward``."""
-    def run(x, params):
-        out, tape = cascade.run_layers(module.layers(params), x)
-        return out, lambda g, need_x: cascade.layers_backward(tape, g, need_x)
-    return run
+    """A module's layers as the plan's dense sweep: ``run_dense`` and ``sweep_dense``."""
+    return plan_rule(module.layers, lambda layers, x: cascade.run_dense(layers, x),
+                     cascade.sweep_dense)
+
+
+def adapter_rule(adapter):
+    """An adapter as the plan runs it: the BA skip or the GA mix around its
+    dense layers (``run`` and ``sweep``)."""
+    return plan_rule(adapter.layers, lambda layers, x: adapter.run(x, layers), adapter.sweep)
 
 
 def array_rule_checked(run, params, x, probe, tol=1e-4):
-    """Whether the numpy rule ``run(x, params) -> (out, backward)`` gives the
-    gradients of ``sum(out * probe)`` with respect to ``x`` and every one of
-    ``params`` within ``tol`` of central differences."""
+    """Whether the numpy rule ``run(x, params) -> (out, backward)`` (see
+    :func:`plan_rule`) gives the gradients of ``sum(out * probe)`` with
+    respect to ``x`` and every one of ``params`` within ``tol`` of central
+    differences."""
     _, backward = run(x, params)
-    grads = [(backward(probe, True), None)] + [(t.grad, t) for _, t in params.items()]
+    dx, grad_of = backward(probe)
+    grads = [(dx, None)] + [(grad_of[id(t)].reshape(t.shape), t) for _, t in params.items()]
 
     def loss_of(t):
         def loss(v):
@@ -92,8 +118,9 @@ def closed_form_rules(c, rng):
     the array ``at``. The rules: the softmax backward, the cross-entropy
     gradient (unstacked with a loss gradient, and stacked over 2 schemes),
     the squared-error gradient, the penalty's weight gradient, and the path
-    weights' and input's gradients of cell ``c``'s mixed forward, against
-    the graph's weighted sum."""
+    weights' and input's gradients of cell ``c``'s mixed forward
+    (:func:`cell.forward_mixed` on the plan's groups), against the graph's
+    weighted sum."""
     z, target, probe = (rng.normal(size=(2, 3)) for _ in range(3))
     stacked, labels, g = rng.normal(size=(2, 2, 3)), rng.integers(0, 3, size=2), rng.normal()
     x, out_probe, k = rng.normal(size=(2, 6)), rng.normal(size=(2, 6)), int(rng.integers(0, c.n_paths))
@@ -107,7 +134,8 @@ def closed_form_rules(c, rng):
     def pen(w):
         return g * objective.penalty([c], [SimpleNamespace(weights=ad.constant(w))], pcfg).item()
 
-    _, backward = c.forward_mixed(x, k)
+    groups = path_groups(c)
+    _, backward = cell.forward_mixed(groups, x, k)
     return {
         "softmax_backward": (lambda v: (ad.softmax(v) * probe).sum(),
                              ad.softmax_backward(probe, ad.softmax(z)), z),
@@ -119,14 +147,15 @@ def closed_form_rules(c, rng):
         "hard_penalty_grad": (pen, objective.hard_penalty_grad(objective.penalty_table([c], pcfg), g)[0],
                               np.eye(c.n_paths)[k]),
         "forward_mixed/weights": (mixed, backward(out_probe, False)[0], np.eye(c.n_paths)[k]),
-        "forward_mixed/x": (lambda v: (c.forward_mixed(v, k)[0] * out_probe).sum(),
+        "forward_mixed/x": (lambda v: (cell.forward_mixed(groups, v, k)[0] * out_probe).sum(),
                             backward(out_probe, True)[1], x),
     }
 
 
 def test_criterion_1_gradcheck_all_ops_and_full_cell():
-    """Every autodiff op, the numpy dense rule of a module's layers and of
-    both adapters (unstacked and stacked over 2 schemes), the closed-form
+    """Every autodiff op, the network plan's rules (the dense sweep of a
+    module's layers, the BA skip and the GA mix, unstacked and stacked over 2
+    schemes), the closed-form
     rules of :func:`closed_form_rules`, and the whole search-cell forward
     pass agree with central finite differences (rel err < 1e-4) across 20
     seeds."""
@@ -171,7 +200,7 @@ def test_criterion_1_gradcheck_all_ops_and_full_cell():
 
         ba, ga = c.adapters[0], cascade.GatedAdapter(6, rng)
         rules = {"layers": (module_rule(c.module), c.module.params),
-                 "BA": (ba.forward_array, ba.params), "GA": (ga.forward_array, ga.params)}
+                 "BA": (adapter_rule(ba), ba.params), "GA": (adapter_rule(ga), ga.params)}
         for name, (run, params) in rules.items():
             for stack in (0, 2):
                 rows = (stack, 2, 6) if stack else (2, 6)

@@ -70,7 +70,7 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(FINI
 @example(act="sigmoid", z=np.array(FINITE_EXTREMES))
 @example(act="linear", z=np.array(FINITE_EXTREMES))
 def test_finite_preactivation_gives_finite_activation(act, z):
-    """Why a dense layer checks only its ``z`` (``cascade.run_layers``): every
+    """Why a dense layer checks only its ``z`` (``cascade.run_dense``): every
     activation maps a finite ``z`` to a finite ``y``."""
     assert np.isfinite(ad.ACTIVATIONS[act][0](z)).all()
 

@@ -438,6 +438,27 @@ class TestPretraining:
                                       replace(data, inter_labels=labels), epochs=2, lr=0.01, seed=3)
         assert calls == [(len(data), 16)]
 
+    @pytest.mark.parametrize("cut", ["columns", "rows"])
+    def test_wrong_shape_denoise_target_raises_before_any_weight_moves(self, cut):
+        data = source_data(64)
+        clean = {"columns": data.clean[:, :15], "rows": data.clean[:40]}[cut]
+        model = cascade.build_cascade(cascade.CascadeSpec(), 3)
+        before = [m.params.checksum() for m in model.modules]
+        message = f"denoise target: shape {clean.shape} does not match the output's (64, 16)"
+        with pytest.raises(ad.ShapeError, match=re.escape(message)):
+            cascade.pretrain_upstream(model, replace(data, clean=clean), epochs=2, lr=0.01, seed=3)
+        assert [m.params.checksum() for m in model.modules] == before
+
+    def test_too_few_labels_raise_before_the_recognize_stage(self):
+        data = source_data(64)
+        model = cascade.build_cascade(cascade.CascadeSpec(), 3)
+        init = cascade.build_cascade(cascade.CascadeSpec(), 3)
+        with pytest.raises(ad.ShapeError, match=re.escape("labels shape (40,) does not match batch 64")):
+            cascade.pretrain_upstream(model, replace(data, inter_labels=data.inter_labels[:40]),
+                                      epochs=2, lr=0.01, seed=3)
+        for a, b in zip(init.stages[1] + init.stages[2], model.stages[1] + model.stages[2]):
+            assert a.params.checksum() == b.params.checksum(), a.name
+
     def test_adam_refuses_the_frozen_snapshots(self):
         model = cascade.build_cascade(cascade.CascadeSpec(modules_per_stage=1), 3)
         cascade.pretrain_upstream(model, source_data(), epochs=1, lr=0.01, seed=3)
@@ -544,7 +565,7 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(FINI
 @example(arrays=(np.array(FINITE_EXTREMES), np.array(FINITE_EXTREMES[::-1]),
                  np.array(FINITE_EXTREMES[1:] + FINITE_EXTREMES[:1])))
 def test_gated_mix_of_finite_arrays_is_finite(arrays):
-    """Why ``GatedAdapter.forward_array`` checks only its final ``add``: the
+    """Why ``GatedAdapter.run`` checks only its final ``add``: the
     gate is the sigmoid of a finite ``z``, so it lies in [0, 1], and with a
     finite input and expansion the graph's ``leaf``, ``scale``, ``add`` and
     two ``mul`` before that add are finite."""

@@ -1,6 +1,7 @@
 """Search-cell behavior: sampling, path mixing, discretization, isolation."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +24,13 @@ def frozen_module(seed=0, dims=(16, 16, 16)):
 def make_cell(mode="NFA", adapter_kinds=("BA",), seed=0, dims=(16, 16, 16)):
     return cell.NfaCell(frozen_module(seed, dims), mode=mode, adapter_kinds=adapter_kinds,
                         index=0, rng=np.random.default_rng(seed + 1))
+
+
+def path_groups(c):
+    """Cell ``c``'s groups of every path alone, from a ``cell.Plan`` of ``c``
+    as a one-cell cascade."""
+    model = SimpleNamespace(modules=[c.module], softmax_after=[False])
+    return cell.Plan(model, [c], ad.Adam(c.trainable_params(), lr=0.1)).groups[0]
 
 
 class TestGumbelSoftmax:
@@ -123,14 +131,14 @@ class TestCellForward:
     def test_one_hot_frozen_equals_pretrained_forward(self, rng):
         c = make_cell()
         x = rng.normal(size=(4, 16))
-        out, _ = c.forward_mixed(x, 0)
+        out, _ = cell.forward_mixed(path_groups(c), x, 0)
         assert np.array_equal(out, c.module.forward(ad.constant(x)).value)
 
     def test_finetune_equals_frozen_at_init(self, rng):
         c = make_cell()
         x = rng.normal(size=(4, 16))
-        frozen, _ = c.forward_mixed(x, 0)
-        finetune, _ = c.forward_mixed(x, 1)
+        frozen, _ = cell.forward_mixed(path_groups(c), x, 0)
+        finetune, _ = cell.forward_mixed(path_groups(c), x, 1)
         assert np.array_equal(frozen, finetune)
 
     def test_na_equal_weights_with_zero_init_adapter(self, rng):
@@ -194,7 +202,7 @@ class TestCellForward:
         alpha = ad.parameter([0.1, 0.0, 2.0])
         w = cell.gumbel_softmax(alpha, tau=1.0, noise=False, hard=True)
         out = cell_forward(c, ad.constant(x), w)
-        pure, _ = c.forward_mixed(x, 2)
+        pure, _ = cell.forward_mixed(path_groups(c), x, 2)
         assert np.array_equal(out.value, pure)
 
 
@@ -217,7 +225,7 @@ def path_outputs_and_pick(draw):
 @example(mix=(EXTREME_OUTPUTS, 1))
 @example(mix=(EXTREME_OUTPUTS, 2))
 def test_one_hot_mix_of_finite_outputs_is_the_pick(mix):
-    """Why ``NfaCell.forward_mixed`` returns path ``k``'s output and checks no
+    """Why ``cell.forward_mixed`` returns path ``k``'s output and checks no
     ``mul`` or ``add``: under the one-hot weights of ``k``, the graph's mix of
     finite path outputs (``index_lastdim``, ``mul`` and ``add`` in path order,
     each checked finite as it is made) equals ``y_k``, its bytes different
@@ -342,7 +350,8 @@ def test_cascade_forward_with_cells(rng):
     model = cascade.build_cascade(cascade.CascadeSpec(), 5)
     model.freeze()
     cells = cell.build_cells(model, seed=5)
-    out, _ = cell.cascade_forward_mixed(model, cells, [0] * len(cells), rng.normal(size=(3, 16)))
+    plan = cell.Plan(model, cells, ad.Adam(cell.network_group(cells), lr=0.1))
+    out, _ = plan.forward_mixed([0] * len(cells), rng.normal(size=(3, 16)))
     assert out.shape == (3, 8)
 
 

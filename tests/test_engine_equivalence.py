@@ -20,12 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graph_reference
-from conftest import SEARCH_FUZZ_PROFILE, make_config
+from conftest import SEARCH_FUZZ_PROFILE, make_config, plan_layers
 from nfa import autodiff as ad
 from nfa import cascade, cell, harness, objective
 from nfa.config import config_from_dict
 from nfa.data import SynthDataConfig, generate_synthetic
-from nfa.search import AdaptiveSearch, SearchConfig, cascade_loss, scheme_step, split_dataset
+from nfa.search import AdaptiveSearch, SearchConfig, cascade_loss, split_dataset
 
 ACTIVATIONS = {"tanh": ad.tanh, "sigmoid": ad.sigmoid, "linear": None}
 
@@ -334,13 +334,15 @@ def test_adapter_array_rule_matches_graph(kind, shared, rng):
     x = rng.normal(size=(n, 8) if shared else (copies, n, 8))
     g = rng.normal(size=(copies, n, 8))
     stacked = ad.ParameterSet({name: ad.parameter(v.copy()) for name, v in values.items()})
-    out, backward = adapter.forward_array(x, stacked)
+    layers = plan_layers(adapter.layers(stacked))
+    grads = {f"{name}.{part}": layer[3 + i]
+             for (name, _), layer in zip(adapter.LAYERS, layers) for i, part in enumerate("Wb")}
+    out, record = adapter.run(x, layers)
     if not shared:  # the input-only backward: the same bytes, and no parameter gradient
-        assert backward(g, need_x=True, params=False).tobytes() == backward(g, True).tobytes()
-        stacked.zero_grads()
-        backward(g, need_x=True, params=False)
-        assert all(t.grad is None for _, t in stacked.items())
-    dx = backward(g, need_x=not shared)
+        dx_only = adapter.sweep(layers, record, g, True, train=False)
+        assert all(np.isnan(a).all() for a in grads.values())
+        assert dx_only.tobytes() == adapter.sweep(layers, record, g, True).tobytes()
+    dx = adapter.sweep(layers, record, g, need_x=not shared)
     assert (dx is None) == shared
     for k in range(copies):
         for name, t in adapter.params.items():
@@ -350,7 +352,7 @@ def test_adapter_array_rule_matches_graph(kind, shared, rng):
         ad.backward(ad.tensor_sum(ad.mul(y, ad.constant(g[k]))))
         assert y.value.tobytes() == out[k].tobytes()
         for name, t in adapter.params.items():
-            assert t.grad.tobytes() == stacked[name].grad[k].reshape(t.shape).tobytes(), name
+            assert t.grad.tobytes() == grads[name][k].reshape(t.shape).tobytes(), name
         if not shared:
             assert xk.grad.tobytes() == dx[k].tobytes()
 
@@ -361,10 +363,10 @@ def test_array_rules_check_under_graph_op_names(rng):
                                in stacked_copies(adapter.params, 2, rng).items()})
     stacked["down.W"].value[1, 0, 0] = np.inf
     with pytest.raises(ad.NonFiniteError, match="op 'dense'"):
-        adapter.forward_array(rng.normal(size=(3, 4)), stacked)
+        adapter.run(rng.normal(size=(3, 4)), plan_layers(adapter.layers(stacked)))
     with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError, match="op 'dense'"):
-        cascade.run_layers([(ad.constant(np.full((4, 4), 1e200)), ad.constant(np.zeros(4)),
-                             "tanh")], np.full((2, 3, 4), 1e200))
+        cascade.run_dense(plan_layers([(ad.constant(np.full((4, 4), 1e200)), ad.constant(np.zeros(4)),
+                                        "tanh")]), np.full((2, 3, 4), 1e200))
 
 
 @pytest.mark.parametrize("kind", sorted(cascade.ADAPTER_KINDS))
@@ -558,6 +560,30 @@ def test_search_steps_match_graph_steps(case):
     assert repr(new.evaluate(new.val_data)) == repr(ref.evaluate(ref.val_data))
 
 
+@pytest.mark.parametrize("mode, kinds", [("NFA", ("BA",)), ("NFA", ("GA",)), ("NA", ("BA",))],
+                         ids=["NFA-BA", "NFA-GA", "NA-BA"])
+def test_net_step_gradient_buffer_is_the_graph_gradients(mode, kinds):
+    # after each net step the plan's flat buffer holds, byte for byte, the
+    # per-parameter gradients of the graph step, in the optimizer's layout;
+    # every parameter of an unsampled path holds exactly +0.0
+    new, ref = search_pair(mode=mode, adapters=kinds)
+    batches = new.train_data.batches(16, np.random.default_rng(3))
+    idle_seen = 0
+    for batch in batches[:6]:
+        state = new._gumbel_rng.bit_generator.state
+        assert repr(new.net_step(batch)) == repr(ref.net_step(batch))
+        want = np.concatenate([t.grad for _, t in ref.opt_net.params.items()], axis=None)
+        assert new._plan.grad.tobytes() == want.tobytes()
+        replay = np.random.Generator(np.random.PCG64())
+        replay.bit_generator.state = state
+        picks = cell.gumbel_probs(new.cells, new.tau, replay).argmax(axis=-1)
+        views = new.opt_net.views(new._plan.grad)
+        for name in ref.idle([c.paths[k] for c, k in zip(new.cells, picks)]):
+            assert views[name].tobytes() == bytes(views[name].nbytes), name
+            idle_seen += 1
+    assert idle_seen
+
+
 def failure(step, *args, **kwargs):
     """The error ``step(*args, **kwargs)`` raises, as its type and message."""
     with pytest.raises(Exception) as info:
@@ -703,12 +729,16 @@ def test_wrong_shape_inputs_raise_the_graph_error(case):
     def two_schemes(first):
         return [(first,) + ("frozen",) * (n_cells - 1), (first,) + ("finetune",) * (n_cells - 1)]
 
+    def stacked_plan(schemes):
+        stacks, params = harness._stack(cells, schemes)
+        return cell.Plan(model, cells, ad.Adam(params, lr=0.01), stacks)
+
     if case in WRONG_STACKS:
         want = (ad.ShapeError, f"cell 0: a stack of {x.shape[0]} inputs for 2 schemes")
         for first in ("finetune", "adapter:BA"):
-            plan, _ = harness._stack(cells, two_schemes(first))
-            assert outcome(lambda: c.forward_stacked(x, plan[0])) == want
-            assert outcome(lambda: cell.cascade_forward_stacked(model, cells, plan, x)) == want
+            plan = stacked_plan(two_schemes(first))
+            assert outcome(lambda: cell.run_cell(plan.groups[0], x, True)) == want
+            assert outcome(lambda: plan.forward(plan.groups, x)) == want
         return
     want = failure(c.forward, ad.constant(x), "frozen")
     assert want == (ad.ShapeError, f"dense: incompatible shapes {x.shape} @ (16, 16)")
@@ -717,32 +747,27 @@ def test_wrong_shape_inputs_raise_the_graph_error(case):
         return ad.ShapeError, f"dense: incompatible shapes {x.shape} @ ({copies}, 16, 16)"
 
     search = AdaptiveSearch(model, cells, train, val, cfg.penalty, cfg.search)
+    plan = search._plan
     batch = replace(val.subset(np.arange(8)), x=x)
     rows = train.subset(np.arange(16))
     args = training_args(cfg, 0)
-    routes = {"forward_mixed": (lambda: c.forward_mixed(x, 0), want),
-              "cascade_forward_mixed": (lambda: cell.cascade_forward_mixed(model, cells, [0] * n_cells, x),
-                                        want),
+    routes = {"forward_mixed": (lambda: cell.forward_mixed(plan.groups[0], x, 0, check=True), want),
+              "Plan.forward_mixed": (lambda: plan.forward_mixed([0] * n_cells, x), want),
               "arch_step": (lambda: search.arch_step(batch), want),
               "net_step": (lambda: search.net_step(batch), want)}
-    for path in c.paths:
-        own = c.params_for_choice(path)
-        routes[f"forward_path {path}"] = (lambda p=path, o=own: c.forward_path(p, x, o), want)
-        routes[f"forward_stacked {path} alone"] = (
-            lambda p=path, o=own: c.forward_stacked(x, [(p, None, o)]), want)
-        routes[f"cascade_forward_stacked scheme_plan {path}"] = (
-            lambda p=path: cell.cascade_forward_stacked(model, cells,
-                                                        cell.scheme_plan(cells, (p,) * n_cells), x),
-            want)
+    for k, group in enumerate(plan.groups[0]):
+        routes[f"run_path {group.path}"] = (lambda g=group: cell.run_path(g, x, check=True), want)
+        routes[f"run_cell {group.path} alone"] = (lambda g=group: cell.run_cell([g], x, True), want)
+        routes[f"Plan.forward {group.path} in every cell"] = (
+            lambda k=k: plan.forward([[groups[k]] for groups in plan.groups], x), want)
     for first in ("finetune", "adapter:BA"):
         schemes = two_schemes(first)
-        plan, _ = harness._stack(cells, schemes)
+        stacked = stacked_plan(schemes)
         fine = first == "finetune"
-        routes[f"forward_stacked first {first}"] = (
-            lambda plan=plan: c.forward_stacked(x, plan[0]), stacked_want(2) if fine else want)
-        routes[f"cascade_forward_stacked first {first}"] = (
-            lambda plan=plan: cell.cascade_forward_stacked(model, cells, plan, x),
-            stacked_want(2) if fine else want)
+        routes[f"run_cell first {first}"] = (
+            lambda p=stacked: cell.run_cell(p.groups[0], x, True), stacked_want(2) if fine else want)
+        routes[f"Plan.forward first {first}"] = (
+            lambda p=stacked: p.forward(p.groups, x), stacked_want(2) if fine else want)
         routes[f"train_fixed_schemes first {first}, training rows"] = (
             lambda sc=schemes: harness.train_fixed_schemes(model, cells, sc, replace(rows, x=x),
                                                            val, **args),
@@ -756,9 +781,10 @@ def test_wrong_shape_inputs_raise_the_graph_error(case):
 
 
 def test_each_cell_checks_its_input_once(monkeypatch):
-    # at most one dense_check per path group that each cell runs: a layer
-    # after the first, whose shape the cell fixes when it is built, is never
-    # checked again
+    # one dense_check per step, of the cascade's input against the first
+    # layer it meets (one per path group of the first cell when stacked): a
+    # later cell's input, whose shape the cells fix when they are built, is
+    # never checked again
     cfg = fixed_scheme_config(preset="toy6", pretrain_epochs=1, n_source=64, n_target=64)
     model, cells, train, val = harness.build_experiment(cfg, 0)
     search = AdaptiveSearch(model, cells, train, val, cfg.penalty, cfg.search)
@@ -772,17 +798,18 @@ def test_each_cell_checks_its_input_once(monkeypatch):
 
     monkeypatch.setattr(ad, "dense_check", counting)
     scheme = ("finetune", "adapter:BA", "frozen", "adapter:BA", "frozen", "finetune")
-    scheme_step(model, cells, cell.scheme_plan(cells, scheme), batch,
-                ad.Adam(cell.scheme_params(cells, scheme), lr=0.01))
-    assert len(shapes) <= len(cells)
+    plan = search._plan
+    plan.step([[groups[c.paths.index(choice)]] for c, groups, choice in zip(cells, plan.groups, scheme)],
+              batch)
+    assert shapes == [batch.x.shape]
     shapes.clear()
     search.arch_step(batch)
-    assert len(shapes) <= len(cells)
+    assert shapes == [batch.x.shape]
     shapes.clear()
-    plan, params = harness._stack(cells, harness.scheme_space(cells)[:harness.STACK_SCHEMES])
-    scheme_step(model, cells, plan, batch, ad.Adam(params, lr=0.01))
-    assert len(shapes) <= sum(len(groups) for groups in plan)
-    assert shapes
+    stacks, params = harness._stack(cells, harness.scheme_space(cells)[:harness.STACK_SCHEMES])
+    stacked = cell.Plan(model, cells, ad.Adam(params, lr=0.01), stacks)
+    stacked.step(stacked.groups, batch)
+    assert 1 <= len(shapes) <= len(stacked.groups[0])
 
 
 # -- the search steps fuzzed against the graph ----------------------------------
@@ -825,7 +852,7 @@ def recorded(s):
     name, its return value and the search's state afterwards to the list
     returned."""
     log = []
-    for name in ("arch_step", "net_step", "_scheme_step"):
+    for name in ("arch_step", "net_step", "_train"):
         def step(*args, _method=getattr(s, name), _name=name, **kwargs):
             out = _method(*args, **kwargs)
             log.append((_name, repr(out), search_state(s)))

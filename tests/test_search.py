@@ -138,13 +138,13 @@ class TestStepContracts:
 
     def test_single_path_step_matches_all_path_reference(self, monkeypatch):
         evaluated = []
-        forward_path = cell.NfaCell.forward_path
+        run_path = cell.run_path
 
-        def counting(c, path, *args, **kwargs):
-            evaluated.append((c.index, path))
-            return forward_path(c, path, *args, **kwargs)
+        def counting(group, *args, **kwargs):
+            evaluated.append((group.index, group.path))
+            return run_path(group, *args, **kwargs)
 
-        monkeypatch.setattr(cell.NfaCell, "forward_path", counting)
+        monkeypatch.setattr(cell, "run_path", counting)
         ref, new = make_search(search_cls=graph_reference.GraphSearch), make_search()
         batches = new.train_data.batches(16, np.random.default_rng(1))
         all_paths = {(c.index, p) for c in new.cells for p in c.paths}
@@ -162,11 +162,12 @@ class TestStepContracts:
 
         # skipping the idle parameters instead of zero-filling them would show
         class SkippingIdle(graph_reference.GraphSearch):
-            def _scheme_step(self, opt, scheme, batch, idle=()):
+            def _train(self, groups, batch):
                 # the zero-filled step, then the idle values and moments put back
+                opt = self.opt_net
                 kept = {n: [a.copy() for a in (opt.params[n].value, opt._m[n], opt._v[n])]
-                        for n in idle}
-                loss = super()._scheme_step(opt, scheme, batch, idle)
+                        for n in self.idle([cell_groups[0].path for cell_groups in groups])}
+                loss = super()._train(groups, batch)
                 for n, arrays in kept.items():
                     for a, old in zip((opt.params[n].value, opt._m[n], opt._v[n]), arrays):
                         a[...] = old
@@ -237,6 +238,27 @@ class TestStaging:
                     [repr(r) for r in s.state.history])
 
         assert stage2_state(2, 2) == stage2_state(1, 4)
+
+    def test_stage2_rebuilds_the_plan_for_its_optimizer(self):
+        # the restricted optimizer moves the live values into its own buffer:
+        # the plan that stage 2 steps reads them there and writes their
+        # gradients into its own buffer
+        s = make_search(stage1_epochs=1, stage2_epochs=1)
+        s.run_stage1()
+        for c, k in zip(s.cells, (1, 0, 2)):  # fine-tune, frozen, adapter
+            c.alpha.value[:] = 5.0 * np.eye(3)[k]
+        s.run_stage2()
+        opt, plan = s.opt_net, s._plan
+        assert plan.opt is opt and plan.grad.size == opt._flat_x.size
+        assert len(opt.params) == 8
+        live = {id(t.value.base) for _, t in opt.params.items()}
+        assert live == {id(opt._flat_x)}
+        for c, groups, choice in zip(s.cells, plan.groups, s.discretization()):
+            layers = groups[c.paths.index(choice)].layers
+            for (w, b, _), (wa, ba, _, dw, db) in zip(c.path_layers(choice, c.params_for_choice(choice)),
+                                                      layers):
+                assert wa is w.value and ba is b.value
+                assert dw.base is plan.grad and db.base is plan.grad
 
     def test_stage2_moves_only_selected_group(self):
         s = make_search(stage1_epochs=2, stage2_epochs=2)
