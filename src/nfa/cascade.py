@@ -125,64 +125,122 @@ def pretrain_upstream(model: CascadedModel, source_data, epochs, lr, batch_size=
     (:func:`check_layers`), its whole input finite, and its whole target:
     the output's shape and finite (denoise, :func:`checked_target`), or one
     label per input row in the label range (:func:`checked_labels`). Each
-    epoch gathers both once in the order of :func:`data.batch_order`; a
-    batch is a slice. A step runs the layers in numpy, checking each ``z``
-    by :func:`ad.check_dense`, writes the gradients into views of one flat
-    buffer and hands it to :meth:`Adam.update`. A stage whose input or
-    target fails its check raises before any of its weights moves. Every
-    check is made under the name of the graph op that would have made the
-    array, and the weights equal graph training's bit for bit."""
+    epoch gathers the stage's input and target once in the order of
+    :func:`data.batch_order` (the recognize target is the loss seed of
+    :func:`_nll_grad`), and the recognize stage runs the trained denoise
+    layers over the pass's batches once (:func:`frozen_forward`); a batch is
+    a slice of each. A step runs the layers in numpy, writing every ``z``
+    into one buffer checked by one :func:`ad.check_dense`, writes the
+    gradients into views of one flat buffer and hands it to
+    :meth:`Adam.update`. A stage whose input or target fails its check
+    raises before any of its weights moves. Every check is made under the
+    name of the graph op that would have made the array, at the step where
+    the graph makes it, and the weights equal graph training's bit for
+    bit."""
     if len(source_data) == 0:
         raise ValueError("pretraining requires a nonempty source dataset")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9E7A]))
     x, n = source_data.x, len(source_data)
 
-    def run_stage(stage_index, target, check_target, loss_grad):
+    def run_stage(stage_index, targets, loss_grad):
         params = ParameterSet()
         for m in model.stages[stage_index]:
             params.merge(m.params, prefix=m.name + ".")
-        # the trained stages before this one run forward on each batch, as on
-        # the graph (BLAS may round a row among other rows differently)
         frozen = [layer for stage in model.stages[:stage_index] for m in stage for layer in m.layers()]
-        layers = frozen + [layer for m in model.stages[stage_index] for layer in m.layers()]
-        width = check_layers(layers, x[:batch_size].shape)[-1]
+        layers = [layer for m in model.stages[stage_index] for layer in m.layers()]
+        width = check_layers(frozen + layers, x[:batch_size].shape)[-1]
         ad.check_finite(x, "leaf")
-        check_target(target, (n, width))
+        gather = targets((n, width))
+        frozen = [(w.value, b.value, ad.ACTIVATIONS[act][0]) for w, b, act in frozen]
         opt = ad.Adam(params, lr=lr)  # the values become views of its buffer, updated in place
         grad = np.empty(params.count)  # W and b of each layer, in order, as params holds them
         views = list(opt.views(grad).values())
-        grads = [(None, None)] * len(frozen) + list(zip(views[::2], views[1::2]))
         plan = [(w.value, b.value, ad.ACTIVATIONS[act], dw, db)
-                for (w, b, act), (dw, db) in zip(layers, grads)]
-        n_frozen, n_layers = len(frozen), len(plan)
+                for (w, b, act), dw, db in zip(layers, views[::2], views[1::2])]
+        zs = {}  # batch rows -> one buffer of every layer's z, and its view per layer
         for _ in range(epochs):
             order, spans = batch_order(n, batch_size, rng)
-            xs, ts = x[order], target[order]
-            for span in spans:
-                h, bt = xs[span], ts[span]
+            hs, ts = x[order], gather(order)
+            fault = None
+            if frozen:
+                hs, fault = frozen_forward(frozen, hs, batch_size)
+            stop = len(spans) if fault is None else fault[0]
+            for span in spans[:stop]:
+                h, t = hs[span], ts[span]
+                rows = len(h)
+                if rows not in zs:
+                    widths = [w.shape[1] for w, *_ in plan]
+                    buf = np.empty(rows * sum(widths))
+                    cuts = rows * np.cumsum(widths[:-1])
+                    zs[rows] = buf, [z.reshape(rows, -1) for z in np.split(buf, cuts)]
+                buf, z_views = zs[rows]
                 tape = []
-                for w, b, (act, _), _, _ in plan:
-                    z = np.dot(h, w)  # np.dot is @ byte for byte on 2-D arrays, with less overhead
+                for (w, b, (act, _), _, _), z in zip(plan, z_views):
+                    np.dot(h, w, out=z)  # np.dot is @ byte for byte on 2-D arrays, with less overhead
                     z += b
-                    ad.check_dense(z)
                     y = act(z)
                     tape.append((h, z, y))
                     h = y
-                g = loss_grad(h, bt)
-                for k in range(n_layers - 1, n_frozen - 1, -1):
+                ad.check_dense(buf)  # whichever z is non-finite, the graph raises this error at this step
+                g = loss_grad(h, t)
+                for k in range(len(plan) - 1, -1, -1):
                     w, _, (_, act_grad), dw, db = plan[k]
                     h, z, y = tape[k]
                     g = act_grad(g, z, y)
                     np.add.reduce(g, axis=0, out=db)
                     np.dot(h.T, g, out=dw)
-                    if k > n_frozen:
+                    if k:
                         g = np.dot(g, w.T)
                 opt.update(grad)
+            if fault is not None:  # the graph reaches the bad batch after the steps before it
+                ad.check_finite(fault[1][spans[stop]], "dense")
+
+    def denoise_targets(shape):
+        checked_target(source_data.clean, shape)
+        return lambda order: source_data.clean[order]
+
+    def recognize_seeds(shape):
+        onehot = np.eye(shape[1])[checked_labels(source_data.inter_labels, shape)]
+        # the seed of a pass's row is -1/m for the m rows of its batch, so a
+        # batch of onehot * seed is _nll_backward's np.full(shape, -1/m) *
+        # onehot (the denoise stage's batch_order has accepted batch_size)
+        seed = np.full((n, 1), -1.0 / batch_size)
+        if n % batch_size:
+            seed[n - n % batch_size:] = -1.0 / (n % batch_size)
+        return lambda order: onehot[order] * seed
 
     if epochs > 0:
-        run_stage(0, source_data.clean, checked_target, _mse_grad)
-        run_stage(1, source_data.inter_labels, checked_labels, _nll_grad)
+        run_stage(0, denoise_targets, _mse_grad)
+        run_stage(1, recognize_seeds, _nll_grad)
     model.freeze()
+
+
+def frozen_forward(layers, xs, batch_size):
+    """The output of trained dense ``layers``, ``(W, b, act)`` arrays and
+    activation functions each, on the rows ``xs`` of a pass, row for row
+    the bytes of running each batch of ``batch_size`` rows alone: the full
+    batches run as one stacked product ``(k, batch_size, a) @ W`` (each
+    slice is that batch's ``np.dot``), the short last batch alone. Each
+    layer's ``z`` is checked by one ``np.vdot``; returns the output and
+    None, or ``(i, z)`` for the first batch ``i`` at which some layer's
+    ``z`` holds a non-finite row, ``z`` being that layer's."""
+    n, fault = len(xs), None
+    full = n - n % batch_size
+    h = xs
+    for w, b, act in layers:
+        a, width = w.shape
+        z = np.empty((n, width))
+        np.matmul(h[:full].reshape(-1, batch_size, a), w, out=z[:full].reshape(-1, batch_size, width))
+        np.dot(h[full:], w, out=z[full:])
+        z += b
+        if not math.isfinite(np.vdot(z, z)):
+            bad = ~np.logical_and.reduce(np.isfinite(z), axis=1)
+            if bad.any():
+                i = int(np.argmax(bad)) // batch_size
+                if fault is None or i < fault[0]:
+                    fault = i, z
+        h = act(z)
+    return h, fault
 
 
 def check_layers(layers, x_shape):
@@ -274,6 +332,14 @@ def checked_labels(labels, logits_shape):
     return labels
 
 
+def _checked_log(probs):
+    """``np.log(probs)``, checked as the graph's ``log`` op checks it."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logp = np.log(probs)
+    ad.check_finite(logp, "log")
+    return logp
+
+
 def _nll_probs(logits, labels):
     """``(probs, onehot, logp)`` of ``ad.nll(ad.softmax_lastdim(logits),
     labels)`` for labels that :func:`checked_labels` accepted, computed and
@@ -283,20 +349,18 @@ def _nll_probs(logits, labels):
     nothing after it to check: the one-hot picks one entry per row, which
     lies between ``log`` of the least positive double and 0."""
     probs = ad.softmax(logits)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logp = np.log(probs)
-    ad.check_finite(logp, "log")
-    return probs, np.eye(probs.shape[-1])[labels], logp
+    return probs, np.eye(probs.shape[-1])[labels], _checked_log(probs)
 
 
-def _nll_grad(logits, labels):
-    """:func:`_nll_backward` of :func:`_nll_probs`: the softmax of finite
-    logits lies in [0, 1], so its ``log`` is taken and checked only when
-    its least entry is not positive."""
+def _nll_grad(logits, seed):
+    """:func:`_nll_backward` of :func:`_nll_probs` for ``(n, L)`` logits,
+    from the ``seed`` ``np.full((n, L), -1/n) * onehot`` that it would
+    build: the softmax of finite logits lies in [0, 1], so its ``log`` is
+    taken and checked only when its least entry is not positive."""
     probs = ad.softmax(logits)
     if not np.minimum.reduce(probs, axis=None) > 0.0:
-        _nll_probs(logits, labels)
-    return _nll_backward(probs, np.eye(probs.shape[-1])[labels])
+        _checked_log(probs)
+    return ad.softmax_backward(seed / probs, probs)
 
 
 def _nll(logits, labels):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from . import autodiff as ad
 from . import harness
 from .config import ConfigError, load_config
 
@@ -120,7 +121,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError, RuntimeError, OSError) as e:
+    except (ConfigError, FileNotFoundError, ValueError, RuntimeError, OSError, ad.NonFiniteError) as e:
         print(f"nfa: error: {e}", file=sys.stderr)
         return 1
 

@@ -398,6 +398,48 @@ class TestPretraining:
         init = cascade.build_cascade(cascade.CascadeSpec(), 3)
         assert new.stages[1][0].params.checksum() != init.stages[1][0].params.checksum()
 
+    def test_denoise_output_overflow_in_a_short_last_batch_raises_at_that_step(self, monkeypatch):
+        # 1000 rows: each pass ends in a batch of 8 rows, and the recognize
+        # stage's first pass overflows only there, after 31 recognize steps
+        data = source_data(n=1000)
+        x = data.x.copy()
+        x[pass_order(len(data), 3, index=2)[-1], 0] = 1e5
+        data = replace(data, x=x)
+        update = ad.Adam.update
+
+        def poking(opt, g):
+            update(opt, g)
+            if opt.t == 64 and "denoise.0.L0.W" in opt.params:  # 2 passes of 32 batches
+                opt.params["denoise.0.L0.W"].value[0, 0] = 1e304
+
+        monkeypatch.setattr(ad.Adam, "update", poking)
+        ref, new = (cascade.build_cascade(cascade.CascadeSpec(), 3) for _ in range(2))
+        message = "non-finite values in tensor produced by op 'dense'"
+        with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError, match=message):
+            per_batch_recognize_pretrain(ref, data, epochs=2, lr=0.01, seed=3)
+        with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError, match=message):
+            cascade.pretrain_upstream(new, data, epochs=2, lr=0.01, seed=3)
+        for a, b in zip(ref.modules, new.modules):
+            for (name, ta), (_, tb) in zip(a.params.items(), b.params.items()):
+                assert ta.value.tobytes() == tb.value.tobytes(), (a.name, name)
+        init = cascade.build_cascade(cascade.CascadeSpec(), 3)
+        assert new.stages[1][0].params.checksum() != init.stages[1][0].params.checksum()
+
+    def test_frozen_layers_run_once_per_recognize_pass(self, monkeypatch):
+        calls = []
+        frozen_forward = cascade.frozen_forward
+
+        def counting(layers, xs, batch_size):
+            calls.append(len(layers))
+            return frozen_forward(layers, xs, batch_size)
+
+        monkeypatch.setattr(cascade, "frozen_forward", counting)
+        cascade.pretrain_upstream(cascade.build_cascade(cascade.CascadeSpec(), 3), source_data(),
+                                  epochs=3, lr=0.01, seed=3)
+        # the denoise stage has no trained stage before it; each recognize
+        # pass runs the denoise stage's four layers once
+        assert calls == [4, 4, 4]
+
     def test_out_of_range_label_raises_before_the_recognize_stage(self):
         data = source_data()
         # in the last batch of the recognize stage's first pass, after the two denoise passes
@@ -698,12 +740,14 @@ def test_mse_prefilter_raises_exactly_when_the_graph_checks_do(arrays):
 @example(logits=np.array([[-np.inf, 0.0], [1.0, 2.0]]), seed=1)
 @example(logits=np.array([FINITE_EXTREMES]), seed=2)
 def test_log_prefilter_raises_exactly_when_the_log_check_does(logits, seed):
-    """``_nll_grad`` checks ``log`` as ``probs.min() > 0``: it raises
-    exactly when ``_nll_probs``'s ``log`` check does, with its message,
-    warns only where that route warns, and otherwise returns the gradient
-    of ``_nll_backward`` on ``_nll_probs`` byte for byte."""
+    """``_nll_grad`` checks ``log`` as ``probs.min() > 0``: given the loss
+    seed of the labels, it raises exactly when ``_nll_probs``'s ``log``
+    check does, with its message, warns only where that route warns, and
+    otherwise returns the gradient of ``_nll_backward`` on ``_nll_probs``
+    byte for byte."""
     labels = np.random.default_rng(seed).integers(0, logits.shape[-1], logits.shape[-2])
-    got, warned = recorded(cascade._nll_grad, logits, labels)
+    loss_seed = np.full(logits.shape, -1.0 / logits.shape[-2]) * np.eye(logits.shape[-1])[labels]
+    got, warned = recorded(cascade._nll_grad, logits, loss_seed)
     want, graph_warned = recorded(
         lambda: cascade._nll_backward(*cascade._nll_probs(logits, labels)[:2]))
     assert got == want
@@ -723,6 +767,27 @@ def test_pretraining_dot_is_the_graphs_matmul(m, a, b, seed):
     assert np.dot(h, w).tobytes() == (h @ w).tobytes()
     assert np.dot(h.T, g, out=dw).tobytes() == (h.T @ g).tobytes()
     assert np.dot(g, w.T).tobytes() == (g @ w.T).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 4), m=st.integers(1, 40), a=st.integers(1, 24), b=st.integers(1, 24),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_product_is_each_batchs_dot(k, m, a, b, seed):
+    """The recognize stage runs its trained denoise layers once per pass as
+    ``(k, m, a) @ W`` over the pass's ``k`` full batches of ``m`` rows:
+    each slice has the bytes of that batch's own ``np.dot``, also written
+    with ``out=`` into a view of a flat buffer, as pretraining writes it."""
+    rng = np.random.default_rng(seed)
+    h, w = rng.normal(size=(k * m + 1, a))[1:], rng.normal(size=(a, b))
+    z = np.empty(k * m * b + 1)[1:].reshape(k * m, b)
+    stacked = h.reshape(k, m, a) @ w
+    np.matmul(h.reshape(k, m, a), w, out=z.reshape(k, m, b))
+    for i in range(k):
+        batch = np.dot(h[i * m:(i + 1) * m], w)
+        assert stacked[i].tobytes() == batch.tobytes()
+        assert z[i * m:(i + 1) * m].tobytes() == batch.tobytes()
+        assert np.dot(h[i * m:(i + 1) * m], w, out=np.empty(m * b + 1)[1:].reshape(m, b)).tobytes() \
+            == batch.tobytes()
 
 
 # -- pretraining fuzzed against the graph -------------------------------------

@@ -778,6 +778,17 @@ class TestCli:
         assert "argument --seed: expected a nonnegative integer, got '-3'" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("command, section, name", [("pretrain", "pretrain", "lr"),
+                                                        ("oracle", "search", "lr_network")])
+    def test_non_finite_training_is_error_exit(self, tmp_path, capsys, command, section, name):
+        p = tmp_path / "bad.json"
+        raw = fast_config(output_dir=str(tmp_path / "runs")).raw
+        p.write_text(json.dumps(with_field(raw, section, name, 1.7e308)))
+        with np.errstate(all="ignore"):
+            assert cli.main([command, "--config", str(p), "--seed", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err == "nfa: error: non-finite values in tensor produced by op 'dense'\n"
+
     def test_empty_split_is_error_exit(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         raw = fast_config(output_dir=str(tmp_path / "runs")).raw
