@@ -443,6 +443,20 @@ class Adam:
         self._flat_v += (1.0 - self.beta2) * g * g
         self._flat_x -= self.lr * (self._flat_m / bc1) / (np.sqrt(self._flat_v / bc2) + self.eps)
 
+    def check_moments(self):
+        """Raise :class:`NonFiniteError` under the op ``'adam'`` unless both
+        moments are finite. A non-finite moment stays so under every later
+        update (an infinite second moment makes each later step of its
+        parameter 0), so one check per epoch stops every run that a check
+        per step would. One ``np.vdot`` of the second moment decides (it
+        warns of no overflow): the second moment is finite only if every
+        ``(1 - beta2) * g * g`` was, so every gradient lies below about
+        4e155 and the first moment, a weighted mean of them, is finite too.
+        Only a reduction that is not finite runs the exact check of both."""
+        if not math.isfinite(np.vdot(self._flat_v, self._flat_v)):
+            check_finite(self._flat_m, "adam")
+            check_finite(self._flat_v, "adam")
+
     def minimize(self, loss, idle=()):
         """One training step: backpropagate ``loss``, update, and return the
         loss value. Every gradient is cleared first; ``idle`` names

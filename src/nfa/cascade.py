@@ -194,6 +194,7 @@ def pretrain_upstream(model: CascadedModel, source_data, epochs, lr, batch_size=
                 opt.update(grad)
             if fault is not None:  # the graph reaches the bad batch after the steps before it
                 ad.check_finite(fault[1][spans[stop]], "dense")
+            opt.check_moments()
 
     def denoise_targets(shape):
         checked_target(source_data.clean, shape)

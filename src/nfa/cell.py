@@ -218,9 +218,10 @@ class NfaCell:
 
 
 # The schemes that run one path of a cell, as a Plan holds them: the cell's
-# index, the path, the schemes' positions in a stack (None for one scheme
-# alone), the cell's frozen backbone layers, the layers the path trains (none
-# for frozen) and the adapter that runs them (None for frozen and fine-tune).
+# index, the path, the schemes' positions in a stack of two or more (None for
+# one scheme alone, whose arrays are all 2-D), the cell's frozen backbone
+# layers, the layers the path trains (none for frozen) and the adapter that
+# runs them (None for frozen and fine-tune).
 Group = namedtuple("Group", "index path positions backbone layers adapter")
 
 
@@ -230,9 +231,9 @@ class Plan:
     plan): the flat gradient buffer ``grad``, laid out as ``opt.views`` lays
     it out, and ``groups``, per cell the ``Group`` of each entry
     ``(path, positions, params)`` of ``stacks`` (``params`` what the path
-    trains: the cell's own, or :meth:`NfaCell.stacked_params` of them). By
-    default each cell has every path alone on its own parameters, in the
-    order of its ``paths``.
+    trains: the cell's own, a copy of them, or
+    :meth:`NfaCell.stacked_params` of them). By default each cell has every
+    path alone on its own parameters, in the order of its ``paths``.
 
     A group's dense layers are arrays ``(W, b, act, dW, db)``: ``W`` and
     ``b`` are the parameters' values, views into ``opt``'s value buffer where
@@ -329,16 +330,17 @@ class Plan:
 
     def alone(self, k):
         """Per cell, the group of this stacked plan that runs the scheme at
-        position ``k``, as a stack of that scheme alone: its layers' rows of
-        ``k``, without gradients."""
+        position ``k``, as that scheme alone (``positions`` None): its
+        layers' rows of ``k``, 2-D weights and 1-D biases, without
+        gradients."""
         out = []
         for groups in self.groups:
             for group in groups:
                 rows = np.flatnonzero(group.positions == k)
                 if rows.size:
-                    r = slice(rows[0], rows[0] + 1)
-                    layers = [(w[r], b[r], act, None, None) for w, b, act, _, _ in group.layers]
-                    out.append([group._replace(positions=np.zeros(1, dtype=int), layers=layers)])
+                    r = rows[0]
+                    layers = [(w[r], b[r, 0], act, None, None) for w, b, act, _, _ in group.layers]
+                    out.append([group._replace(positions=None, layers=layers)])
         return out
 
 
@@ -378,8 +380,10 @@ def run_cell(groups, x, check=False):
     ``groups`` are its ``Group``s, one per path that some scheme runs.
     ``x`` is ``(S, n, a)``, or ``(n, a)`` when every scheme has the same
     input; then the backbone runs once for every group that uses it. One
-    scheme may also run alone, as a single group without positions: then
-    ``x``, the output and their gradients have no scheme axis.
+    scheme runs alone, as a single group without positions: then ``x``, the
+    output and their gradients have no scheme axis. A stack always holds two
+    or more schemes (one of its path groups may hold one); nothing builds a
+    stack of one.
 
     Only a stack ``(S, n, a)``, ``S`` the groups' scheme count, is indexed.
     With ``check``, ``x`` is checked against the first layer each group
@@ -407,8 +411,9 @@ def run_cell(groups, x, check=False):
 
 def sweep_cell(groups, record, g, need_x, train=True):
     """The backward of :func:`run_cell` from its output gradient ``g``:
-    each group's :func:`sweep_path` on its rows. Returns ``x``'s gradient,
-    or None unless ``need_x``."""
+    each group's :func:`sweep_path` on its rows, or the one group's on all
+    of ``g`` for a scheme alone. Returns ``x``'s gradient, or None unless
+    ``need_x``."""
     if groups[0].positions is None:
         return sweep_path(groups[0], record, g, need_x, train)
     width = groups[0].backbone[0][0].shape[0]  # the input's: the backbone's first W is (a, b)

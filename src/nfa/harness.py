@@ -385,8 +385,10 @@ def scheme_space(cells):
 
 def _stack(cells, schemes):
     """Per cell, ``schemes`` grouped by path: ``(path, positions, params)``
-    with the path's parameters stacked over the group (see
-    ``cell.Plan``); and every stacked parameter in one set."""
+    with the path's parameters stacked over the group (see ``cell.Plan``);
+    and every trained parameter in one set. One scheme runs alone: per cell
+    ``(path, None, params)``, ``params`` a copy of what the path trains, so
+    every array stays 2-D."""
     for scheme in schemes:
         if len(scheme) != len(cells):
             raise ValueError(f"scheme {scheme!r} names {len(scheme)} paths for {len(cells)} cells")
@@ -394,13 +396,16 @@ def _stack(cells, schemes):
             cell.params_for_choice(choice)  # raises for a path the cell does not have
     stacks, params = [], ParameterSet()
     for cell, column in zip(cells, zip(*schemes)):
-        groups = []
-        for path in cell.paths:
-            positions = np.flatnonzero([choice == path for choice in column])
-            if positions.size:
-                stacked = cell.stacked_params(path, positions.size)
-                params.merge(stacked, prefix=f"cell{cell.index}.{path}.")
-                groups.append((path, positions, stacked))
+        if len(schemes) == 1:
+            groups = [(column[0], None, cell.params_for_choice(column[0]).clone())]
+        else:
+            groups = []
+            for path in cell.paths:
+                positions = np.flatnonzero([choice == path for choice in column])
+                if positions.size:
+                    groups.append((path, positions, cell.stacked_params(path, positions.size)))
+        for path, _, own in groups:
+            params.merge(own, prefix=f"cell{cell.index}.{path}.")
         stacks.append(groups)
     return stacks, params
 
@@ -416,8 +421,10 @@ def train_fixed_schemes(model, cells, schemes, train, val, lr, epochs, batch_siz
     Up to ``STACK_SCHEMES`` schemes train together without a graph, by
     :meth:`cell.Plan.step`: every array has a leading scheme axis, and each
     scheme's slice gets the bytes that training it alone on the graph gives.
-    Validation runs one scheme at a time (:meth:`cell.Plan.alone`), which
-    bounds its memory by one scheme's pass."""
+    A chunk of one scheme (every :func:`train_fixed_scheme`, or a last chunk
+    of one) runs alone, as stage 2 runs its scheme: every array is 2-D.
+    Validation runs one scheme at a time in 2-D (:meth:`cell.Plan.alone`),
+    which bounds its memory by one scheme's pass."""
     schemes = [tuple(s) for s in schemes]
     losses = []
     for start in range(0, len(schemes), STACK_SCHEMES):
@@ -429,9 +436,10 @@ def train_fixed_schemes(model, cells, schemes, train, val, lr, epochs, batch_siz
             for _ in range(epochs):
                 for batch in train.batches(batch_size, rng):
                     plan.step(plan.groups, batch)
+                plan.opt.check_moments()
         for k in range(len(chunk)):
-            logits, _ = plan.forward(plan.alone(k), val.x)
-            losses.append(float(_nll(logits, val.labels)[0][0]))
+            logits, _ = plan.forward(plan.groups if len(chunk) == 1 else plan.alone(k), val.x)
+            losses.append(float(_nll(logits, val.labels)[0]))
     return losses
 
 

@@ -124,11 +124,12 @@ class AdaptiveSearch:
         return [c.discretize() for c in self.cells]
 
     def tau_at(self, epoch):
-        """Exponential anneal from tau_start to tau_end across stage-1 epochs."""
+        """Exponential anneal from tau_start at epoch 0 to tau_end at the
+        last stage-1 epoch, ``stage1_epochs - 1``."""
         e1 = self.cfg.stage1_epochs
         if e1 <= 1:
             return self.cfg.tau_end
-        frac = min(epoch, e1 - 1) / (e1 - 1)
+        frac = epoch / (e1 - 1)
         return self.cfg.tau_start * (self.cfg.tau_end / self.cfg.tau_start) ** frac
 
     # -- steps -----------------------------------------------------------
@@ -195,6 +196,9 @@ class AdaptiveSearch:
         return float(self._plan.step(groups, batch))
 
     def _record_epoch(self, stage, train_loss, val_loss, pen):
+        """Append the epoch's record; its means are checked finite first (a
+        mean of finite losses can overflow)."""
+        ad.check_finite(np.array([train_loss, val_loss, pen]), "mean")
         self.state.history.append(EpochRecord(
             epoch=self.state.epoch,
             stage=stage,
@@ -228,6 +232,8 @@ class AdaptiveSearch:
                 val_losses.append(vt)
                 pens.append(pen)
                 train_losses.append(tl)
+            self.opt_arch.check_moments()
+            self.opt_net.check_moments()
             self._record_epoch(1, float(np.mean(train_losses)), float(np.mean(val_losses)),
                                float(np.mean(pens)))
         self.state.stage = 2
@@ -253,6 +259,7 @@ class AdaptiveSearch:
                 self.state.train_ids_seen.update(tb.ids.tolist())
                 if step_callback:
                     step_callback("net", self)
+            self.opt_net.check_moments()
             val_task, pen = self.evaluate(self.val_data)
             self._record_epoch(2, float(np.mean(train_losses)), val_task, pen)
         return self.state

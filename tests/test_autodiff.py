@@ -384,6 +384,48 @@ class TestAdam:
             ad.Adam(ps, lr=0.1)
         assert not ps["frozen"].value.flags.writeable
 
+    @staticmethod
+    def stepped(*gs):
+        """An optimizer of one two-value parameter after one update per
+        gradient of ``gs``."""
+        opt = ad.Adam(ad.ParameterSet({"p": ad.parameter(np.zeros(2))}), lr=0.1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for g in gs:
+                opt.update(np.asarray(g, dtype=float))
+        return opt
+
+    @pytest.mark.parametrize("g", [[np.inf, 0.0], [0.0, -np.inf], [np.nan, 1.0], [1e200, 1.0],
+                                   [-4.3e155, 0.0]])
+    def test_check_moments_catches_every_non_finite_gradient(self, g):
+        # the second moment overflows (or turns NaN) and stays so under later
+        # finite updates, so a check after them still raises
+        opt = self.stepped(g, [1.0, 1.0], [0.0, 0.0])
+        with pytest.raises(ad.NonFiniteError, match="produced by op 'adam'"):
+            opt.check_moments()
+
+    @pytest.mark.parametrize("size", FINITE_EXTREMES + [4.1e155, -4.1e155, 2.3e155, -2.3e155])
+    def test_finite_second_moment_means_finite_first_moment(self, size):
+        # the one reduction reads only v: whenever v is finite, so is m
+        # (at 2.3e155, v stays finite and its reduction overflows)
+        opt = self.stepped([size, size], [size, -size], [0.0, size])
+        if np.isfinite(opt._flat_v).all():
+            assert np.isfinite(opt._flat_m).all()
+            opt.check_moments()
+        else:
+            with pytest.raises(ad.NonFiniteError, match="'adam'"):
+                opt.check_moments()
+
+    def test_check_moments_falls_back_to_the_exact_check(self):
+        # a second moment whose reduction overflows but whose entries are
+        # finite passes; an empty optimizer passes
+        opt = self.stepped()
+        opt._flat_v[:] = 1e200
+        opt.check_moments()
+        ad.Adam(ad.ParameterSet(), lr=0.1).check_moments()
+        opt._flat_m[1] = np.nan  # only the exact check reads m
+        with pytest.raises(ad.NonFiniteError, match="'adam'"):
+            opt.check_moments()
+
     def test_determinism(self):
         def run():
             rng = np.random.default_rng(3)

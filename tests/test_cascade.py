@@ -425,6 +425,23 @@ class TestPretraining:
         init = cascade.build_cascade(cascade.CascadeSpec(), 3)
         assert new.stages[1][0].params.checksum() != init.stages[1][0].params.checksum()
 
+    def test_frozen_forward_reports_the_earliest_faulty_batch(self):
+        # three batches of two rows: the first layer overflows only in batch 2
+        # (row 4), and the second, behind a saturated tanh, in batches 0 and 2
+        # (rows 0 and 4); the fault is batch 0, with the second layer's z
+        xs = np.array([[5.0], [-5.0], [-5.0], [-5.0], [1e308], [-5.0]])
+        layers = [(np.array([[2.0]]), np.zeros(1), np.tanh),
+                  (np.array([[1e308]]), np.full(1, 1e308), lambda z: z)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            h, fault = cascade.frozen_forward(layers, xs, batch_size=2)
+        i, z = fault
+        assert i == 0
+        assert np.array_equal(np.isfinite(z[:, 0]), [False, True, True, True, False, True])
+        assert np.array_equal(h, z)  # the second layer is linear
+        with np.errstate(over="ignore"):
+            _, first_only = cascade.frozen_forward(layers[:1], xs, batch_size=2)
+        assert first_only[0] == 2
+
     def test_frozen_layers_run_once_per_recognize_pass(self, monkeypatch):
         calls = []
         frozen_forward = cascade.frozen_forward
@@ -439,6 +456,13 @@ class TestPretraining:
         # the denoise stage has no trained stage before it; each recognize
         # pass runs the denoise stage's four layers once
         assert calls == [4, 4, 4]
+
+    def test_moments_checked_once_per_stage_epoch(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(ad.Adam, "check_moments", lambda opt: checked.append(next(iter(opt.params))))
+        cascade.pretrain_upstream(cascade.build_cascade(cascade.CascadeSpec(), 3), source_data(),
+                                  epochs=3, lr=0.01, seed=3)
+        assert checked == ["denoise.0.L0.W"] * 3 + ["recognize.0.L0.W"] * 3
 
     def test_out_of_range_label_raises_before_the_recognize_stage(self):
         data = source_data()

@@ -487,6 +487,63 @@ def test_one_toy6_scheme_matches_graph():
     assert repr(got) == repr(want)
 
 
+def test_one_scheme_stacks_a_copy_of_its_own_parameters_alone():
+    cfg = fixed_scheme_config(preset="toy6", pretrain_epochs=1, n_source=64, n_target=64)
+    model, cells, train, val = harness.build_experiment(cfg, 0)
+    scheme = ("finetune", "adapter:BA", "frozen", "adapter:BA", "frozen", "finetune")
+    stacks, params = harness._stack(cells, [scheme])
+    assert params.count == sum(c.trainable_count(choice) for c, choice in zip(cells, scheme))
+    for c, groups, choice in zip(cells, stacks, scheme):
+        (path, positions, own), = groups
+        assert path == choice and positions is None
+        theirs = c.params_for_choice(choice)
+        assert list(own) == list(theirs)
+        for name, t in own.items():
+            assert t is not theirs[name] and t.value.tobytes() == theirs[name].value.tobytes()
+            assert t.value.shape == theirs[name].value.shape  # no scheme axis
+    plan = cell.Plan(model, cells, ad.Adam(params, lr=0.01), stacks)
+    for groups in plan.groups:
+        assert len(groups) == 1 and groups[0].positions is None
+        assert all(w.ndim == 2 and b.ndim == 1 and db.ndim == 2 for w, b, _, _, db in groups[0].layers)
+
+
+def test_alone_is_a_2d_row_of_the_stack():
+    # after two stacked steps, every scheme's rows differ from the others':
+    # each scheme alone runs on its own 2-D rows and equals its stacked row
+    cfg = fixed_scheme_config(preset="toy6", pretrain_epochs=1, n_source=64, n_target=64)
+    model, cells, train, val = harness.build_experiment(cfg, 0)
+    schemes = [("finetune",) * 6, ("adapter:BA",) * 6, ("frozen",) * 6,
+               ("finetune", "adapter:BA", "frozen", "adapter:BA", "frozen", "finetune"),
+               ("adapter:BA", "finetune", "finetune", "frozen", "adapter:BA", "adapter:BA")]
+    stacks, params = harness._stack(cells, schemes)
+    plan = cell.Plan(model, cells, ad.Adam(params, lr=0.05), stacks)
+    for rows in (np.arange(16), np.arange(16, 32)):
+        plan.step(plan.groups, train.subset(rows))
+    stacked, _ = plan.forward(plan.groups, val.x)
+    for k, scheme in enumerate(schemes):
+        groups = plan.alone(k)
+        assert [gs[0].path for gs in groups] == list(scheme)
+        for gs in groups:
+            assert len(gs) == 1 and gs[0].positions is None
+            for w, b, _, dw, db in gs[0].layers:
+                assert w.ndim == 2 and b.ndim == 1 and dw is None and db is None
+        alone, _ = plan.forward(groups, val.x)
+        assert alone.shape == stacked[k].shape and alone.tobytes() == stacked[k].tobytes()
+
+
+def test_oracle_checks_moments_once_per_trained_chunk_epoch(monkeypatch):
+    cfg = fixed_scheme_config()
+    model, cells, train, val = harness.build_experiment(cfg, 0)
+    checked = []
+    monkeypatch.setattr(ad.Adam, "check_moments", lambda opt: checked.append(opt))
+    space = harness.scheme_space(cells)  # 27 schemes: chunks of 14 and 13
+    harness.train_fixed_schemes(model, cells, space, train, val, **training_args(cfg, 0))
+    assert len(checked) == 2 * cfg.search.stage2_epochs
+    checked.clear()
+    harness.train_fixed_scheme(model, cells, ("frozen",) * 3, train, val, **training_args(cfg, 0))
+    assert checked == []  # an all-frozen scheme trains nothing
+
+
 def test_stacked_schemes_reject_what_the_graph_rejects():
     cfg = fixed_scheme_config()
     model, cells, train, val = harness.build_experiment(cfg, 0)
@@ -618,10 +675,12 @@ def test_search_overflow_matches_graph(lr, value, raises):
         assert got == (ad.NonFiniteError, f"non-finite values in tensor produced by op '{raises}'")
 
 
-@pytest.mark.parametrize("coefficient, raises", [(1e308, None), (1.7e308, "scale")])
+@pytest.mark.parametrize("coefficient, raises", [(1e308, "adam"), (1.7e308, "scale")])
 def test_penalty_overflow_matches_graph(coefficient, raises):
     # coefficient times a penalty above 1 overflows: the architecture step's
-    # total loss raises as the graph's scale, before alpha moves
+    # total loss raises as the graph's scale, before alpha moves. Below that,
+    # the penalty's gradient squared overflows Adam's second moment: both
+    # searches step alike to the end of the epoch, which then raises
     new, ref = search_pair(penalty={"pfr_policy": "half_finetune", "coefficient": coefficient,
                                     "enabled": True})
     with np.errstate(over="ignore"):
@@ -718,8 +777,9 @@ WRONG_STACKS = {"3 schemes for 2": (3, 8, 16), "1 scheme for 2": (1, 8, 16)}
 def test_wrong_shape_inputs_raise_the_graph_error(case):
     # every numpy route of a toy6 cell or cascade raises the graph's dense
     # ShapeError for its input, naming the first layer that the input meets:
-    # the module's, or a stacked fine-tune copy's when every scheme fine-tunes
-    # the first cell. A stack of the wrong size, which only a stacked plan
+    # the module's, or a stacked fine-tune copy's when every scheme of a
+    # stack fine-tunes the first cell (validation runs each scheme alone, on
+    # its 2-D copy). A stack of the wrong size, which only a stacked plan
     # indexes, raises a ShapeError naming both counts
     x = np.ones({**WRONG_INPUTS, **WRONG_STACKS}[case])
     cfg = fixed_scheme_config(preset="toy6", pretrain_epochs=1, n_source=64, n_target=64)
@@ -772,10 +832,10 @@ def test_wrong_shape_inputs_raise_the_graph_error(case):
             lambda sc=schemes: harness.train_fixed_schemes(model, cells, sc, replace(rows, x=x),
                                                            val, **args),
             stacked_want(2) if fine else want)
-        routes[f"train_fixed_schemes first {first}, validation rows"] = (  # one scheme at a time
+        routes[f"train_fixed_schemes first {first}, validation rows"] = (  # each scheme alone, 2-D
             lambda sc=schemes: harness.train_fixed_schemes(model, cells, sc, rows,
                                                            replace(rows, x=x), **args),
-            stacked_want(1) if fine else want)
+            want)
     assert {name: outcome(route) for name, (route, _) in routes.items()} == {
         name: expected for name, (_, expected) in routes.items()}
 
@@ -892,6 +952,43 @@ def test_search_fuzz_matches_graph(setup):
     assert any(name == "arch_step" for name, _, _ in logs[0])
     assert [repr(r) for r in new.state.history] == [repr(r) for r in ref.state.history]
     assert repr(new.evaluate(val)) == repr(ref.evaluate(val))
+
+
+ONE_SCHEME_EXAMPLES = (settings.get_profile(SEARCH_FUZZ_PROFILE).max_examples
+                       if settings.get_current_profile_name() == SEARCH_FUZZ_PROFILE else 40)
+
+
+@settings(max_examples=ONE_SCHEME_EXAMPLES, deadline=None)
+@given(modules_per_stage=st.integers(1, 2), mode_kinds=modes_and_kinds(), batch_size=st.integers(1, 24),
+       n_target=st.integers(2, 64), seed=st.integers(0, 2**16), data=st.data())
+def test_one_scheme_alone_matches_its_stacked_row_and_the_graph(modules_per_stage, mode_kinds,
+                                                                batch_size, n_target, seed, data):
+    """A random scheme ``s`` on toy3 or toy6, NFA or NA, BA or GA:
+    ``train_fixed_scheme(s)``, which runs it alone in 2-D, gives the bytes
+    of ``train_fixed_schemes([s, t])[0]``, its row of a stack with another
+    random scheme ``t``, and of ``s`` trained on the graph; and it leaves
+    the cells unchanged."""
+    mode, kinds = mode_kinds
+    spec = cascade.CascadeSpec(modules_per_stage=modules_per_stage)
+    paths = cell.cell_paths(mode, kinds)
+    s, t = (data.draw(st.tuples(*[st.sampled_from(paths)] * (3 * modules_per_stage))) for _ in range(2))
+    rows = generate_synthetic(SynthDataConfig(n_samples=n_target, dim=spec.dim, n_labels=spec.n_labels,
+                                              n_intermediate=spec.dim, domain="target"), seed)
+    train, val = split_dataset(rows, 0.5, seed)
+    model = cascade.build_cascade(spec, seed)
+    model.freeze()
+    args = {"lr": 0.01, "epochs": 2, "batch_size": batch_size, "seed": seed}
+
+    def fresh_cells():
+        return cell.build_cells(model, mode=mode, adapter_kinds=kinds, seed=seed)
+
+    cells = fresh_cells()
+    before = checksums(cells)
+    alone = harness.train_fixed_scheme(model, cells, s, train, val, **args)
+    assert checksums(cells) == before
+    stacked = harness.train_fixed_schemes(model, fresh_cells(), [s, t], train, val, **args)[0]
+    graph = graph_fixed_scheme(model, fresh_cells(), s, train, val, **args)
+    assert repr(alone) == repr(stacked) == repr(graph)
 
 
 ORACLE_FUZZ_EXAMPLES = (settings.get_profile(SEARCH_FUZZ_PROFILE).max_examples

@@ -416,7 +416,7 @@ class TestConfig:
         ("search", "lr_network", "0.1"), ("search", "lr_network", True),
         ("search", "tau_end", math.inf), ("", "search", None), ("", "penalty", [1]),
         ("cascade", "dim", 0), ("cascade", "n_labels", 0), ("cascade", "dim", -3),
-        ("search", "split_ratio", 2),
+        ("search", "split_ratio", 2), ("data", "n_source", 0),
     ])
     def test_bad_field_rejected(self, section, name, value):
         with pytest.raises(ConfigError):
@@ -788,6 +788,25 @@ class TestCli:
             assert cli.main([command, "--config", str(p), "--seed", "0"]) == 1
         err = capsys.readouterr().err
         assert err == "nfa: error: non-finite values in tensor produced by op 'dense'\n"
+
+    @pytest.mark.parametrize("coefficient", [1e200, 1e308])
+    def test_overflowing_optimizer_moments_fail_the_run(self, tmp_path, capsys, coefficient):
+        # the penalty's gradient squared overflows the architecture optimizer's
+        # second moment in the first stage-1 epoch: alpha would stall at 0
+        # and all-frozen be picked, and at 1e308 the epoch's mean total
+        # overflows too; the epoch's moment check stops the run before any
+        # report is written
+        p = tmp_path / "big.json"
+        raw = fast_config(output_dir=str(tmp_path / "runs")).raw
+        p.write_text(json.dumps(with_field(raw, "penalty", "coefficient", coefficient)))
+        with np.errstate(all="ignore"):
+            assert cli.main(["run", "--config", str(p), "--seed", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err == ("nfa: error: experiment aborted during stage1: "
+                       "non-finite values in tensor produced by op 'adam'\n")
+        run = tmp_path / "runs" / "seed0"
+        assert (run / "FAILED").read_text().startswith("stage=stage1\n")
+        assert sorted(f.name for f in run.iterdir()) == ["FAILED"]
 
     def test_empty_split_is_error_exit(self, tmp_path, capsys):
         p = tmp_path / "bad.json"

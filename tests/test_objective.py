@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import check_grad, numeric_grad, rel_err
 from graph_reference import one_hot_weights
 from nfa import autodiff as ad
-from nfa import cell, objective
+from nfa import cascade, cell, objective
 from test_cell import make_cell
 
 
@@ -189,6 +189,24 @@ class TestTotalLoss:
         task = ad.constant(2.0)
         cfg = objective.PenaltyConfig(coefficient=0.0)
         assert objective.total_loss(task, ad.constant(1.0), cfg) is task
+
+
+def test_total_value_add_cannot_overflow():
+    """The proof that ``total_value`` needs no ``add`` check. A task loss
+    that passes the ``log`` check is at most ``-log`` of the least positive
+    double, below 745.2: the softmax's smallest positive entry, and a
+    smaller one is 0, whose ``log`` raises. And 745.2 added to the largest
+    finite ``scaled`` rounds to the largest double."""
+    worst = float(cascade._nll(np.array([[0.0, -744.0]]), np.array([1]))[0])
+    assert 743.0 < worst <= -math.log(5e-324) < 745.2
+    with pytest.raises(ad.NonFiniteError, match="op 'log'"):
+        cascade._nll(np.array([[0.0, -746.0]]), np.array([1]))
+    biggest = np.finfo(np.float64).max
+    cfg = objective.PenaltyConfig(coefficient=float(biggest))
+    total = objective.total_value(745.2, 1.0, cfg)
+    assert total == biggest and math.isfinite(total)
+    with pytest.raises(ad.NonFiniteError, match="op 'scale'"):
+        objective.total_value(0.0, 1.0 + 2**-52, cfg)
 
 
 def test_penalty_only_optimization_steers_to_frozen():

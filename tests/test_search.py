@@ -205,6 +205,24 @@ class TestStaging:
         assert [r.stage for r in s.state.history] == [1, 1, 2, 2]
         assert [r.epoch for r in s.state.history] == [0, 1, 2, 3]
 
+    def test_epoch_means_checked_before_recording(self):
+        # each step's total is finite, but their mean overflows
+        s = make_search()
+        with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError, match="op 'mean'"):
+            s._record_epoch(1, 1.0, float(np.mean([1.2e308, 1.2e308])), 0.5)
+        assert s.state.history == [] and s.state.epoch == 0
+
+    def test_moments_checked_once_per_epoch(self, monkeypatch):
+        s = make_search(stage1_epochs=3, stage2_epochs=2)
+        checked = []
+        monkeypatch.setattr(ad.Adam, "check_moments", lambda opt: checked.append(
+            ("arch" if opt is s.opt_arch else "net", len(s.state.history))))
+        s.run_stage1()
+        assert checked == [(kind, e) for e in range(3) for kind in ("arch", "net")]
+        checked.clear()
+        s.run_stage2()
+        assert checked == [("net", 3), ("net", 4)]
+
     def test_stage_order_enforced(self):
         s = make_search()
         with pytest.raises(RuntimeError, match="stage 1"):
