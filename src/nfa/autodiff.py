@@ -517,8 +517,10 @@ def dense_core(x, w, b, act):
     ``z`` is checked by :func:`check_dense`; a finite ``z`` gives a finite
     ``y`` for every activation, so the activation cannot fail a check. A
     product of two 2-D arrays is ``np.dot``, the bytes of ``@`` with less
-    call overhead."""
-    z = np.dot(x, w) if x.ndim == 2 and w.ndim == 2 else x @ w
+    call overhead, except two 1x1 arrays: ``np.dot`` multiplies those as
+    scalars, so a product of ``-0`` stays ``-0`` where ``@`` sums it onto
+    ``+0``."""
+    z = np.dot(x, w) if x.ndim == 2 and w.ndim == 2 and x.size + w.size > 2 else x @ w
     z += b  # the bytes of x @ w + b: the bias never widens z (dense_check)
     check_dense(z)
     return z, ACTIVATIONS[act][0](z)
