@@ -45,6 +45,7 @@ __all__ = [
     "dense",
     "dense_check",
     "dense_core",
+    "product",
     "dense_backward",
     "softmax_backward",
     "nll",
@@ -418,6 +419,10 @@ class Adam:
         return {name: flat[a:b].reshape(self.params[name].shape)
                 for name, (a, b) in self._spans.items()}
 
+    def views_by_id(self, flat):
+        """:meth:`views`, keyed by the ``id`` of each parameter tensor."""
+        return {id(self.params[name]): view for name, view in self.views(flat).items()}
+
     def step(self):
         """Gather every parameter's ``grad`` and :meth:`update` from them."""
         if len(self.params) == 0:
@@ -452,10 +457,16 @@ class Adam:
         warns of no overflow): the second moment is finite only if every
         ``(1 - beta2) * g * g`` was, so every gradient lies below about
         4e155 and the first moment, a weighted mean of them, is finite too.
-        Only a reduction that is not finite runs the exact check of both."""
+        Only a reduction that is not finite runs the exact check of both and
+        of the last update's bias-corrected second moment, whose overflow
+        also makes the step 0 (a finite reduction bounds ``v`` below about
+        1.3e154, so ``v / (1 - beta2**t)`` is finite)."""
         if not math.isfinite(np.vdot(self._flat_v, self._flat_v)):
             check_finite(self._flat_m, "adam")
             check_finite(self._flat_v, "adam")
+            if self.t:
+                with np.errstate(over="ignore"):
+                    check_finite(self._flat_v / (1.0 - self.beta2 ** self.t), "adam")
 
     def minimize(self, loss, idle=()):
         """One training step: backpropagate ``loss``, update, and return the
@@ -507,20 +518,26 @@ def dense_check(x_shape, w_shape, b_shape, act):
     return z_shape
 
 
+def product(a_shape, b_shape):
+    """The numpy function (taking ``out=``) that multiplies arrays of these
+    shapes as ``@`` does, byte for byte: ``np.dot``, with less overhead, for
+    two 2-D arrays but two 1x1 ones (``np.dot`` keeps a ``-0`` product that
+    ``@`` sums onto ``+0``), else ``np.matmul``."""
+    if len(a_shape) == 2 == len(b_shape) and (a_shape != (1, 1) or b_shape != (1, 1)):
+        return np.dot
+    return np.matmul
+
+
 def dense_core(x, w, b, act):
     """``(z, y)`` of a dense layer on numpy arrays whose shapes
-    :func:`dense_check` accepts: ``z = x @ w + b`` and ``y = act(z)``; ``act``
-    is a key of :data:`ACTIVATIONS`. ``x`` and ``w`` may carry a leading
-    scheme axis, ``(S, n, a)`` and ``(S, a, b)``, with the bias then
-    ``(S, 1, b)``: each scheme's slice is computed as alone.
+    :func:`dense_check` accepts: ``z = x @ w + b`` (by :func:`product`) and
+    ``y = act(z)``; ``act`` is a key of :data:`ACTIVATIONS`. ``x`` and ``w``
+    may carry a leading scheme axis, ``(S, n, a)`` and ``(S, a, b)``, with
+    the bias then ``(S, 1, b)``: each scheme's slice is computed as alone.
 
     ``z`` is checked by :func:`check_dense`; a finite ``z`` gives a finite
-    ``y`` for every activation, so the activation cannot fail a check. A
-    product of two 2-D arrays is ``np.dot``, the bytes of ``@`` with less
-    call overhead, except two 1x1 arrays: ``np.dot`` multiplies those as
-    scalars, so a product of ``-0`` stays ``-0`` where ``@`` sums it onto
-    ``+0``."""
-    z = np.dot(x, w) if x.ndim == 2 and w.ndim == 2 and x.size + w.size > 2 else x @ w
+    ``y`` for every activation, so the activation cannot fail a check."""
+    z = product(x.shape, w.shape)(x, w)
     z += b  # the bytes of x @ w + b: the bias never widens z (dense_check)
     check_dense(z)
     return z, ACTIVATIONS[act][0](z)

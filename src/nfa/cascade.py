@@ -78,10 +78,9 @@ class NetModule:
         return [(p[f"L{i}.W"], p[f"L{i}.b"], act) for i, act in enumerate(self.activations)]
 
     def forward(self, x, params=None):
-        h = x
         for w, b, act in self.layers(params):
-            h = ad.dense(h, w, b, act)
-        return h
+            x = ad.dense(x, w, b, act)
+        return x
 
 
 class CascadedModel:
@@ -122,21 +121,20 @@ def pretrain_upstream(model: CascadedModel, source_data, epochs, lr, batch_size=
     init. Freezes all modules afterward, fixing the pretrained snapshots.
 
     Each stage is checked once, before its first batch: its dense layers
-    (:func:`check_layers`), its whole input finite, and its whole target:
+    (``ad.dense_check``), its whole input finite, and its whole target:
     the output's shape and finite (denoise, :func:`checked_target`), or one
     label per input row in the label range (:func:`checked_labels`). Each
     epoch gathers the stage's input and target once in the order of
     :func:`data.batch_order` (the recognize target is the loss seed of
     :func:`_nll_grad`), and the recognize stage runs the trained denoise
     layers over the pass's batches once (:func:`frozen_forward`); a batch is
-    a slice of each. A step runs the layers in numpy, writing every ``z``
-    into one buffer checked by one :func:`ad.check_dense`, writes the
-    gradients into views of one flat buffer and hands it to
-    :meth:`Adam.update`. A stage whose input or target fails its check
-    raises before any of its weights moves. Every check is made under the
-    name of the graph op that would have made the array, at the step where
-    the graph makes it, and the weights equal graph training's bit for
-    bit."""
+    a slice of each. A step runs the layers (:func:`dense_arrays`) in numpy,
+    writing every ``z`` into one buffer checked by one
+    :func:`ad.check_dense`, and :func:`sweep_dense` writes the gradients
+    into one flat buffer for :meth:`Adam.update`. A stage whose input or
+    target fails its check raises before any of its weights moves. Every
+    check is made under the graph op's name, at the graph's step, and the
+    weights equal graph training's bit for bit."""
     if len(source_data) == 0:
         raise ValueError("pretraining requires a nonempty source dataset")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9E7A]))
@@ -148,16 +146,16 @@ def pretrain_upstream(model: CascadedModel, source_data, epochs, lr, batch_size=
             params.merge(m.params, prefix=m.name + ".")
         frozen = [layer for stage in model.stages[:stage_index] for m in stage for layer in m.layers()]
         layers = [layer for m in model.stages[stage_index] for layer in m.layers()]
-        width = check_layers(frozen + layers, x[:batch_size].shape)[-1]
+        shape = x[:batch_size].shape
+        for w, b, act in frozen + layers:  # the first layer that does not fit raises
+            shape = ad.dense_check(shape, w.shape, b.shape, act)
         ad.check_finite(x, "leaf")
-        gather = targets((n, width))
-        frozen = [(w.value, b.value, ad.ACTIVATIONS[act][0]) for w, b, act in frozen]
+        gather = targets((n, shape[1]))
         opt = ad.Adam(params, lr=lr)  # the values become views of its buffer, updated in place
-        grad = np.empty(params.count)  # W and b of each layer, in order, as params holds them
-        views = list(opt.views(grad).values())
-        plan = [(w.value, b.value, ad.ACTIVATIONS[act], dw, db)
-                for (w, b, act), dw, db in zip(layers, views[::2], views[1::2])]
-        zs = {}  # batch rows -> one buffer of every layer's z, and its view per layer
+        grad = np.empty(params.count)  # every entry is written by each step's sweep
+        grad_of = opt.views_by_id(grad)
+        frozen, plan = dense_arrays(frozen, grad_of), dense_arrays(layers, grad_of)
+        zs = {}  # batch rows -> one buffer of every layer's z, and each layer's forward into its view
         for _ in range(epochs):
             order, spans = batch_order(n, batch_size, rng)
             hs, ts = x[order], gather(order)
@@ -172,25 +170,19 @@ def pretrain_upstream(model: CascadedModel, source_data, epochs, lr, batch_size=
                     widths = [w.shape[1] for w, *_ in plan]
                     buf = np.empty(rows * sum(widths))
                     cuts = rows * np.cumsum(widths[:-1])
-                    zs[rows] = buf, [z.reshape(rows, -1) for z in np.split(buf, cuts)]
-                buf, z_views = zs[rows]
+                    zs[rows] = buf, [(w, b, ad.product((rows, w.shape[0]), w.shape),
+                                      ad.ACTIVATIONS[act][0], z.reshape(rows, -1))
+                                     for (w, b, act, _, _), z in zip(plan, np.split(buf, cuts))]
+                buf, runs = zs[rows]
                 tape = []
-                for (w, b, (act, _), _, _), z in zip(plan, z_views):
-                    np.dot(h, w, out=z)  # np.dot is @ byte for byte on 2-D arrays, with less overhead
+                for w, b, product, act, z in runs:
+                    product(h, w, out=z)
                     z += b
                     y = act(z)
                     tape.append((h, z, y))
                     h = y
                 ad.check_dense(buf)  # whichever z is non-finite, the graph raises this error at this step
-                g = loss_grad(h, t)
-                for k in range(len(plan) - 1, -1, -1):
-                    w, _, (_, act_grad), dw, db = plan[k]
-                    h, z, y = tape[k]
-                    g = act_grad(g, z, y)
-                    np.add.reduce(g, axis=0, out=db)
-                    np.dot(h.T, g, out=dw)
-                    if k:
-                        g = np.dot(g, w.T)
+                sweep_dense(plan, tape, loss_grad(h, t), False)
                 opt.update(grad)
             if fault is not None:  # the graph reaches the bad batch after the steps before it
                 ad.check_finite(fault[1][spans[stop]], "dense")
@@ -216,23 +208,21 @@ def pretrain_upstream(model: CascadedModel, source_data, epochs, lr, batch_size=
     model.freeze()
 
 
-def frozen_forward(layers, xs, batch_size):
-    """The output of trained dense ``layers``, ``(W, b, act)`` arrays and
-    activation functions each, on the rows ``xs`` of a pass, row for row
-    the bytes of running each batch of ``batch_size`` rows alone: the full
-    batches run as one stacked product ``(k, batch_size, a) @ W`` (each
-    slice is that batch's ``np.dot``), the short last batch alone. Each
-    layer's ``z`` is checked by one ``np.vdot``; returns the output and
-    None, or ``(i, z)`` for the first batch ``i`` at which some layer's
-    ``z`` holds a non-finite row, ``z`` being that layer's."""
-    n, fault = len(xs), None
+def frozen_forward(layers, h, batch_size):
+    """The output of dense ``layers`` (:func:`dense_arrays`) on the rows
+    ``h`` of a pass, row for row the bytes of each batch of ``batch_size``
+    rows alone: the full batches as one stacked product ``(k, batch_size,
+    a) @ W``, the short last batch alone. Each ``z`` is checked by one
+    ``np.vdot``; returns the output and None, or ``(i, z)`` for the first
+    batch ``i`` where some layer's ``z``, the one returned, is not finite."""
+    n, fault = len(h), None
     full = n - n % batch_size
-    h = xs
-    for w, b, act in layers:
+    for w, b, act, _, _ in layers:
         a, width = w.shape
         z = np.empty((n, width))
-        np.matmul(h[:full].reshape(-1, batch_size, a), w, out=z[:full].reshape(-1, batch_size, width))
-        np.dot(h[full:], w, out=z[full:])
+        if full:  # (0, batch_size, a) overflows numpy's size for a batch_size near 2**63
+            np.matmul(h[:full].reshape(-1, batch_size, a), w, out=z[:full].reshape(-1, batch_size, width))
+        ad.product((n - full, a), w.shape)(h[full:], w, out=z[full:])
         z += b
         if not math.isfinite(np.vdot(z, z)):
             bad = ~np.logical_and.reduce(np.isfinite(z), axis=1)
@@ -240,27 +230,28 @@ def frozen_forward(layers, xs, batch_size):
                 i = int(np.argmax(bad)) // batch_size
                 if fault is None or i < fault[0]:
                     fault = i, z
-        h = act(z)
+        h = ad.ACTIVATIONS[act][0](z)
     return h, fault
 
 
-def check_layers(layers, x_shape):
-    """Raise :func:`ad.dense_check`'s ``ShapeError`` or ``ValueError`` for
-    the first of the dense ``layers`` that does not fit an input of shape
-    ``x_shape`` and the layers before it; return the output's shape."""
+def dense_arrays(layers, grad_of):
+    """Dense ``layers`` of tensors ``(W, b, act)`` as the arrays ``(W, b,
+    act, dW, db)`` that :func:`run_dense` and :func:`sweep_dense` read: the
+    values, and their views in ``grad_of`` (``Adam.views_by_id``) or None
+    (``db`` with a row axis for the bias sum)."""
+    out = []
     for w, b, act in layers:
-        x_shape = ad.dense_check(x_shape, w.shape, b.shape, act)
-    return x_shape
+        dw, db = grad_of.get(id(w)), grad_of.get(id(b))
+        out.append((w.value, b.value, act, dw, db if db is None or db.ndim > 1 else db[None]))
+    return out
 
 
 def run_dense(layers, x, check=False):
-    """The output of a plan's dense ``layers`` (``(W, b, act, dW, db)``
-    each, see :class:`cell.Plan`) on the array ``x``, and the tape of
-    ``(x, z, y)`` per layer. Each ``z`` is checked as the graph's dense nodes
-    check it (a finite ``z`` gives a finite ``y``). With ``check``, ``x`` is
-    first checked against the first layer (``ad.dense_check``'s
-    ``ShapeError``): the layers are built to chain, so no later layer is.
-    Each layer is ``ad.dense_core``, the graph's dense rule."""
+    """The output of dense ``layers`` (:func:`dense_arrays`) on the array
+    ``x``, and the tape of ``(x, z, y)`` per layer; each layer is
+    ``ad.dense_core``, the graph's dense rule and check. With ``check``,
+    ``x`` is first checked against the first layer (``ad.dense_check``'s
+    ``ShapeError``): the layers are built to chain, so no later layer is."""
     if check:
         w, b, act, _, _ = layers[0]
         ad.dense_check(x.shape, w.shape, b.shape, act)
@@ -273,26 +264,23 @@ def run_dense(layers, x, check=False):
 
 
 def sweep_dense(layers, tape, g, need_x, train=True):
-    """Sweep a tape of :func:`run_dense` back from the output gradient
-    ``g``: unless ``train`` is false, each layer with a ``dW`` writes its
-    weight and bias gradients into ``dW`` and ``db``. Returns the input
-    gradient, or None unless ``need_x``. The arithmetic is
-    ``ad.dense_backward``'s; as in :func:`ad.dense_core`, a product of two
-    2-D arrays is ``np.dot``."""
+    """Sweep a tape of ``(x, z, y)`` per dense layer (:func:`run_dense`'s)
+    back from the output gradient ``g``: unless ``train`` is false, each
+    layer with a ``dW`` writes its gradients into ``dW`` and ``db``. Returns
+    the input gradient, or None unless ``need_x``. The arithmetic is
+    ``ad.dense_backward``'s, by the layer's ``ad.product``: ``x.mT @ g``
+    and ``g @ w.mT`` are 1x1 by 1x1 exactly when ``x @ w`` is."""
     for k in range(len(layers) - 1, -1, -1):
         w, _, act, dw, db = layers[k]
         x, z, y = tape[k]
         g = ad.ACTIVATIONS[act][1](g, z, y)
-        flat = x.ndim == 2 and w.ndim == 2  # then g is 2-D too
+        product = ad.product(x.shape, w.shape)
         if train and dw is not None:
             np.add.reduce(g, axis=-2, keepdims=True, out=db)
-            if flat:
-                np.dot(x.T, g, out=dw)
-            else:
-                np.matmul(x.swapaxes(-1, -2), g, out=dw)
+            product(x.mT, g, out=dw)
         if not (k or need_x):
             return None
-        g = np.dot(g, w.T) if flat else g @ w.swapaxes(-1, -2)
+        g = product(g, w.mT)
     return g
 
 

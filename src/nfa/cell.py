@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParameterSet, Tensor
-from .cascade import _nll, _nll_backward, make_adapter, run_dense, sweep_dense
+from .cascade import _nll, _nll_backward, dense_arrays, make_adapter, run_dense, sweep_dense
 
 FROZEN = "frozen"
 FINETUNE = "finetune"
@@ -235,11 +235,9 @@ class Plan:
     :meth:`NfaCell.stacked_params` of them). By default each cell has every
     path alone on its own parameters, in the order of its ``paths``.
 
-    A group's dense layers are arrays ``(W, b, act, dW, db)``: ``W`` and
-    ``b`` are the parameters' values, views into ``opt``'s value buffer where
-    ``opt`` trains them; ``dW`` and ``db`` are their views into ``grad``
-    (``db`` with a row axis for the bias sum), or None where ``opt`` does
-    not train them."""
+    A group's dense layers are :func:`cascade.dense_arrays` of ``grad``'s
+    views: ``W`` and ``b`` are views into ``opt``'s values where it trains
+    them, and ``dW`` and ``db`` None where it does not."""
 
     def __init__(self, model, cells, opt, stacks=None):
         if stacks is None:
@@ -248,21 +246,13 @@ class Plan:
         self.softmax_after = model.softmax_after
         self.opt = opt
         self.grad = np.zeros(opt.params.count)
-        views = opt.views(self.grad)
-        grad_of = {id(t): views[name] for name, t in opt.params.items()}
-
-        def arrays(layers):
-            out = []
-            for w, b, act in layers:
-                dw, db = grad_of.get(id(w)), grad_of.get(id(b))
-                out.append((w.value, b.value, act, dw, db if db is None or db.ndim > 1 else db[None]))
-            return out
-
+        grad_of = opt.views_by_id(self.grad)
         self.groups = []
         for c, stack in zip(cells, stacks):
-            backbone = arrays(c.module.layers())
+            backbone = dense_arrays(c.module.layers(), grad_of)
             self.groups.append([Group(c.index, path, positions, backbone,
-                                      arrays(c.path_layers(path, params)), c._adapter(path))
+                                      dense_arrays(c.path_layers(path, params), grad_of),
+                                      c._adapter(path))
                                 for path, positions, params in stack])
 
     def step(self, groups, batch):

@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from . import autodiff as ad
 from . import harness
 from .config import ConfigError, load_config
@@ -120,7 +122,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):  # the checks report every non-finite value
+            return args.func(args)
     except (ConfigError, FileNotFoundError, ValueError, RuntimeError, OSError, ad.NonFiniteError) as e:
         print(f"nfa: error: {e}", file=sys.stderr)
         return 1

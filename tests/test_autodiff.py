@@ -405,14 +405,32 @@ class TestAdam:
 
     @pytest.mark.parametrize("size", FINITE_EXTREMES + [4.1e155, -4.1e155, 2.3e155, -2.3e155])
     def test_finite_second_moment_means_finite_first_moment(self, size):
-        # the one reduction reads only v: whenever v is finite, so is m
-        # (at 2.3e155, v stays finite and its reduction overflows)
+        # the one reduction reads only v: whenever v is finite, so is m; the
+        # check raises exactly when v or its bias correction is not finite
+        # (at 2.3e155, v stays finite, its reduction overflows, and so does
+        # its correction)
         opt = self.stepped([size, size], [size, -size], [0.0, size])
         if np.isfinite(opt._flat_v).all():
             assert np.isfinite(opt._flat_m).all()
+        with np.errstate(over="ignore"):
+            corrected = opt._flat_v / (1.0 - opt.beta2 ** opt.t)
+        if np.isfinite(corrected).all():
             opt.check_moments()
         else:
             with pytest.raises(ad.NonFiniteError, match="'adam'"):
+                opt.check_moments()
+
+    def test_check_moments_catches_an_overflowing_bias_correction(self):
+        # three updates by 2.3e155 leave v finite (5.3e307, 1.06e308,
+        # 1.59e308), but v / (1 - beta2**t) overflows, so each step moves
+        # the parameter by exactly 0: the check must stop the run
+        opt = ad.Adam(ad.ParameterSet({"p": ad.parameter(np.ones(2))}), lr=0.1)
+        for _ in range(3):
+            with np.errstate(over="ignore"):
+                opt.update(np.full(2, 2.3e155))
+            assert np.isfinite(opt._flat_v).all()
+            assert opt._flat_x.tolist() == [1.0, 1.0]
+            with pytest.raises(ad.NonFiniteError, match="produced by op 'adam'"):
                 opt.check_moments()
 
     def test_check_moments_falls_back_to_the_exact_check(self):

@@ -430,8 +430,8 @@ class TestPretraining:
         # (row 4), and the second, behind a saturated tanh, in batches 0 and 2
         # (rows 0 and 4); the fault is batch 0, with the second layer's z
         xs = np.array([[5.0], [-5.0], [-5.0], [-5.0], [1e308], [-5.0]])
-        layers = [(np.array([[2.0]]), np.zeros(1), np.tanh),
-                  (np.array([[1e308]]), np.full(1, 1e308), lambda z: z)]
+        layers = [(np.array([[2.0]]), np.zeros(1), "tanh", None, None),
+                  (np.array([[1e308]]), np.full(1, 1e308), "linear", None, None)]
         with np.errstate(over="ignore", invalid="ignore"):
             h, fault = cascade.frozen_forward(layers, xs, batch_size=2)
         i, z = fault
@@ -791,6 +791,32 @@ def test_pretraining_dot_is_the_graphs_matmul(m, a, b, seed):
     assert np.dot(h, w).tobytes() == (h @ w).tobytes()
     assert np.dot(h.T, g, out=dw).tobytes() == (h.T @ g).tobytes()
     assert np.dot(g, w.T).tobytes() == (g @ w.T).tobytes()
+
+
+def test_sweep_dense_multiplies_a_1x1_layer_as_the_graph_does():
+    """A one-row gradient through a 1x1 layer: ``np.dot`` would keep the
+    ``-0`` of each product, where ``dense_backward``'s ``@`` gives ``+0``."""
+    x, w, g = np.array([[-1.0]]), np.array([[-1.0]]), np.array([[0.0]])
+    b = np.zeros(1)
+    _, tape = cascade.run_dense([(w, b, "linear", None, None)], x)
+    dw, db = np.full((1, 1), np.nan), np.full((1, 1), np.nan)
+    dx = cascade.sweep_dense([(w, b, "linear", dw, db)], tape, g, True)
+    want_dx, want_dw, want_db = ad.dense_backward(g, x, w, b.shape, "linear", *tape[0][1:])
+    assert (dx.tobytes(), dw.tobytes(), db.tobytes()) == \
+        (want_dx.tobytes(), want_dw.tobytes(), want_db[None].tobytes())
+    assert np.signbit(dx).tolist() == np.signbit(dw).tolist() == [[False]]
+
+
+def test_frozen_forward_multiplies_a_one_row_last_batch_as_each_batch_alone():
+    """A one-row last batch into a layer of width 1 with a ``-0`` bias: its
+    ``0 * -1`` is ``+0`` under ``@``, so ``z`` is ``+0``, as each batch's
+    ``x @ w + b`` alone gives it."""
+    xs, w, b = np.array([[1.0], [2.0], [0.0]]), np.array([[-1.0]]), np.array([-0.0])
+    h, fault = cascade.frozen_forward([(w, b, "linear", None, None)], xs, batch_size=2)
+    want = np.concatenate([xs[:2] @ w + b, xs[2:] @ w + b])
+    assert fault is None
+    assert h.tobytes() == want.tobytes()
+    assert not np.signbit(h[2, 0])
 
 
 @settings(max_examples=200, deadline=None)

@@ -5,13 +5,18 @@ import json
 import math
 import os
 import re
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_config
+from conftest import SEARCH_FUZZ_PROFILE, make_config
 from nfa import autodiff as ad
 from nfa import cascade, cell, cli, harness
 from nfa.config import ConfigError, config_from_dict, config_hash, load_config
@@ -808,6 +813,24 @@ class TestCli:
         assert (run / "FAILED").read_text().startswith("stage=stage1\n")
         assert sorted(f.name for f in run.iterdir()) == ["FAILED"]
 
+    @pytest.mark.parametrize("command, section, name, value, message", [
+        ("run", "penalty", "coefficient", 1e200,
+         "experiment aborted during stage1: non-finite values in tensor produced by op 'adam'"),
+        ("pretrain", "pretrain", "lr", 1.7e308, "non-finite values in tensor produced by op 'dense'")],
+        ids=["run", "pretrain"])
+    def test_non_finite_run_prints_only_the_error_line(self, tmp_path, capsys, command, section,
+                                                       name, value, message):
+        # numpy's overflow warnings would reach stderr before the error line;
+        # the checks report every non-finite value, so the CLI silences them
+        p = tmp_path / "big.json"
+        raw = fast_config(output_dir=str(tmp_path / "runs")).raw
+        p.write_text(json.dumps(with_field(raw, section, name, value)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main([command, "--config", str(p), "--seed", "0"]) == 1
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == f"nfa: error: {message}\n"
+
     def test_empty_split_is_error_exit(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         raw = fast_config(output_dir=str(tmp_path / "runs")).raw
@@ -815,3 +838,119 @@ class TestCli:
         assert cli.main(["run", "--config", str(p)]) == 1
         assert "both parts must be nonempty" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+
+# -- end-to-end config fuzz ----------------------------------------------------
+
+# a miniature toy3 config: every field is set, so a draw replaces a value
+FUZZ_CONFIG = {
+    "cascade": {"preset": "toy3", "dim": 4, "n_labels": 2},
+    "adapters": ["BA"],
+    "mode": "NFA",
+    "penalty": {"pfr_policy": "half_finetune", "pfr_constant": 0, "coefficient": 1.0, "enabled": True},
+    "search": {"split_ratio": 0.5, "lr_network": 0.01, "lr_arch": 0.05, "stage1_epochs": 1,
+               "stage2_epochs": 1, "tau_start": 5.0, "tau_end": 0.5, "batch_size": 8, "seed": 0},
+    "pretrain": {"epochs": 1, "lr": 0.01, "batch_size": 8},
+    "data": {"n_source": 16, "n_target": 16, "noise_std_source": 0.25, "noise_std_target": 0.25,
+             "shift_delta": 1.0},
+}
+FUZZ_FLOATS = [(section, name) for section, name in SCALAR_FIELDS
+               if isinstance(FUZZ_CONFIG.get(section, {}).get(name), float)]
+# each int field at its edges: one below its least valid value, that value,
+# and for a field that costs neither memory nor time when large, the int64
+# limit; a size or an epoch count is not drawn large
+FUZZ_INTS = {("cascade", "dim"): [0, 1], ("cascade", "n_labels"): [0, 1],
+             ("penalty", "pfr_constant"): [-1, 0, 2**63 - 1],
+             ("search", "stage1_epochs"): [-1, 0], ("search", "stage2_epochs"): [-1, 0],
+             ("search", "batch_size"): [0, 1, 2**63 - 1], ("search", "seed"): [-1, 0, 2**63 - 1],
+             ("pretrain", "epochs"): [-1, 0], ("pretrain", "batch_size"): [0, 1, 2**63 - 1],
+             ("data", "n_source"): [0, 1], ("data", "n_target"): [1, 2]}
+CONFIG_FUZZ_EXAMPLES = (settings.get_profile(SEARCH_FUZZ_PROFILE).max_examples
+                        if settings.get_current_profile_name() == SEARCH_FUZZ_PROFILE else 25)
+
+
+def test_config_fuzz_covers_every_numeric_field():
+    numeric = [(section, name) for section, name in SCALAR_FIELDS
+               if type(FUZZ_CONFIG.get(section, {}).get(name)) in (int, float)]
+    assert sorted(FUZZ_FLOATS + list(FUZZ_INTS)) == sorted(numeric)
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """The miniature config with each float field drawn log-uniformly over
+    [1e-300, 1e308] and each int field at one of its edges, each field with
+    probability 1/4 (most draws of every field would fail parsing)."""
+    raw = json.loads(json.dumps(FUZZ_CONFIG))
+    drawn = st.sampled_from([False, False, False, True])
+    for section, name in FUZZ_FLOATS:
+        if draw(drawn):
+            raw[section][name] = 10.0 ** draw(st.floats(-300.0, 308.0))
+    for (section, name), edges in FUZZ_INTS.items():
+        if draw(drawn):
+            raw[section][name] = draw(st.sampled_from(edges))
+    return raw
+
+
+def numbers(doc):
+    """Every number in a parsed JSON document."""
+    if isinstance(doc, dict):
+        return [x for v in doc.values() for x in numbers(v)]
+    if isinstance(doc, list):
+        return [x for v in doc for x in numbers(v)]
+    return [doc] if isinstance(doc, (int, float)) and not isinstance(doc, bool) else []
+
+
+def checkpoints_are_finite(run):
+    for name in ("stage1", "stage2"):
+        if (run / "checkpoints" / f"{name}.bin").exists():
+            saved = harness.load_checkpoint(run / "checkpoints" / name)
+            assert all(np.isfinite(v).all() for v in saved.values())
+
+
+def run_reports_are_finite(run):
+    """Every number in a finished run's metrics, architecture and checkpoints is finite."""
+    rows = (run / "metrics.csv").read_text().splitlines()[1:]  # none without epochs
+    assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+    assert all(math.isfinite(v) for v in numbers(json.loads((run / "architecture.json").read_text())))
+    checkpoints_are_finite(run)
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+@settings(max_examples=CONFIG_FUZZ_EXAMPLES, deadline=None)
+@given(raw=fuzzed_configs())
+def test_config_fuzz_ends_in_one_of_three_ways(command, raw):
+    """A drawn config through ``cli.main`` ends in exactly one way: the
+    ``ConfigError`` of parsing it reported (nothing written); exit 1 with one
+    ``nfa: error:`` line (``nfa run`` leaving its ``FAILED`` flag, no report,
+    and only finite checkpoints of the stages it finished); or exit 0 with
+    every number it reports finite."""
+    try:
+        config_from_dict(raw)
+        parse_error = None
+    except ConfigError as e:
+        parse_error = e
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "cfg.json").write_text(json.dumps(dict(raw, output_dir=str(tmp / "runs"))))
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main([command, "--config", str(tmp / "cfg.json")])
+        out, err = out.getvalue(), err.getvalue()
+        run = tmp / "runs" / f"seed{raw['search']['seed']}"
+        event("config error" if parse_error is not None else f"exit {code}")  # --hypothesis-show-statistics
+        if parse_error is not None:
+            assert (code, err) == (1, f"nfa: error: {parse_error}\n")
+            assert not (tmp / "runs").exists()
+        elif code == 1:
+            assert err.startswith("nfa: error: ") and err.count("\n") == 1, err
+            if command == "run":
+                assert (run / "FAILED").is_file()
+                assert not (run / "architecture.json").exists() and not (run / "metrics.csv").exists()
+                checkpoints_are_finite(run)
+        else:
+            assert (code, err) == (0, "")
+            if command == "run":
+                run_reports_are_finite(run)
+            else:
+                losses = [float(line.split()[1]) for line in out.splitlines()[1:]]
+                assert len(losses) == 27 and all(math.isfinite(v) for v in losses)
