@@ -460,7 +460,10 @@ class Adam:
         Only a reduction that is not finite runs the exact check of both and
         of the last update's bias-corrected second moment, whose overflow
         also makes the step 0 (a finite reduction bounds ``v`` below about
-        1.3e154, so ``v / (1 - beta2**t)`` is finite)."""
+        1.3e154, so ``v / (1 - beta2**t)`` is finite). That overflow, unlike
+        a non-finite moment, can clear: ``v`` decays and the correction
+        grows, so only one still present at the check is caught; steps
+        stalled by one that cleared earlier pass unseen."""
         if not math.isfinite(np.vdot(self._flat_v, self._flat_v)):
             check_finite(self._flat_m, "adam")
             check_finite(self._flat_v, "adam")

@@ -128,10 +128,9 @@ def pretrain_upstream(model: CascadedModel, source_data, epochs, lr, batch_size=
     :func:`data.batch_order` (the recognize target is the loss seed of
     :func:`_nll_grad`), and the recognize stage runs the trained denoise
     layers over the pass's batches once (:func:`frozen_forward`); a batch is
-    a slice of each. A step runs the layers (:func:`dense_arrays`) in numpy,
-    writing every ``z`` into one buffer checked by one
-    :func:`ad.check_dense`, and :func:`sweep_dense` writes the gradients
-    into one flat buffer for :meth:`Adam.update`. A stage whose input or
+    a slice of each. A step runs the layers (:func:`dense_arrays`) with
+    :func:`run_dense`, and :func:`sweep_dense` writes the gradients into
+    one flat buffer for :meth:`Adam.update`. A stage whose input or
     target fails its check raises before any of its weights moves. Every
     check is made under the graph op's name, at the graph's step, and the
     weights equal graph training's bit for bit."""
@@ -155,7 +154,6 @@ def pretrain_upstream(model: CascadedModel, source_data, epochs, lr, batch_size=
         grad = np.empty(params.count)  # every entry is written by each step's sweep
         grad_of = opt.views_by_id(grad)
         frozen, plan = dense_arrays(frozen, grad_of), dense_arrays(layers, grad_of)
-        zs = {}  # batch rows -> one buffer of every layer's z, and each layer's forward into its view
         for _ in range(epochs):
             order, spans = batch_order(n, batch_size, rng)
             hs, ts = x[order], gather(order)
@@ -164,25 +162,8 @@ def pretrain_upstream(model: CascadedModel, source_data, epochs, lr, batch_size=
                 hs, fault = frozen_forward(frozen, hs, batch_size)
             stop = len(spans) if fault is None else fault[0]
             for span in spans[:stop]:
-                h, t = hs[span], ts[span]
-                rows = len(h)
-                if rows not in zs:
-                    widths = [w.shape[1] for w, *_ in plan]
-                    buf = np.empty(rows * sum(widths))
-                    cuts = rows * np.cumsum(widths[:-1])
-                    zs[rows] = buf, [(w, b, ad.product((rows, w.shape[0]), w.shape),
-                                      ad.ACTIVATIONS[act][0], z.reshape(rows, -1))
-                                     for (w, b, act, _, _), z in zip(plan, np.split(buf, cuts))]
-                buf, runs = zs[rows]
-                tape = []
-                for w, b, product, act, z in runs:
-                    product(h, w, out=z)
-                    z += b
-                    y = act(z)
-                    tape.append((h, z, y))
-                    h = y
-                ad.check_dense(buf)  # whichever z is non-finite, the graph raises this error at this step
-                sweep_dense(plan, tape, loss_grad(h, t), False)
+                h, tape = run_dense(plan, hs[span])
+                sweep_dense(plan, tape, loss_grad(h, ts[span]), False)
                 opt.update(grad)
             if fault is not None:  # the graph reaches the bad batch after the steps before it
                 ad.check_finite(fault[1][spans[stop]], "dense")
@@ -268,8 +249,8 @@ def sweep_dense(layers, tape, g, need_x, train=True):
     back from the output gradient ``g``: unless ``train`` is false, each
     layer with a ``dW`` writes its gradients into ``dW`` and ``db``. Returns
     the input gradient, or None unless ``need_x``. The arithmetic is
-    ``ad.dense_backward``'s, by the layer's ``ad.product``: ``x.mT @ g``
-    and ``g @ w.mT`` are 1x1 by 1x1 exactly when ``x @ w`` is."""
+    ``ad.dense_backward``'s, by the layer's ``ad.product``: ``x.T @ g`` and
+    ``g @ w.T`` are 1x1 by 1x1 exactly when ``x @ w`` is."""
     for k in range(len(layers) - 1, -1, -1):
         w, _, act, dw, db = layers[k]
         x, z, y = tape[k]
@@ -277,10 +258,10 @@ def sweep_dense(layers, tape, g, need_x, train=True):
         product = ad.product(x.shape, w.shape)
         if train and dw is not None:
             np.add.reduce(g, axis=-2, keepdims=True, out=db)
-            product(x.mT, g, out=dw)
+            product(x.swapaxes(-1, -2), g, out=dw)
         if not (k or need_x):
             return None
-        g = product(g, w.mT)
+        g = product(g, w.swapaxes(-1, -2))
     return g
 
 

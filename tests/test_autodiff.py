@@ -433,6 +433,23 @@ class TestAdam:
             with pytest.raises(ad.NonFiniteError, match="produced by op 'adam'"):
                 opt.check_moments()
 
+    def test_check_moments_misses_a_bias_correction_overflow_that_has_cleared(self):
+        # after the three updates above, 631 zero gradients decay v and grow
+        # 1 - beta2**t until v / (1 - beta2**t) is finite again: the stall
+        # has ended, the parameter moves, and a check made now passes
+        opt = ad.Adam(ad.ParameterSet({"p": ad.parameter(np.zeros(2))}), lr=0.1)
+        with np.errstate(over="ignore"):
+            for _ in range(3):
+                opt.update(np.full(2, 2.3e155))
+            for _ in range(630):
+                opt.update(np.zeros(2))
+        assert opt._flat_x.tolist() == [0.0, 0.0]
+        with pytest.raises(ad.NonFiniteError, match="produced by op 'adam'"):
+            opt.check_moments()
+        opt.update(np.zeros(2))
+        assert (opt._flat_x < 0.0).all()  # by about 6e-30
+        opt.check_moments()
+
     def test_check_moments_falls_back_to_the_exact_check(self):
         # a second moment whose reduction overflows but whose entries are
         # finite passes; an empty optimizer passes
