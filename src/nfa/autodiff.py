@@ -45,7 +45,6 @@ __all__ = [
     "dense",
     "dense_check",
     "dense_core",
-    "product",
     "dense_backward",
     "softmax_backward",
     "nll",
@@ -521,26 +520,16 @@ def dense_check(x_shape, w_shape, b_shape, act):
     return z_shape
 
 
-def product(a_shape, b_shape):
-    """The numpy function (taking ``out=``) that multiplies arrays of these
-    shapes as ``@`` does, byte for byte: ``np.dot``, with less overhead, for
-    two 2-D arrays but two 1x1 ones (``np.dot`` keeps a ``-0`` product that
-    ``@`` sums onto ``+0``), else ``np.matmul``."""
-    if len(a_shape) == 2 == len(b_shape) and (a_shape != (1, 1) or b_shape != (1, 1)):
-        return np.dot
-    return np.matmul
-
-
 def dense_core(x, w, b, act):
     """``(z, y)`` of a dense layer on numpy arrays whose shapes
-    :func:`dense_check` accepts: ``z = x @ w + b`` (by :func:`product`) and
-    ``y = act(z)``; ``act`` is a key of :data:`ACTIVATIONS`. ``x`` and ``w``
-    may carry a leading scheme axis, ``(S, n, a)`` and ``(S, a, b)``, with
-    the bias then ``(S, 1, b)``: each scheme's slice is computed as alone.
+    :func:`dense_check` accepts: ``z = x @ w + b`` and ``y = act(z)``;
+    ``act`` is a key of :data:`ACTIVATIONS`. ``x`` and ``w`` may carry a
+    leading scheme axis, ``(S, n, a)`` and ``(S, a, b)``, with the bias
+    then ``(S, 1, b)``: each scheme's slice is computed as alone.
 
     ``z`` is checked by :func:`check_dense`; a finite ``z`` gives a finite
     ``y`` for every activation, so the activation cannot fail a check."""
-    z = product(x.shape, w.shape)(x, w)
+    z = x @ w
     z += b  # the bytes of x @ w + b: the bias never widens z (dense_check)
     check_dense(z)
     return z, ACTIVATIONS[act][0](z)

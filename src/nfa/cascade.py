@@ -193,9 +193,10 @@ def frozen_forward(layers, h, batch_size):
     """The output of dense ``layers`` (:func:`dense_arrays`) on the rows
     ``h`` of a pass, row for row the bytes of each batch of ``batch_size``
     rows alone: the full batches as one stacked product ``(k, batch_size,
-    a) @ W``, the short last batch alone. Each ``z`` is checked by one
-    ``np.vdot``; returns the output and None, or ``(i, z)`` for the first
-    batch ``i`` where some layer's ``z``, the one returned, is not finite."""
+    a) @ W``, the short last batch alone, each by ``np.matmul`` into one
+    buffer. Each ``z`` is checked by one ``np.vdot``; returns the output
+    and None, or ``(i, z)`` for the first batch ``i`` where some layer's
+    ``z``, the one returned, is not finite."""
     n, fault = len(h), None
     full = n - n % batch_size
     for w, b, act, _, _ in layers:
@@ -203,7 +204,7 @@ def frozen_forward(layers, h, batch_size):
         z = np.empty((n, width))
         if full:  # (0, batch_size, a) overflows numpy's size for a batch_size near 2**63
             np.matmul(h[:full].reshape(-1, batch_size, a), w, out=z[:full].reshape(-1, batch_size, width))
-        ad.product((n - full, a), w.shape)(h[full:], w, out=z[full:])
+        np.matmul(h[full:], w, out=z[full:])
         z += b
         if not math.isfinite(np.vdot(z, z)):
             bad = ~np.logical_and.reduce(np.isfinite(z), axis=1)
@@ -244,24 +245,21 @@ def run_dense(layers, x, check=False):
     return x, tape
 
 
-def sweep_dense(layers, tape, g, need_x, train=True):
+def sweep_dense(layers, tape, g, need_x):
     """Sweep a tape of ``(x, z, y)`` per dense layer (:func:`run_dense`'s)
-    back from the output gradient ``g``: unless ``train`` is false, each
-    layer with a ``dW`` writes its gradients into ``dW`` and ``db``. Returns
-    the input gradient, or None unless ``need_x``. The arithmetic is
-    ``ad.dense_backward``'s, by the layer's ``ad.product``: ``x.T @ g`` and
-    ``g @ w.T`` are 1x1 by 1x1 exactly when ``x @ w`` is."""
+    back from the output gradient ``g``: each layer with a ``dW`` writes its
+    gradients into ``dW`` and ``db``. Returns the input gradient, or None
+    unless ``need_x``. The arithmetic is ``ad.dense_backward``'s."""
     for k in range(len(layers) - 1, -1, -1):
         w, _, act, dw, db = layers[k]
         x, z, y = tape[k]
         g = ad.ACTIVATIONS[act][1](g, z, y)
-        product = ad.product(x.shape, w.shape)
-        if train and dw is not None:
+        if dw is not None:
             np.add.reduce(g, axis=-2, keepdims=True, out=db)
-            product(x.swapaxes(-1, -2), g, out=dw)
+            np.matmul(x.swapaxes(-1, -2), g, out=dw)
         if not (k or need_x):
             return None
-        g = product(g, w.swapaxes(-1, -2))
+        g = g @ w.swapaxes(-1, -2)
     return g
 
 
@@ -406,11 +404,11 @@ class BottleneckAdapter(_Adapter):
         ad.check_finite(out, "add")
         return out, tape
 
-    def sweep(self, layers, tape, g, need_x, train=True):
+    def sweep(self, layers, tape, g, need_x):
         """The backward of :meth:`run` from its output gradient ``g``: the
         layers' :func:`sweep_dense`, then the skip's gradient added. Returns
         ``x``'s gradient, or None unless ``need_x``."""
-        dx = sweep_dense(layers, tape, g, need_x, train)
+        dx = sweep_dense(layers, tape, g, need_x)
         return g + dx if need_x else None
 
 
@@ -453,14 +451,14 @@ class GatedAdapter(_Adapter):
         ad.check_finite(out, "add")
         return out, (x, gate, expanded, one_minus_g, gate_tape, expand_tape)
 
-    def sweep(self, layers, record, g, need_x, train=True):
+    def sweep(self, layers, record, g, need_x):
         """The backward of :meth:`run`, as :meth:`BottleneckAdapter.sweep`;
         each gradient's terms are added in the order the graph's sweep adds
         them."""
         x, gate, expanded, one_minus_g, gate_tape, expand_tape = record
         d_gate = g * x + (g * expanded) * -1.0  # through the mul, then the scale
-        dxe = sweep_dense(layers[1:], expand_tape, g * one_minus_g, need_x, train)
-        dxg = sweep_dense(layers[:1], gate_tape, d_gate, need_x, train)
+        dxe = sweep_dense(layers[1:], expand_tape, g * one_minus_g, need_x)
+        dxg = sweep_dense(layers[:1], gate_tape, d_gate, need_x)
         return (g * gate + dxe) + dxg if need_x else None  # mul, expand, gate
 
 

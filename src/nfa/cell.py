@@ -237,7 +237,9 @@ class Plan:
 
     A group's dense layers are :func:`cascade.dense_arrays` of ``grad``'s
     views: ``W`` and ``b`` are views into ``opt``'s values where it trains
-    them, and ``dW`` and ``db`` None where it does not."""
+    them, and ``dW`` and ``db`` None where it does not. ``free_groups`` are
+    the same groups with every ``dW`` and ``db`` None, for sweeps that
+    write no network gradient."""
 
     def __init__(self, model, cells, opt, stacks=None):
         if stacks is None:
@@ -254,6 +256,8 @@ class Plan:
                                       dense_arrays(c.path_layers(path, params), grad_of),
                                       c._adapter(path))
                                 for path, positions, params in stack])
+        self.free_groups = [[group._replace(layers=[layer[:3] + (None, None) for layer in group.layers])
+                             for group in groups] for groups in self.groups]
 
     def step(self, groups, batch):
         """One training step of ``opt`` on ``batch``, cell ``i`` running
@@ -286,10 +290,10 @@ class Plan:
     def forward_mixed(self, picks, x):
         """The cascade on the array ``x`` without a graph when cell ``i`` runs
         its path ``picks[i]``, as under one-hot path weights (see
-        :func:`forward_mixed`), on this plan's default groups. Returns the
-        logits and a function from their gradient to the one-hot weights'
-        gradient, one row per cell; no network parameter takes a gradient."""
-        h, backs = self._run(x, lambda i, h: forward_mixed(self.groups[i], h, picks[i], i == 0))
+        :func:`forward_mixed`), on this plan's default groups without
+        gradients (``free_groups``). Returns the logits and a function from
+        their gradient to the one-hot weights' gradient, one row per cell."""
+        h, backs = self._run(x, lambda i, h: forward_mixed(self.free_groups[i], h, picks[i], i == 0))
 
         def backward(g):
             grads = np.empty((len(backs), len(self.groups[0])))
@@ -350,19 +354,18 @@ def run_path(group, x, base=None, check=False):
     return out, (tape, inner)
 
 
-def sweep_path(group, record, g, need_x, train=True):
-    """The backward of :func:`run_path` from its output gradient ``g``:
-    unless ``train`` is false, each layer the optimizer trains writes its
-    gradients (:func:`sweep_dense`); the frozen backbone is swept only for
-    ``x``'s gradient. Returns ``x``'s gradient, or None unless ``need_x``."""
-    if not (need_x or train):
-        return None
+def sweep_path(group, record, g, need_x):
+    """The backward of :func:`run_path` from its output gradient ``g``: each
+    of the path's layers with a gradient view writes its gradients
+    (:func:`sweep_dense`); the frozen backbone, which has none, is swept
+    only for ``x``'s gradient. Returns ``x``'s gradient, or None unless
+    ``need_x``."""
     tape, inner = record
     if group.path == FINETUNE:
-        return sweep_dense(group.layers, inner, g, need_x, train)
+        return sweep_dense(group.layers, inner, g, need_x)
     if group.adapter is not None:
-        g = group.adapter.sweep(group.layers, inner, g, need_x, train)
-    return sweep_dense(group.backbone, tape, g, True, False) if need_x else None
+        g = group.adapter.sweep(group.layers, inner, g, need_x)
+    return sweep_dense(group.backbone, tape, g, True) if need_x else None
 
 
 def run_cell(groups, x, check=False):
@@ -399,17 +402,17 @@ def run_cell(groups, x, check=False):
     return out, records
 
 
-def sweep_cell(groups, record, g, need_x, train=True):
+def sweep_cell(groups, record, g, need_x):
     """The backward of :func:`run_cell` from its output gradient ``g``:
     each group's :func:`sweep_path` on its rows, or the one group's on all
     of ``g`` for a scheme alone. Returns ``x``'s gradient, or None unless
     ``need_x``."""
     if groups[0].positions is None:
-        return sweep_path(groups[0], record, g, need_x, train)
+        return sweep_path(groups[0], record, g, need_x)
     width = groups[0].backbone[0][0].shape[0]  # the input's: the backbone's first W is (a, b)
     dx = np.empty(g.shape[:-1] + (width,)) if need_x else None
     for group, rec in zip(groups, record):
-        d = sweep_path(group, rec, g[group.positions], need_x, train)
+        d = sweep_path(group, rec, g[group.positions], need_x)
         if need_x:
             dx[group.positions] = d
     return dx
@@ -425,7 +428,7 @@ def forward_mixed(groups, x, k, check=False):
 
     Returns the output and a function from its gradient ``g`` to ``(the
     weights' gradient, x's gradient or None unless asked)``; only path ``k``
-    is swept back, and no network parameter takes a gradient."""
+    is swept back, writing the gradients of its layers that have views."""
     base = run_dense(groups[0].backbone, x, check)
     runs = [run_path(group, x, base) for group in groups]
 
@@ -434,7 +437,7 @@ def forward_mixed(groups, x, k, check=False):
         # (g * y) summed to a scalar, and the paths' one-hot contributions
         # are added, which turns a -0.0 into +0.0
         grad = np.zeros(len(runs)) + [(g * y).sum(axis=0).sum(axis=0) for y, _ in runs]
-        return grad, sweep_path(groups[k], runs[k][1], g, need_x, train=False)
+        return grad, sweep_path(groups[k], runs[k][1], g, need_x)
 
     return runs[k][0], backward
 

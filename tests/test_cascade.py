@@ -1,8 +1,10 @@
 """Cascade construction, adapters, parameter counts, and upstream pretraining."""
 
+import ast
 import re
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -724,6 +726,8 @@ def checked_dense(x, w, b, act):
 @example(arrays=(np.ones((1, 1)), np.full((1, 1), 1.7e308), np.full(1, 1.7e308)), act="tanh")
 @example(arrays=(np.full((2, 2, 3), 1e200), np.full((2, 3, 2), 1e200), np.zeros((2, 1, 2))),
          act="tanh")
+@example(arrays=(np.array([[-5e-324]]), np.array([[0.5, 0.0]]), np.array([-0.0, -0.0])),
+         act="linear")  # a one-term product of -0: @ sums it onto +0
 def test_dense_core_raises_exactly_when_the_dense_check_does(arrays, act):
     """``dense_core`` on finite inputs whose product or sum may overflow
     raises exactly when ``check_finite(z, "dense")`` on ``x @ w + b`` does,
@@ -778,33 +782,71 @@ def test_log_prefilter_raises_exactly_when_the_log_check_does(logits, seed):
     assert graph_warned or not warned
 
 
+DENSE_SIDES = st.sampled_from([1, 2, 3, 4, 16, 33])
+DENSE_VALUES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 0.5, -0.5]) | st.floats(-3.0, 3.0)
+
+
 @settings(max_examples=200, deadline=None)
-@given(m=st.integers(1, 40), a=st.integers(1, 24), b=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
-def test_pretraining_dot_is_the_graphs_matmul(m, a, b, seed):
-    """Pretraining multiplies with ``np.dot`` where the graph uses ``@``: on
-    2-D float64 arrays both give the same bytes, for the forward on a slice
-    of the gathered rows, the weight gradient written into a view of a flat
-    buffer, and the input gradient."""
-    rng = np.random.default_rng(seed)
-    h, w, g = rng.normal(size=(m + 3, a))[2:m + 2], rng.normal(size=(a, b)), rng.normal(size=(m, b))
-    dw = np.empty(a * b + 1)[1:].reshape(a, b)
-    assert np.dot(h, w).tobytes() == (h @ w).tobytes()
-    assert np.dot(h.T, g, out=dw).tobytes() == (h.T @ g).tobytes()
-    assert np.dot(g, w.T).tobytes() == (g @ w.T).tobytes()
+@given(m=DENSE_SIDES, a=DENSE_SIDES, width=DENSE_SIDES, act=st.sampled_from(sorted(ad.ACTIVATIONS)),
+       data=st.data())
+def test_dense_arrays_are_the_graphs_dense_rule(m, a, width, act, data):
+    """A dense layer's arrays, run by ``run_dense`` and swept by
+    ``sweep_dense``, give the graph's bytes: ``z = x @ w + b`` on a slice of
+    gathered rows, and ``dense_backward``'s three gradients, the weight's
+    written into views of a flat buffer. Every product's contraction length
+    is drawn, 1 included, where a one-term ``-0`` is summed onto ``+0``."""
+    x, w, b, g = (data.draw(hnp.arrays(np.float64, shape, elements=DENSE_VALUES))
+                  for shape in ((m + 1, a), (a, width), (width,), (m, width)))
+    x = x[1:]
+    flat = np.full(a * width + width + 1, np.nan)
+    dw, db = flat[1:a * width + 1].reshape(a, width), flat[a * width + 1:].reshape(1, width)
+    layers = [(w, b, act, dw, db)]
+    y, tape = cascade.run_dense(layers, x)
+    dx = cascade.sweep_dense(layers, tape, g, True)
+    z = x @ w + b
+    want_y = ad.ACTIVATIONS[act][0](z)
+    want_dx, want_dw, want_db = ad.dense_backward(g, x, w, b.shape, act, z, want_y)
+    assert (tape[0][1].tobytes(), y.tobytes()) == (z.tobytes(), want_y.tobytes())
+    assert (dx.tobytes(), dw.tobytes(), db.tobytes()) == \
+        (want_dx.tobytes(), want_dw.tobytes(), want_db[None].tobytes())
 
 
 def test_sweep_dense_multiplies_a_1x1_layer_as_the_graph_does():
-    """A one-row gradient through a 1x1 layer: ``np.dot`` would keep the
-    ``-0`` of each product, where ``dense_backward``'s ``@`` gives ``+0``."""
-    x, w, g = np.array([[-1.0]]), np.array([[-1.0]]), np.array([[0.0]])
-    b = np.zeros(1)
-    _, tape = cascade.run_dense([(w, b, "linear", None, None)], x)
-    dw, db = np.full((1, 1), np.nan), np.full((1, 1), np.nan)
-    dx = cascade.sweep_dense([(w, b, "linear", dw, db)], tape, g, True)
-    want_dx, want_dw, want_db = ad.dense_backward(g, x, w, b.shape, "linear", *tape[0][1:])
-    assert (dx.tobytes(), dw.tobytes(), db.tobytes()) == \
-        (want_dx.tobytes(), want_dw.tobytes(), want_db[None].tobytes())
-    assert np.signbit(dx).tolist() == np.signbit(dw).tolist() == [[False]]
+    """Products that sum one term, a ``-0`` (or a negative product that
+    underflows to it): a 1x1 layer, where every product does; one row into a
+    ``(1, 2)`` layer, where ``dW``'s does; and a width-1 layer under two
+    rows, where ``dx``'s does. ``np.dot`` keeps the ``-0`` in each, where
+    ``dense_backward``'s ``@`` gives ``+0``."""
+    for x, w, g in (([[-1.0]], [[-1.0]], [[0.0]]),
+                    ([[-5e-324]], [[0.5, 0.0]], [[0.5, 0.5]]),
+                    ([[1.0, -1.0], [2.0, 0.0]], [[0.5], [0.5]], [[-5e-324], [5e-324]])):
+        x, w, g = np.array(x), np.array(w), np.array(g)
+        b = np.zeros(w.shape[1])
+        _, tape = cascade.run_dense([(w, b, "linear", None, None)], x)
+        dw, db = np.full(w.shape, np.nan), np.full((1,) + b.shape, np.nan)
+        dx = cascade.sweep_dense([(w, b, "linear", dw, db)], tape, g, True)
+        want_dx, want_dw, want_db = ad.dense_backward(g, x, w, b.shape, "linear", *tape[0][1:])
+        assert (dx.tobytes(), dw.tobytes(), db.tobytes()) == \
+            (want_dx.tobytes(), want_dw.tobytes(), want_db[None].tobytes())
+        assert not (np.signbit(dx).any() or np.signbit(dw).any())
+
+
+def test_src_multiplies_only_as_the_graph_does():
+    """Every product in ``src/nfa`` is the graph's ``@`` (or ``np.matmul``):
+    no module calls ``dot``, which keeps the ``-0`` of a one-term product,
+    or names an ``autodiff.product`` that picks a function by shape."""
+    found = []
+    for path in sorted(Path(ad.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and (
+                    node.attr == "dot" or node.attr == "product" and isinstance(node.value, ast.Name)
+                    and node.value.id in ("ad", "autodiff")):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("autodiff"):
+                found += [f"{path.name}:{node.lineno}: import {a.name}" for a in node.names
+                          if a.name == "product"]
+    assert found == []
+    assert not hasattr(ad, "product")
 
 
 def test_frozen_forward_multiplies_a_one_row_last_batch_as_each_batch_alone():
@@ -822,22 +864,23 @@ def test_frozen_forward_multiplies_a_one_row_last_batch_as_each_batch_alone():
 @settings(max_examples=200, deadline=None)
 @given(k=st.integers(1, 4), m=st.integers(1, 40), a=st.integers(1, 24), b=st.integers(1, 24),
        seed=st.integers(0, 2**32 - 1))
-def test_stacked_product_is_each_batchs_dot(k, m, a, b, seed):
+def test_stacked_product_is_each_batchs_matmul(k, m, a, b, seed):
     """The recognize stage runs its trained denoise layers once per pass as
     ``(k, m, a) @ W`` over the pass's ``k`` full batches of ``m`` rows:
-    each slice has the bytes of that batch's own ``np.dot``, also written
-    with ``out=`` into a view of a flat buffer, as pretraining writes it."""
+    each slice has the bytes of that batch's own ``@``, also written with
+    ``np.matmul``'s ``out=`` into a view of a flat buffer, as
+    ``frozen_forward`` writes a short last batch."""
     rng = np.random.default_rng(seed)
     h, w = rng.normal(size=(k * m + 1, a))[1:], rng.normal(size=(a, b))
     z = np.empty(k * m * b + 1)[1:].reshape(k * m, b)
     stacked = h.reshape(k, m, a) @ w
     np.matmul(h.reshape(k, m, a), w, out=z.reshape(k, m, b))
     for i in range(k):
-        batch = np.dot(h[i * m:(i + 1) * m], w)
+        batch = h[i * m:(i + 1) * m] @ w
         assert stacked[i].tobytes() == batch.tobytes()
         assert z[i * m:(i + 1) * m].tobytes() == batch.tobytes()
-        assert np.dot(h[i * m:(i + 1) * m], w, out=np.empty(m * b + 1)[1:].reshape(m, b)).tobytes() \
-            == batch.tobytes()
+        out = np.empty(m * b + 1)[1:].reshape(m, b)
+        assert np.matmul(h[i * m:(i + 1) * m], w, out=out).tobytes() == batch.tobytes()
 
 
 # -- pretraining fuzzed against the graph -------------------------------------
