@@ -237,9 +237,11 @@ class Plan:
 
     A group's dense layers are :func:`cascade.dense_arrays` of ``grad``'s
     views: ``W`` and ``b`` are views into ``opt``'s values where it trains
-    them, and ``dW`` and ``db`` None where it does not. ``free_groups`` are
-    the same groups with every ``dW`` and ``db`` None, for sweeps that
-    write no network gradient."""
+    them, and ``dW`` and ``db`` None where it does not. ``mixed`` holds,
+    per cell, the same groups as a stack of one-row groups, path ``k`` at
+    position ``k``, with every ``dW`` and ``db`` None: the architecture
+    step runs every path of a cell on one backbone and writes no network
+    gradient."""
 
     def __init__(self, model, cells, opt, stacks=None):
         if stacks is None:
@@ -256,8 +258,9 @@ class Plan:
                                       dense_arrays(c.path_layers(path, params), grad_of),
                                       c._adapter(path))
                                 for path, positions, params in stack])
-        self.free_groups = [[group._replace(layers=[layer[:3] + (None, None) for layer in group.layers])
-                             for group in groups] for groups in self.groups]
+        self.mixed = [[group._replace(positions=np.array([k]),
+                                      layers=[layer[:3] + (None, None) for layer in group.layers])
+                       for k, group in enumerate(groups)] for groups in self.groups]
 
     def step(self, groups, batch):
         """One training step of ``opt`` on ``batch``, cell ``i`` running
@@ -289,19 +292,31 @@ class Plan:
 
     def forward_mixed(self, picks, x):
         """The cascade on the array ``x`` without a graph when cell ``i`` runs
-        its path ``picks[i]``, as under one-hot path weights (see
-        :func:`forward_mixed`), on this plan's default groups without
-        gradients (``free_groups``). Returns the logits and a function from
-        their gradient to the one-hot weights' gradient, one row per cell."""
-        h, backs = self._run(x, lambda i, h: forward_mixed(self.free_groups[i], h, picks[i], i == 0))
+        its path ``picks[i]``, as the graph's sum of every path weighted by
+        the one-hot row of ``picks[i]``: that sum is the pick's output up to
+        the sign of a zero. Every path of a cell runs (:func:`run_cell` on
+        ``mixed``), because the weights' gradient needs every path's output.
+        Returns the logits and a function from their gradient to the one-hot
+        weights' gradient, one row per cell; only each pick after the first
+        cell is swept back, for its input's gradient."""
+        def run(i, h):
+            out, records = run_cell(self.mixed[i], h, i == 0)
+            return out[picks[i]], (out, records)
+
+        h, tape = self._run(x, run)
 
         def backward(g):
-            grads = np.empty((len(backs), len(self.groups[0])))
-            for i in range(len(backs) - 1, -1, -1):
-                back, s = backs[i]
+            grads = np.empty((len(tape), len(self.mixed[0])))
+            for i in range(len(tape) - 1, -1, -1):
+                (out, records), s = tape[i]
                 if s is not None:
                     g = ad.softmax_backward(g, s)
-                grads[i], g = back(g, i > 0)
+                # as each path's mul and index_lastdim: the weight's gradient
+                # is (g * y) summed to a scalar, and the paths' one-hot
+                # contributions are added, which turns a -0.0 into +0.0
+                grads[i] = np.zeros(len(out)) + (g * out).sum(axis=-2).sum(axis=-1)
+                if i:
+                    g = sweep_path(self.mixed[i][picks[i]], records[picks[i]], g, True)
             return grads
 
         return h, backward
@@ -376,7 +391,8 @@ def run_cell(groups, x, check=False):
     scheme runs alone, as a single group without positions: then ``x``, the
     output and their gradients have no scheme axis. A stack always holds two
     or more schemes (one of its path groups may hold one); nothing builds a
-    stack of one.
+    stack of one. :attr:`Plan.mixed` is such a stack: every path of a cell,
+    one row each, on one shared ``x``.
 
     Only a stack ``(S, n, a)``, ``S`` the groups' scheme count, is indexed.
     With ``check``, ``x`` is checked against the first layer each group
@@ -416,30 +432,6 @@ def sweep_cell(groups, record, g, need_x):
         if need_x:
             dx[group.positions] = d
     return dx
-
-
-def forward_mixed(groups, x, k, check=False):
-    """Path ``k``'s output on the array ``x``, where ``groups`` are a cell's
-    groups of every path alone (a :class:`Plan`'s default), as the graph's
-    sum of every path weighted by the one-hot row of ``k``: that sum is path
-    ``k``'s output up to the sign of a zero. Every path runs, the frozen and
-    adapter paths on one backbone, because the weights' gradient needs every
-    path's output. With ``check``, ``x`` is checked against the backbone.
-
-    Returns the output and a function from its gradient ``g`` to ``(the
-    weights' gradient, x's gradient or None unless asked)``; only path ``k``
-    is swept back, writing the gradients of its layers that have views."""
-    base = run_dense(groups[0].backbone, x, check)
-    runs = [run_path(group, x, base) for group in groups]
-
-    def backward(g, need_x):
-        # as each path's mul and index_lastdim: the weight's gradient is
-        # (g * y) summed to a scalar, and the paths' one-hot contributions
-        # are added, which turns a -0.0 into +0.0
-        grad = np.zeros(len(runs)) + [(g * y).sum(axis=0).sum(axis=0) for y, _ in runs]
-        return grad, sweep_path(groups[k], runs[k][1], g, need_x)
-
-    return runs[k][0], backward
 
 
 def build_cells(model, mode="NFA", adapter_kinds=("BA",), seed=0):

@@ -43,7 +43,7 @@ def _is_kind(value, kind):
     return isinstance(value, {"bool": bool, "str": str}[kind])
 
 
-def _section(name, d, kinds, required=()):
+def _section(name, d, kinds):
     """Check that ``d`` is a dict whose keys all appear in ``kinds`` (field ->
     'int', 'float', 'bool', 'str', or None for a nested value that its own
     parser checks) and whose scalar values have those kinds."""
@@ -52,9 +52,6 @@ def _section(name, d, kinds, required=()):
     unknown = set(d) - set(kinds)
     if unknown:
         raise ConfigError(f"unknown key(s) in {name}: {sorted(unknown)} (allowed: {sorted(kinds)})")
-    missing = [k for k in required if k not in d]
-    if missing:
-        raise ConfigError(f"{name} is missing {missing}")
     for key, value in d.items():
         kind = kinds[key]
         if kind is not None and not _is_kind(value, kind):

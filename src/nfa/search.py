@@ -139,15 +139,16 @@ class AdaptiveSearch:
         over the cells' alphas that ``opt_arch.minimize`` runs.
 
         Every cell's path is sampled from one Gumbel draw
-        (:func:`cell.gumbel_probs`), the cascade runs each cell's pick in
-        numpy on the network plan's layers (:meth:`cell.Plan.forward_mixed`),
-        as the graph's sum under
-        the one-hot straight-through weights, and the penalty and the total
-        loss are floats. The node's value is the total loss. Its backward
-        gives each alpha the straight-through graph's gradient in closed
-        form, in that graph's order: the cross-entropy gradient swept back to
-        the weights, the penalty's added to it, then
-        :func:`cell.gumbel_softmax_grad`. No network gradient is computed."""
+        (:func:`cell.gumbel_probs`). :meth:`cell.Plan.forward_mixed` runs
+        every path of each cell in numpy (:func:`cell.run_cell` on the
+        plan's gradient-free ``mixed`` groups) and passes the cell's pick on,
+        as the graph's sum under the one-hot straight-through weights; the
+        penalty and the total loss are floats. The node's value is the total
+        loss. Its backward gives each alpha the straight-through graph's
+        gradient in closed form, in that graph's order: the cross-entropy
+        gradient swept back to the weights, the penalty's added to it, then
+        :func:`cell.gumbel_softmax_grad`. No network gradient is computed,
+        and the first cell's pick is not swept back."""
         if len(val_batch) == 0:
             raise ValueError("arch_step needs a nonempty batch")
         tau = self.tau

@@ -15,7 +15,7 @@ from nfa import autodiff as ad
 from nfa import cascade, cell, harness, objective
 from nfa.config import config_from_dict
 from nfa.search import AdaptiveSearch
-from test_cell import make_cell, path_groups
+from test_cell import make_cell, path_plan
 
 
 def verdict(name, ok, detail=""):
@@ -119,8 +119,9 @@ def closed_form_rules(c, rng):
     gradient (unstacked with a loss gradient, and stacked over 2 schemes),
     the squared-error gradient, the penalty's weight gradient, and the path
     weights' and input's gradients of cell ``c``'s mixed forward
-    (:func:`cell.forward_mixed` on the plan's groups), against the graph's
-    weighted sum."""
+    (:meth:`cell.Plan.forward_mixed` of a one-cell plan, and its
+    :func:`cell.run_cell` on ``mixed`` swept back through the pick),
+    against the graph's weighted sum."""
     z, target, probe = (rng.normal(size=(2, 3)) for _ in range(3))
     stacked, labels, g = rng.normal(size=(2, 2, 3)), rng.integers(0, 3, size=2), rng.normal()
     x, out_probe, k = rng.normal(size=(2, 6)), rng.normal(size=(2, 6)), int(rng.integers(0, c.n_paths))
@@ -134,8 +135,9 @@ def closed_form_rules(c, rng):
     def pen(w):
         return g * objective.penalty([c], [SimpleNamespace(weights=ad.constant(w))], pcfg).item()
 
-    groups = path_groups(c)
-    _, backward = cell.forward_mixed(groups, x, k)
+    plan = path_plan(c)
+    _, backward = plan.forward_mixed([k], x)
+    _, records = cell.run_cell(plan.mixed[0], x)
     return {
         "softmax_backward": (lambda v: (ad.softmax(v) * probe).sum(),
                              ad.softmax_backward(probe, ad.softmax(z)), z),
@@ -146,9 +148,9 @@ def closed_form_rules(c, rng):
         "mse_grad": (lambda v: ((v - target) ** 2).mean(), cascade._mse_grad(z, target), z),
         "hard_penalty_grad": (pen, objective.hard_penalty_grad(objective.penalty_table([c], pcfg), g)[0],
                               np.eye(c.n_paths)[k]),
-        "forward_mixed/weights": (mixed, backward(out_probe, False)[0], np.eye(c.n_paths)[k]),
-        "forward_mixed/x": (lambda v: (cell.forward_mixed(groups, v, k)[0] * out_probe).sum(),
-                            backward(out_probe, True)[1], x),
+        "forward_mixed/weights": (mixed, backward(out_probe)[0], np.eye(c.n_paths)[k]),
+        "forward_mixed/x": (lambda v: (cell.run_cell(plan.mixed[0], v)[0][k] * out_probe).sum(),
+                            cell.sweep_path(plan.mixed[0][k], records[k], out_probe, True), x),
     }
 
 

@@ -849,6 +849,40 @@ def test_src_multiplies_only_as_the_graph_does():
     assert not hasattr(ad, "product")
 
 
+NUMPY2_ONLY = {"vecdot", "matrix_transpose", "permute_dims", "concat", "pow", "astype", "isdtype",
+               "unique_values", "unique_counts", "unique_inverse", "unique_all",
+               "acos", "acosh", "asin", "asinh", "atan", "atan2", "atanh"}
+
+
+def numpy2_only_names(source):
+    """The names in ``source`` that numpy has only from 2.0: ``.mT`` on
+    anything, and the functions of ``NUMPY2_ONLY`` reached from ``np`` or
+    ``numpy`` (an ndarray's own ``astype`` is older) or imported from it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if node.attr == "mT" or node.attr in NUMPY2_ONLY and isinstance(root, ast.Name) \
+                    and root.id in ("np", "numpy"):
+                found.append(f"{node.lineno}: {ast.unparse(node)}")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            found += [f"{node.lineno}: import {a.name}" for a in node.names if a.name in NUMPY2_ONLY]
+    return found
+
+
+def test_src_uses_no_numpy2_only_name():
+    """``pyproject.toml`` allows ``numpy>=1.24``, so ``src/nfa`` names nothing
+    that numpy added in 2.0."""
+    probe = "x.mT\nx.astype(int)\nnp.linalg.vecdot(a, b)\nnumpy.concat(a)\nfrom numpy import acos\n"
+    assert sorted(numpy2_only_names(probe)) == [
+        "1: x.mT", "3: np.linalg.vecdot", "4: numpy.concat", "5: import acos"]
+    found = [f"{path.name}:{line}" for path in sorted(Path(ad.__file__).parent.glob("*.py"))
+             for line in numpy2_only_names(path.read_text())]
+    assert found == []
+
+
 def test_frozen_forward_multiplies_a_one_row_last_batch_as_each_batch_alone():
     """A one-row last batch into a layer of width 1 with a ``-0`` bias: its
     ``0 * -1`` is ``+0`` under ``@``, so ``z`` is ``+0``, as each batch's

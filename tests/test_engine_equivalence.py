@@ -811,7 +811,7 @@ def test_wrong_shape_inputs_raise_the_graph_error(case):
     batch = replace(val.subset(np.arange(8)), x=x)
     rows = train.subset(np.arange(16))
     args = training_args(cfg, 0)
-    routes = {"forward_mixed": (lambda: cell.forward_mixed(plan.groups[0], x, 0, check=True), want),
+    routes = {"run_cell mixed": (lambda: cell.run_cell(plan.mixed[0], x, True), want),
               "Plan.forward_mixed": (lambda: plan.forward_mixed([0] * n_cells, x), want),
               "arch_step": (lambda: search.arch_step(batch), want),
               "net_step": (lambda: search.net_step(batch), want)}

@@ -91,6 +91,25 @@ class TestStepContracts:
         assert s.net_params.checksum() == net_before
         assert s.arch_params.checksum() != alpha_before
 
+    def test_arch_step_sweeps_no_first_cell_and_writes_no_network_gradient(self, monkeypatch):
+        # the first cell's pick is swept for nothing: no layer of the
+        # architecture step has a gradient view and no input gradient is used
+        s = make_search(modules_per_stage=2)
+        s._plan.grad.fill(np.nan)
+        sentinel = s._plan.grad.tobytes()
+        swept = []
+        sweep = cell.sweep_path
+
+        def counting(*args):
+            swept.append(args[0].index)
+            return sweep(*args)
+
+        monkeypatch.setattr(cell, "sweep_path", counting)
+        for step in range(2):
+            s.arch_step(s.val_data.subset(np.arange(16 * step, 16 * step + 16)))
+        assert swept == list(range(len(s.cells) - 1, 0, -1)) * 2
+        assert s._plan.grad.tobytes() == sentinel
+
     def test_net_step_updates_network_only(self):
         s = make_search()
         net_before = s.net_params.checksum()
